@@ -290,17 +290,27 @@ func BenchmarkPassiveQoE(b *testing.B) {
 func benchFleet(b *testing.B, workers int) {
 	var rows int
 	for i := 0; i < b.N; i++ {
-		results, err := tp.FleetRunAll(benchOpts(20), tp.FleetConfig{Workers: workers})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows = 0
-		for _, r := range results {
-			rows += len(r.Rows)
-		}
+		rows = runFleetSuite(b, tp.FleetConfig{Workers: workers})
 	}
 	b.ReportMetric(float64(rows), "rows")
 }
+
+// runFleetSuite streams the whole registered suite into memory sinks and
+// returns the number of rows emitted.
+func runFleetSuite(b *testing.B, cfg tp.FleetConfig) int {
+	results, err := tp.FleetRunStream(tp.Experiments(), benchOpts(20), cfg, memorySinks)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := 0
+	for _, r := range results {
+		rows += r.RowCount
+	}
+	return rows
+}
+
+// memorySinks collects each experiment's rows in a fresh MemorySink.
+func memorySinks(tp.Experiment) (tp.Sink, error) { return tp.NewMemorySink(), nil }
 
 func BenchmarkFleetSuiteSequential(b *testing.B) { benchFleet(b, 1) }
 func BenchmarkFleetSuiteParallel8(b *testing.B)  { benchFleet(b, 8) }
@@ -308,8 +318,9 @@ func BenchmarkFleetSuiteParallel8(b *testing.B)  { benchFleet(b, 8) }
 // BenchmarkFleetSuiteSequentialCheckpoint measures the checkpointing tax:
 // the same sequential suite with every completed rep journaled (dual-
 // encoded entry + atomic temp-and-rename write per unit). The fault-
-// tolerance budget is <5% over BenchmarkFleetSuiteSequential;
-// scripts/bench_fleet.sh computes the overhead into BENCH_fleet.json.
+// tolerance budget is <5% over BenchmarkFleetSuiteSequential. The
+// host-time benchmark of the fleet engine and journal is the
+// fleet_journal workload in bench/ (see bench/README.md).
 func BenchmarkFleetSuiteSequentialCheckpoint(b *testing.B) {
 	var rows int
 	for i := 0; i < b.N; i++ {
@@ -319,14 +330,7 @@ func BenchmarkFleetSuiteSequentialCheckpoint(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		results, err := tp.FleetRunAll(benchOpts(20), tp.FleetConfig{Workers: 1, Checkpoint: journal})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows = 0
-		for _, r := range results {
-			rows += len(r.Rows)
-		}
+		rows = runFleetSuite(b, tp.FleetConfig{Workers: 1, Checkpoint: journal})
 	}
 	b.ReportMetric(float64(rows), "rows")
 }
@@ -341,7 +345,7 @@ func benchFleetKeypoints(b *testing.B, workers int) {
 	opts := benchOpts(21)
 	opts.Reps = 8
 	for i := 0; i < b.N; i++ {
-		if _, err := tp.FleetRun(exps, opts, tp.FleetConfig{Workers: workers}); err != nil {
+		if _, err := tp.FleetRunStream(exps, opts, tp.FleetConfig{Workers: workers}, memorySinks); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"telepresence/internal/geo"
 	"telepresence/internal/ratecontrol"
-	"telepresence/internal/scenario"
-	"telepresence/internal/simtime"
 	"telepresence/internal/vca"
 )
 
@@ -79,28 +76,14 @@ func DefaultCCRateCaps() []float64 { return []float64{0, 1.2, 0.9, 0.6} }
 // ccrateSessionConfig is the standard 2D-video session the closed-loop cap
 // experiment impairs: a two-party Zoom call (640x360, 1.4 Mbps target),
 // which plans to P2P RTP, so the feedback path is the raw reverse pipe.
-// Like the scenario experiments, sessions never run shorter than 12 s so
-// queues have time to bite.
-func ccrateSessionConfig(seed int64, dur simtime.Duration, controller string) vca.SessionConfig {
-	sc := vca.DefaultSessionConfig(vca.Zoom, []vca.Participant{
-		{ID: "u1", Loc: geo.Ashburn, Device: vca.VisionPro},
-		{ID: "u2", Loc: geo.NewYork, Device: vca.VisionPro},
-	})
-	if dur < 12*simtime.Second {
-		dur = 12 * simtime.Second
-	}
-	sc.Duration = dur
-	sc.Seed = seed
+func ccrateSessionConfig(cell Options, controller string) vca.SessionConfig {
+	sc := twoPartyConfig(vca.Zoom, cell)
 	sc.RateControl = &vca.RateControlConfig{Controller: controller}
 	return sc
 }
 
 // ccrateCell runs one controller x cap cell.
 func ccrateCell(opts Options, params map[string]float64) (CCRateRow, error) {
-	opts, err := opts.Normalize()
-	if err != nil {
-		return CCRateRow{}, err
-	}
 	kind, err := controllerFromParam(params)
 	if err != nil {
 		return CCRateRow{}, err
@@ -109,47 +92,26 @@ func ccrateCell(opts Options, params map[string]float64) (CCRateRow, error) {
 	if capMbps < 0 {
 		return CCRateRow{}, fmt.Errorf("ccrate: negative cap_mbps %g", capMbps)
 	}
-	cell := SweepCellOptions(opts, "ccrate", params)
-	sc := ccrateSessionConfig(cell.Seed, cell.SessionDuration, kind)
-	tc, tdone, err := cellTelemetry(cell, "ccrate", scenario.ParamLabel(params))
-	if err != nil {
-		return CCRateRow{}, err
-	}
-	sc.Telemetry = tc
-	pp, pdone, err := cellProf(cell, "ccrate", scenario.ParamLabel(params))
-	if err != nil {
-		return CCRateRow{}, err
-	}
-	sc.Prof = pp
-	sess, err := vca.NewSession(sc)
-	if err != nil {
-		return CCRateRow{}, err
-	}
-	if capMbps > 0 {
-		sess.UplinkShaper(0).RateBps = capMbps * 1e6
-	}
-	res := sess.Run()
-	if err := tdone(); err != nil {
-		return CCRateRow{}, err
-	}
-	if err := pdone(); err != nil {
-		return CCRateRow{}, err
-	}
-	up := sess.UplinkStats(0)
-	var qdrop float64
-	if up.SentFrames > 0 {
-		qdrop = float64(up.DroppedQueue) / float64(up.SentFrames)
-	}
-	return CCRateRow{
-		Controller:      kind,
-		CapMbps:         capMbps,
-		AchievedMbps:    float64(up.DeliveredB*8) / sc.Duration.Seconds() / 1e6,
-		MeanTargetMbps:  sess.RateTargetMeanBps(0) / 1e6,
-		QueueDropFrac:   qdrop,
-		UnavailableFrac: res.Users[1].UnavailableFrac,
-		MeanLatencyMs:   res.Users[1].MeanFrameLatencyMs,
-		DecodedFrac:     decodedFrac(res, 0, 1),
-	}, nil
+	config := func(cell Options) vca.SessionConfig { return ccrateSessionConfig(cell, kind) }
+	return runSessionCell(opts, "ccrate", params, config,
+		func(sess *vca.Session, sc vca.SessionConfig) (func(*vca.Results) CCRateRow, error) {
+			if capMbps > 0 {
+				sess.UplinkShaper(0).RateBps = capMbps * 1e6
+			}
+			return func(res *vca.Results) CCRateRow {
+				up := sess.UplinkStats(0)
+				return CCRateRow{
+					Controller:      kind,
+					CapMbps:         capMbps,
+					AchievedMbps:    float64(up.DeliveredB*8) / sc.Duration.Seconds() / 1e6,
+					MeanTargetMbps:  sess.RateTargetMeanBps(0) / 1e6,
+					QueueDropFrac:   sentFrac(up.DroppedQueue, up),
+					UnavailableFrac: res.Users[1].UnavailableFrac,
+					MeanLatencyMs:   res.Users[1].MeanFrameLatencyMs,
+					DecodedFrac:     decodedFrac(res, 0, 1),
+				}
+			}, nil
+		})
 }
 
 // ------------------------------------------------------------------ ccramp
@@ -179,92 +141,46 @@ type CCRampRow struct {
 // dynamics under the ramp depend on the bitrate target, not the frame
 // cadence, and halving the frame count halves the 720p encode cost of
 // every golden-suite run.
-func ccrampSessionConfig(seed int64, dur simtime.Duration, controller string) vca.SessionConfig {
-	sc := vca.DefaultSessionConfig(vca.Teams, []vca.Participant{
-		{ID: "u1", Loc: geo.Ashburn, Device: vca.VisionPro},
-		{ID: "u2", Loc: geo.NewYork, Device: vca.VisionPro},
-	})
-	if dur < 12*simtime.Second {
-		dur = 12 * simtime.Second
-	}
-	sc.Duration = dur
-	sc.Seed = seed
+func ccrampSessionConfig(cell Options, controller string) vca.SessionConfig {
+	sc := twoPartyConfig(vca.Teams, cell)
 	sc.VideoFPS = 15
 	sc.RateControl = &vca.RateControlConfig{Controller: controller}
 	return sc
 }
 
 // ccrampCell runs one controller x floor cell under the congestion ramp
-// (fall over [D/4, 3D/8], hold the floor until 5D/8, rise over D/8).
+// (rampSchedule).
 func ccrampCell(opts Options, params map[string]float64) (CCRampRow, error) {
-	opts, err := opts.Normalize()
-	if err != nil {
-		return CCRampRow{}, err
-	}
 	kind, err := controllerFromParam(params)
 	if err != nil {
 		return CCRampRow{}, err
 	}
-	start, floor := params["start_mbps"]*1e6, params["floor_mbps"]*1e6
-	if !(floor > 0) || !(start > 0) {
-		return CCRampRow{}, fmt.Errorf("ccramp: start_mbps %g and floor_mbps %g must both be positive",
-			params["start_mbps"], params["floor_mbps"])
-	}
-	if floor > start {
-		return CCRampRow{}, fmt.Errorf("ccramp: floor %g Mbps above start %g Mbps",
-			params["floor_mbps"], params["start_mbps"])
-	}
-	cell := SweepCellOptions(opts, "ccramp", params)
-	sc := ccrampSessionConfig(cell.Seed, cell.SessionDuration, kind)
-	tc, tdone, err := cellTelemetry(cell, "ccramp", scenario.ParamLabel(params))
+	start, floor, err := rampParams("ccramp", params)
 	if err != nil {
 		return CCRampRow{}, err
 	}
-	sc.Telemetry = tc
-	pp, pdone, err := cellProf(cell, "ccramp", scenario.ParamLabel(params))
-	if err != nil {
-		return CCRampRow{}, err
-	}
-	sc.Prof = pp
-	sess, err := vca.NewSession(sc)
-	if err != nil {
-		return CCRampRow{}, err
-	}
-	d := sc.Duration
-	sched := scenario.BandwidthRamp(start, floor, d/4, d/8, 5*d/8, d/8)
-	if err := sched.Bind(sess.Scheduler(), sess.UplinkShaper(0)); err != nil {
-		return CCRampRow{}, err
-	}
-	// Sample the uplink's delivered-byte counter at the floor-hold window
-	// edges; the difference is the achieved rate at the ramp's bottom.
-	var floorStartB, floorEndB int64
-	sess.Scheduler().At(simtime.Time(3*d/8), func() { floorStartB = sess.UplinkStats(0).DeliveredB })
-	sess.Scheduler().At(simtime.Time(5*d/8), func() { floorEndB = sess.UplinkStats(0).DeliveredB })
-
-	res := sess.Run()
-	if err := tdone(); err != nil {
-		return CCRampRow{}, err
-	}
-	if err := pdone(); err != nil {
-		return CCRampRow{}, err
-	}
-	up := sess.UplinkStats(0)
-	var qdrop float64
-	if up.SentFrames > 0 {
-		qdrop = float64(up.DroppedQueue) / float64(up.SentFrames)
-	}
-	holdSec := (d / 4).Seconds()
-	return CCRampRow{
-		Controller:        kind,
-		StartMbps:         params["start_mbps"],
-		FloorMbps:         params["floor_mbps"],
-		FloorAchievedMbps: float64((floorEndB-floorStartB)*8) / holdSec / 1e6,
-		MeanTargetMbps:    sess.RateTargetMeanBps(0) / 1e6,
-		QueueDropFrac:     qdrop,
-		UnavailableFrac:   res.Users[1].UnavailableFrac,
-		MeanLatencyMs:     res.Users[1].MeanFrameLatencyMs,
-		DecodedFrac:       decodedFrac(res, 0, 1),
-	}, nil
+	config := func(cell Options) vca.SessionConfig { return ccrampSessionConfig(cell, kind) }
+	return runSessionCell(opts, "ccramp", params, config,
+		func(sess *vca.Session, sc vca.SessionConfig) (func(*vca.Results) CCRampRow, error) {
+			if err := bindUplink(sess, rampSchedule(start, floor, sc.Duration)); err != nil {
+				return nil, err
+			}
+			floorMbps := floorWindowMbps(sess, sc.Duration)
+			return func(res *vca.Results) CCRampRow {
+				up := sess.UplinkStats(0)
+				return CCRampRow{
+					Controller:        kind,
+					StartMbps:         params["start_mbps"],
+					FloorMbps:         params["floor_mbps"],
+					FloorAchievedMbps: floorMbps(),
+					MeanTargetMbps:    sess.RateTargetMeanBps(0) / 1e6,
+					QueueDropFrac:     sentFrac(up.DroppedQueue, up),
+					UnavailableFrac:   res.Users[1].UnavailableFrac,
+					MeanLatencyMs:     res.Users[1].MeanFrameLatencyMs,
+					DecodedFrac:       decodedFrac(res, 0, 1),
+				}
+			}, nil
+		})
 }
 
 // ---------------------------------------------------------- registration

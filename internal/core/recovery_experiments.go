@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"telepresence/internal/geo"
 	"telepresence/internal/recovery"
 	"telepresence/internal/scenario"
 	"telepresence/internal/simtime"
@@ -55,17 +54,8 @@ func DefaultRecoveryStrategies() []float64 {
 // not the frame cadence, and it halves the per-cell encode cost) and the
 // freshness window tightens to 200 ms so a single frame-timeout stall is
 // visible in UnavailableFrac — the sensitivity the strategy contrast needs.
-// Sessions never run shorter than 12 s so burst statistics accumulate.
-func recoverySessionConfig(seed int64, dur simtime.Duration, strategy string) vca.SessionConfig {
-	sc := vca.DefaultSessionConfig(vca.Zoom, []vca.Participant{
-		{ID: "u1", Loc: geo.Ashburn, Device: vca.VisionPro},
-		{ID: "u2", Loc: geo.NewYork, Device: vca.VisionPro},
-	})
-	if dur < 12*simtime.Second {
-		dur = 12 * simtime.Second
-	}
-	sc.Duration = dur
-	sc.Seed = seed
+func recoverySessionConfig(cell Options, strategy string) vca.SessionConfig {
+	sc := twoPartyConfig(vca.Zoom, cell)
 	sc.VideoFPS = 15
 	sc.FreshnessLimit = 200 * simtime.Millisecond
 	// "none" is wired but inert — byte-identical to no recovery at all
@@ -112,73 +102,45 @@ type RecoveryRow struct {
 
 // recoveryCell runs one strategy x channel cell.
 func recoveryCell(opts Options, params map[string]float64) (RecoveryRow, error) {
-	opts, err := opts.Normalize()
-	if err != nil {
-		return RecoveryRow{}, err
-	}
 	kind, err := strategyFromParam(params)
 	if err != nil {
 		return RecoveryRow{}, err
 	}
-	cell := SweepCellOptions(opts, "recovery", params)
-	sc := recoverySessionConfig(cell.Seed, cell.SessionDuration, kind)
-	tc, tdone, err := cellTelemetry(cell, "recovery", scenario.ParamLabel(params))
-	if err != nil {
-		return RecoveryRow{}, err
-	}
-	sc.Telemetry = tc
-	pp, pdone, err := cellProf(cell, "recovery", scenario.ParamLabel(params))
-	if err != nil {
-		return RecoveryRow{}, err
-	}
-	sc.Prof = pp
-	sess, err := vca.NewSession(sc)
-	if err != nil {
-		return RecoveryRow{}, err
-	}
-	bp := scenario.BurstParams{
-		GoodToBad: params["p_good_bad"],
-		BadToGood: params["p_bad_good"],
-		LossBad:   params["loss_bad"],
-	}
-	sched := scenario.BurstLoss(bp, 0, 0)
-	if err := sched.Bind(sess.Scheduler(), sess.UplinkShaper(0)); err != nil {
-		return RecoveryRow{}, err
-	}
-	res := sess.Run()
-	if err := tdone(); err != nil {
-		return RecoveryRow{}, err
-	}
-	if err := pdone(); err != nil {
-		return RecoveryRow{}, err
-	}
-	up := sess.UplinkStats(0)
-	row := RecoveryRow{
-		Strategy: kind, GoodToBad: bp.GoodToBad, BadToGood: bp.BadToGood, LossBad: bp.LossBad,
-		UnavailableFrac: res.Users[1].UnavailableFrac,
-		MeanLatencyMs:   res.Users[1].MeanFrameLatencyMs,
-		DecodedFrac:     decodedFrac(res, 0, 1),
-	}
-	if up.SentFrames > 0 {
-		row.MeasuredLoss = float64(up.DroppedLoss) / float64(up.SentFrames)
-	}
-	// Overhead against the rate target: the open-loop encoder target is
-	// the budget these sessions spend.
-	targetBytes := vca.SpecFor(sc.App).VideoTargetBps / 8 * sc.Duration.Seconds()
-	if sst, ok := sess.RecoverySenderStats(0); ok && targetBytes > 0 {
-		row.RedundancyFrac = float64(sst.ParityBytes) / targetBytes
-		row.RtxFrac = float64(sst.RtxBytes) / targetBytes
-	}
-	if rst, ok := sess.RecoveryReceiverStats(0, 1); ok && rst.Missed > 0 {
-		row.RepairedFrac = float64(rst.RepairedRtx+rst.RepairedFec) / float64(rst.Missed)
-		row.UnrepairedFrac = float64(rst.Unrepaired) / float64(rst.Missed)
-		if len(rst.RepairDelaysMs) > 0 {
-			d := stats.NewSample(rst.RepairDelaysMs...)
-			row.RtxDelayP50Ms = d.Median()
-			row.RtxDelayP95Ms = d.Percentile(95)
-		}
-	}
-	return row, nil
+	bp := burstParams(params)
+	config := func(cell Options) vca.SessionConfig { return recoverySessionConfig(cell, kind) }
+	return runSessionCell(opts, "recovery", params, config,
+		func(sess *vca.Session, sc vca.SessionConfig) (func(*vca.Results) RecoveryRow, error) {
+			if err := bindUplink(sess, scenario.BurstLoss(bp, 0, 0)); err != nil {
+				return nil, err
+			}
+			return func(res *vca.Results) RecoveryRow {
+				up := sess.UplinkStats(0)
+				row := RecoveryRow{
+					Strategy: kind, GoodToBad: bp.GoodToBad, BadToGood: bp.BadToGood, LossBad: bp.LossBad,
+					MeasuredLoss:    sentFrac(up.DroppedLoss, up),
+					UnavailableFrac: res.Users[1].UnavailableFrac,
+					MeanLatencyMs:   res.Users[1].MeanFrameLatencyMs,
+					DecodedFrac:     decodedFrac(res, 0, 1),
+				}
+				// Overhead against the rate target: the open-loop encoder
+				// target is the budget these sessions spend.
+				targetBytes := vca.SpecFor(sc.App).VideoTargetBps / 8 * sc.Duration.Seconds()
+				if sst, ok := sess.RecoverySenderStats(0); ok && targetBytes > 0 {
+					row.RedundancyFrac = float64(sst.ParityBytes) / targetBytes
+					row.RtxFrac = float64(sst.RtxBytes) / targetBytes
+				}
+				if rst, ok := sess.RecoveryReceiverStats(0, 1); ok && rst.Missed > 0 {
+					row.RepairedFrac = float64(rst.RepairedRtx+rst.RepairedFec) / float64(rst.Missed)
+					row.UnrepairedFrac = float64(rst.Unrepaired) / float64(rst.Missed)
+					if len(rst.RepairDelaysMs) > 0 {
+						d := stats.NewSample(rst.RepairDelaysMs...)
+						row.RtxDelayP50Ms = d.Median()
+						row.RtxDelayP95Ms = d.Percentile(95)
+					}
+				}
+				return row
+			}, nil
+		})
 }
 
 // ----------------------------------------------------------------- recramp
@@ -213,77 +175,47 @@ type RecRampRow struct {
 func DefaultRecRampFloorsMbps() []float64 { return []float64{1.0, 0.5} }
 
 // recrampCell runs one strategy x floor cell under the congestion ramp
-// (fall over [D/4, 3D/8], hold the floor until 5D/8, rise over D/8).
+// (rampSchedule).
 func recrampCell(opts Options, params map[string]float64) (RecRampRow, error) {
-	opts, err := opts.Normalize()
-	if err != nil {
-		return RecRampRow{}, err
-	}
 	kind, err := strategyFromParam(params)
 	if err != nil {
 		return RecRampRow{}, err
 	}
-	start, floor := params["start_mbps"]*1e6, params["floor_mbps"]*1e6
-	if !(floor > 0) || !(start > 0) {
-		return RecRampRow{}, fmt.Errorf("recramp: start_mbps %g and floor_mbps %g must both be positive",
-			params["start_mbps"], params["floor_mbps"])
-	}
-	if floor > start {
-		return RecRampRow{}, fmt.Errorf("recramp: floor %g Mbps above start %g Mbps",
-			params["floor_mbps"], params["start_mbps"])
-	}
-	cell := SweepCellOptions(opts, "recramp", params)
-	sc := recoverySessionConfig(cell.Seed, cell.SessionDuration, kind)
-	sc.RateControl = &vca.RateControlConfig{Controller: "gcc"}
-	tc, tdone, err := cellTelemetry(cell, "recramp", scenario.ParamLabel(params))
+	start, floor, err := rampParams("recramp", params)
 	if err != nil {
 		return RecRampRow{}, err
 	}
-	sc.Telemetry = tc
-	pp, pdone, err := cellProf(cell, "recramp", scenario.ParamLabel(params))
-	if err != nil {
-		return RecRampRow{}, err
+	config := func(cell Options) vca.SessionConfig {
+		sc := recoverySessionConfig(cell, kind)
+		sc.RateControl = &vca.RateControlConfig{Controller: "gcc"}
+		return sc
 	}
-	sc.Prof = pp
-	sess, err := vca.NewSession(sc)
-	if err != nil {
-		return RecRampRow{}, err
-	}
-	d := sc.Duration
-	sched := scenario.BandwidthRamp(start, floor, d/4, d/8, 5*d/8, d/8)
-	if err := sched.Bind(sess.Scheduler(), sess.UplinkShaper(0)); err != nil {
-		return RecRampRow{}, err
-	}
-	var floorStartB, floorEndB int64
-	sess.Scheduler().At(simtime.Time(3*d/8), func() { floorStartB = sess.UplinkStats(0).DeliveredB })
-	sess.Scheduler().At(simtime.Time(5*d/8), func() { floorEndB = sess.UplinkStats(0).DeliveredB })
-
-	res := sess.Run()
-	if err := tdone(); err != nil {
-		return RecRampRow{}, err
-	}
-	if err := pdone(); err != nil {
-		return RecRampRow{}, err
-	}
-	up := sess.UplinkStats(0)
-	row := RecRampRow{
-		Strategy:          kind,
-		StartMbps:         params["start_mbps"],
-		FloorMbps:         params["floor_mbps"],
-		FloorAchievedMbps: float64((floorEndB-floorStartB)*8) / (d / 4).Seconds() / 1e6,
-		MeanTargetMbps:    sess.RateTargetMeanBps(0) / 1e6,
-		OverheadFrac:      sess.RecoveryOverheadRatio(0),
-		UnavailableFrac:   res.Users[1].UnavailableFrac,
-		MeanLatencyMs:     res.Users[1].MeanFrameLatencyMs,
-		DecodedFrac:       decodedFrac(res, 0, 1),
-	}
-	if up.SentFrames > 0 {
-		row.QueueDropFrac = float64(up.DroppedQueue) / float64(up.SentFrames)
-	}
-	if rst, ok := sess.RecoveryReceiverStats(0, 1); ok && rst.Missed > 0 {
-		row.RepairedFrac = float64(rst.RepairedRtx+rst.RepairedFec) / float64(rst.Missed)
-	}
-	return row, nil
+	return runSessionCell(opts, "recramp", params, config,
+		func(sess *vca.Session, sc vca.SessionConfig) (func(*vca.Results) RecRampRow, error) {
+			if err := bindUplink(sess, rampSchedule(start, floor, sc.Duration)); err != nil {
+				return nil, err
+			}
+			floorMbps := floorWindowMbps(sess, sc.Duration)
+			return func(res *vca.Results) RecRampRow {
+				up := sess.UplinkStats(0)
+				row := RecRampRow{
+					Strategy:          kind,
+					StartMbps:         params["start_mbps"],
+					FloorMbps:         params["floor_mbps"],
+					FloorAchievedMbps: floorMbps(),
+					MeanTargetMbps:    sess.RateTargetMeanBps(0) / 1e6,
+					OverheadFrac:      sess.RecoveryOverheadRatio(0),
+					QueueDropFrac:     sentFrac(up.DroppedQueue, up),
+					UnavailableFrac:   res.Users[1].UnavailableFrac,
+					MeanLatencyMs:     res.Users[1].MeanFrameLatencyMs,
+					DecodedFrac:       decodedFrac(res, 0, 1),
+				}
+				if rst, ok := sess.RecoveryReceiverStats(0, 1); ok && rst.Missed > 0 {
+					row.RepairedFrac = float64(rst.RepairedRtx+rst.RepairedFec) / float64(rst.Missed)
+				}
+				return row
+			}, nil
+		})
 }
 
 // ---------------------------------------------------------- registration

@@ -1,12 +1,8 @@
 package core
 
 import (
-	"fmt"
-
-	"telepresence/internal/geo"
 	"telepresence/internal/scenario"
 	"telepresence/internal/simrand"
-	"telepresence/internal/simtime"
 	"telepresence/internal/vca"
 )
 
@@ -29,21 +25,10 @@ func SweepCellOptions(opts Options, target string, params map[string]float64) Op
 	return opts
 }
 
-// scenarioSessionConfig is the standard two-user spatial session the
-// scenario experiments impair: FaceTime between two Vision Pros,
-// Ashburn-New York, like the paper's testbed calls. Schedules need time to
-// bite, so the session never runs shorter than 12 s regardless of scale.
-func scenarioSessionConfig(seed int64, dur simtime.Duration) vca.SessionConfig {
-	sc := vca.DefaultSessionConfig(vca.FaceTime, []vca.Participant{
-		{ID: "u1", Loc: geo.Ashburn, Device: vca.VisionPro},
-		{ID: "u2", Loc: geo.NewYork, Device: vca.VisionPro},
-	})
-	if dur < 12*simtime.Second {
-		dur = 12 * simtime.Second
-	}
-	sc.Duration = dur
-	sc.Seed = seed
-	return sc
+// scenarioSessionConfig is the standard spatial session the scenario
+// experiments impair: FaceTime between two Vision Pros (twoPartyConfig).
+func scenarioSessionConfig(cell Options) vca.SessionConfig {
+	return twoPartyConfig(vca.FaceTime, cell)
 }
 
 // --------------------------------------------------------------- handover
@@ -68,44 +53,21 @@ func DefaultHandoverDelaysMs() []float64 { return []float64{100, 500, 1000} }
 
 // handoverCell runs one delay-step cell.
 func handoverCell(opts Options, params map[string]float64) (HandoverRow, error) {
-	opts, err := opts.Normalize()
-	if err != nil {
-		return HandoverRow{}, err
-	}
-	cell := SweepCellOptions(opts, "handover", params)
-	sc := scenarioSessionConfig(cell.Seed, cell.SessionDuration)
-	tc, tdone, err := cellTelemetry(cell, "handover", scenario.ParamLabel(params))
-	if err != nil {
-		return HandoverRow{}, err
-	}
-	sc.Telemetry = tc
-	pp, pdone, err := cellProf(cell, "handover", scenario.ParamLabel(params))
-	if err != nil {
-		return HandoverRow{}, err
-	}
-	sc.Prof = pp
-	sess, err := vca.NewSession(sc)
-	if err != nil {
-		return HandoverRow{}, err
-	}
 	stepMs := params["delay_ms"]
-	sched := scenario.DelayStep(stepMs, sc.Duration/3, 2*sc.Duration/3)
-	if err := sched.Bind(sess.Scheduler(), sess.UplinkShaper(0)); err != nil {
-		return HandoverRow{}, err
-	}
-	res := sess.Run()
-	if err := tdone(); err != nil {
-		return HandoverRow{}, err
-	}
-	if err := pdone(); err != nil {
-		return HandoverRow{}, err
-	}
-	return HandoverRow{
-		StepDelayMs:     stepMs,
-		UnavailableFrac: res.Users[1].UnavailableFrac,
-		MeanLatencyMs:   res.Users[1].MeanFrameLatencyMs,
-		DecodedFrac:     decodedFrac(res, 0, 1),
-	}, nil
+	return runSessionCell(opts, "handover", params, scenarioSessionConfig,
+		func(sess *vca.Session, sc vca.SessionConfig) (func(*vca.Results) HandoverRow, error) {
+			if err := bindUplink(sess, scenario.DelayStep(stepMs, sc.Duration/3, 2*sc.Duration/3)); err != nil {
+				return nil, err
+			}
+			return func(res *vca.Results) HandoverRow {
+				return HandoverRow{
+					StepDelayMs:     stepMs,
+					UnavailableFrac: res.Users[1].UnavailableFrac,
+					MeanLatencyMs:   res.Users[1].MeanFrameLatencyMs,
+					DecodedFrac:     decodedFrac(res, 0, 1),
+				}
+			}, nil
+		})
 }
 
 // decodedFrac is receiver j's decode count over sender i's emissions.
@@ -139,56 +101,34 @@ var burstLossGrid = []map[string]float64{
 	{"p_good_bad": 0.05, "p_bad_good": 0.15, "loss_bad": 0.95},
 }
 
-// burstLossCell runs one Gilbert-Elliott cell.
-func burstLossCell(opts Options, params map[string]float64) (BurstLossRow, error) {
-	opts, err := opts.Normalize()
-	if err != nil {
-		return BurstLossRow{}, err
-	}
-	cell := SweepCellOptions(opts, "burstloss", params)
-	sc := scenarioSessionConfig(cell.Seed, cell.SessionDuration)
-	tc, tdone, err := cellTelemetry(cell, "burstloss", scenario.ParamLabel(params))
-	if err != nil {
-		return BurstLossRow{}, err
-	}
-	sc.Telemetry = tc
-	pp, pdone, err := cellProf(cell, "burstloss", scenario.ParamLabel(params))
-	if err != nil {
-		return BurstLossRow{}, err
-	}
-	sc.Prof = pp
-	sess, err := vca.NewSession(sc)
-	if err != nil {
-		return BurstLossRow{}, err
-	}
-	bp := scenario.BurstParams{
+// burstParams reads a Gilbert-Elliott channel from the cell parameters.
+func burstParams(params map[string]float64) scenario.BurstParams {
+	return scenario.BurstParams{
 		GoodToBad: params["p_good_bad"],
 		BadToGood: params["p_bad_good"],
 		LossBad:   params["loss_bad"],
 	}
-	sched := scenario.BurstLoss(bp, 0, 0)
-	if err := sched.Bind(sess.Scheduler(), sess.UplinkShaper(0)); err != nil {
-		return BurstLossRow{}, err
-	}
-	res := sess.Run()
-	if err := tdone(); err != nil {
-		return BurstLossRow{}, err
-	}
-	if err := pdone(); err != nil {
-		return BurstLossRow{}, err
-	}
-	up := sess.UplinkStats(0)
-	var measured float64
-	if up.SentFrames > 0 {
-		measured = float64(up.DroppedLoss) / float64(up.SentFrames)
-	}
-	return BurstLossRow{
-		GoodToBad: bp.GoodToBad, BadToGood: bp.BadToGood, LossBad: bp.LossBad,
-		MeasuredLoss:    measured,
-		UnavailableFrac: res.Users[1].UnavailableFrac,
-		MeanLatencyMs:   res.Users[1].MeanFrameLatencyMs,
-		DecodedFrac:     decodedFrac(res, 0, 1),
-	}, nil
+}
+
+// burstLossCell runs one Gilbert-Elliott cell.
+func burstLossCell(opts Options, params map[string]float64) (BurstLossRow, error) {
+	bp := burstParams(params)
+	return runSessionCell(opts, "burstloss", params, scenarioSessionConfig,
+		func(sess *vca.Session, _ vca.SessionConfig) (func(*vca.Results) BurstLossRow, error) {
+			if err := bindUplink(sess, scenario.BurstLoss(bp, 0, 0)); err != nil {
+				return nil, err
+			}
+			return func(res *vca.Results) BurstLossRow {
+				up := sess.UplinkStats(0)
+				return BurstLossRow{
+					GoodToBad: bp.GoodToBad, BadToGood: bp.BadToGood, LossBad: bp.LossBad,
+					MeasuredLoss:    sentFrac(up.DroppedLoss, up),
+					UnavailableFrac: res.Users[1].UnavailableFrac,
+					MeanLatencyMs:   res.Users[1].MeanFrameLatencyMs,
+					DecodedFrac:     decodedFrac(res, 0, 1),
+				}
+			}, nil
+		})
 }
 
 // ------------------------------------------------------------- congestion
@@ -211,63 +151,28 @@ type CongestionRow struct {
 // straddling the spatial persona's ~1.5 Mbps uplink demand.
 func DefaultCongestionFloorsMbps() []float64 { return []float64{2.0, 1.0, 0.5} }
 
-// congestionCell runs one bandwidth-ramp cell. The ramp falls over
-// [D/4, D/4+D/8], holds the floor until 5D/8, rises back over D/8, then
-// clears.
+// congestionCell runs one bandwidth-ramp cell (rampSchedule).
 func congestionCell(opts Options, params map[string]float64) (CongestionRow, error) {
-	opts, err := opts.Normalize()
+	start, floor, err := rampParams("congestion", params)
 	if err != nil {
 		return CongestionRow{}, err
 	}
-	cell := SweepCellOptions(opts, "congestion", params)
-	sc := scenarioSessionConfig(cell.Seed, cell.SessionDuration)
-	tc, tdone, err := cellTelemetry(cell, "congestion", scenario.ParamLabel(params))
-	if err != nil {
-		return CongestionRow{}, err
-	}
-	sc.Telemetry = tc
-	pp, pdone, err := cellProf(cell, "congestion", scenario.ParamLabel(params))
-	if err != nil {
-		return CongestionRow{}, err
-	}
-	sc.Prof = pp
-	sess, err := vca.NewSession(sc)
-	if err != nil {
-		return CongestionRow{}, err
-	}
-	start, floor := params["start_mbps"]*1e6, params["floor_mbps"]*1e6
-	if !(floor > 0) || !(start > 0) {
-		return CongestionRow{}, fmt.Errorf("congestion: start_mbps %g and floor_mbps %g must both be positive",
-			params["start_mbps"], params["floor_mbps"])
-	}
-	if floor > start {
-		return CongestionRow{}, fmt.Errorf("congestion: floor %g Mbps above start %g Mbps",
-			params["floor_mbps"], params["start_mbps"])
-	}
-	d := sc.Duration
-	sched := scenario.BandwidthRamp(start, floor, d/4, d/8, 5*d/8, d/8)
-	if err := sched.Bind(sess.Scheduler(), sess.UplinkShaper(0)); err != nil {
-		return CongestionRow{}, err
-	}
-	res := sess.Run()
-	if err := tdone(); err != nil {
-		return CongestionRow{}, err
-	}
-	if err := pdone(); err != nil {
-		return CongestionRow{}, err
-	}
-	up := sess.UplinkStats(0)
-	var qdrop float64
-	if up.SentFrames > 0 {
-		qdrop = float64(up.DroppedQueue) / float64(up.SentFrames)
-	}
-	return CongestionRow{
-		StartMbps: params["start_mbps"], FloorMbps: params["floor_mbps"],
-		QueueDropFrac:   qdrop,
-		UnavailableFrac: res.Users[1].UnavailableFrac,
-		MeanLatencyMs:   res.Users[1].MeanFrameLatencyMs,
-		DecodedFrac:     decodedFrac(res, 0, 1),
-	}, nil
+	return runSessionCell(opts, "congestion", params, scenarioSessionConfig,
+		func(sess *vca.Session, sc vca.SessionConfig) (func(*vca.Results) CongestionRow, error) {
+			if err := bindUplink(sess, rampSchedule(start, floor, sc.Duration)); err != nil {
+				return nil, err
+			}
+			return func(res *vca.Results) CongestionRow {
+				up := sess.UplinkStats(0)
+				return CongestionRow{
+					StartMbps: params["start_mbps"], FloorMbps: params["floor_mbps"],
+					QueueDropFrac:   sentFrac(up.DroppedQueue, up),
+					UnavailableFrac: res.Users[1].UnavailableFrac,
+					MeanLatencyMs:   res.Users[1].MeanFrameLatencyMs,
+					DecodedFrac:     decodedFrac(res, 0, 1),
+				}
+			}, nil
+		})
 }
 
 // ---------------------------------------------------------- registration

@@ -99,16 +99,15 @@ func TestChaosHealedMatchesClean(t *testing.T) {
 		{Name: "b", Values: []float64{10, 20}},
 	}}
 	opts := core.Quick(11)
-	clean, err := RunSweep(spec, opts, Config{Workers: 4})
+	w, _, err := streamSweepJSONL(t, spec, opts, Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	chaos := &FaultPlan{Seed: 11, PanicProb: 0.7, ErrorProb: 0.5, FailAttempts: 2}
-	hurt, err := RunSweep(spec, opts, Config{Workers: 4, Chaos: chaos, Retry: RetryPolicy{MaxAttempts: 3}})
+	g, hurt, err := streamSweepJSONL(t, spec, opts, Config{Workers: 4, Chaos: chaos, Retry: RetryPolicy{MaxAttempts: 3}})
 	if err != nil {
 		t.Fatalf("chaos run did not converge under retry: %v", err)
 	}
-	w, g := sweepJSONL(t, clean), sweepJSONL(t, hurt)
 	if !bytes.Equal(w, g) {
 		t.Errorf("chaos-healed output diverges from clean\nclean: %s\nchaos: %s", w, g)
 	}
@@ -126,7 +125,7 @@ func TestChaosHealedMatchesClean(t *testing.T) {
 func TestChaosPanicMessageNamesUnit(t *testing.T) {
 	spec := SweepSpec{Target: "synth-sweep", Axes: []Axis{{Name: "a", Values: []float64{1}}}}
 	chaos := &FaultPlan{Seed: 1, PanicProb: 1}
-	results, err := RunSweep(spec, core.Quick(1), Config{Workers: 1, Chaos: chaos})
+	results, _, err := sweepRows(spec, core.Quick(1), Config{Workers: 1, Chaos: chaos})
 	if err == nil {
 		t.Fatal("PanicProb=1 run succeeded")
 	}

@@ -20,24 +20,27 @@ func testOpts(seed int64) core.Options {
 	return o
 }
 
-// encodeJSONL renders every experiment's rows as JSONL, keyed by name.
-func encodeJSONL(t *testing.T, results []ExperimentResult) map[string][]byte {
-	t.Helper()
-	out := map[string][]byte{}
-	for _, res := range results {
-		if res.Err != nil {
-			t.Fatalf("%s: %v", res.Experiment.Name, res.Err)
-		}
-		var buf bytes.Buffer
-		s := NewJSONLSink(&buf)
-		for _, row := range res.Rows {
-			if err := s.Write(row); err != nil {
-				t.Fatal(err)
-			}
-		}
-		out[res.Experiment.Name] = buf.Bytes()
+// runRows runs exps through RunStream into one MemorySink per experiment
+// and returns the collected rows keyed by experiment name.
+func runRows(exps []core.Experiment, opts core.Options, cfg Config) ([]ExperimentResult, map[string][]core.Row, error) {
+	sinks := map[string]*MemorySink{}
+	results, err := RunStream(exps, opts, cfg, func(e core.Experiment) (Sink, error) {
+		sinks[e.Name] = NewMemorySink()
+		return sinks[e.Name], nil
+	})
+	rows := map[string][]core.Row{}
+	for name, s := range sinks {
+		rows[name] = s.Rows
 	}
-	return out
+	return results, rows, err
+}
+
+// sweepRows runs spec through RunSweepStream into a MemorySink and returns
+// the collected rows in grid order.
+func sweepRows(spec SweepSpec, opts core.Options, cfg Config) ([]SweepCellResult, []core.Row, error) {
+	sink := NewMemorySink()
+	results, err := RunSweepStream(spec, opts, cfg, sink)
+	return results, sink.Rows, err
 }
 
 // TestDeterminismAcrossWorkers is the fleet's core guarantee: `run all`
@@ -85,11 +88,11 @@ func TestRunMergesRepOrder(t *testing.T) {
 			return []core.Row{rep * 10, rep*10 + 1}, nil
 		},
 	}
-	res, err := Run([]core.Experiment{exp}, core.Quick(1), Config{Workers: 8})
+	_, byName, err := runRows([]core.Experiment{exp}, core.Quick(1), Config{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := res[0].Rows
+	rows := byName["synthetic"]
 	if len(rows) != 32 {
 		t.Fatalf("%d rows, want 32", len(rows))
 	}
@@ -102,7 +105,7 @@ func TestRunMergesRepOrder(t *testing.T) {
 }
 
 func TestRunInvalidOptions(t *testing.T) {
-	if _, err := RunAll(core.Options{Reps: -1}, Config{}); err == nil {
+	if _, _, err := runRows(core.Experiments(), core.Options{Reps: -1}, Config{}); err == nil {
 		t.Error("negative Reps not rejected")
 	}
 }
@@ -124,7 +127,7 @@ func TestSelect(t *testing.T) {
 func TestManifest(t *testing.T) {
 	exps, _ := Select("servers", "protocols")
 	opts := testOpts(3)
-	res, err := Run(exps, opts, Config{Workers: 2})
+	res, _, err := runRows(exps, opts, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,19 +145,16 @@ func TestManifest(t *testing.T) {
 
 func TestMemorySink(t *testing.T) {
 	exps, _ := Select("servers")
-	res, err := Run(exps, testOpts(4), Config{Workers: 2})
+	res, byName, err := runRows(exps, testOpts(4), Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := NewMemorySink()
-	if err := WriteResults(res, func(core.Experiment) (Sink, error) { return sink, nil }); err != nil {
-		t.Fatal(err)
+	rows := byName["servers"]
+	if len(rows) != 3 || res[0].RowCount != 3 {
+		t.Fatalf("%d rows (RowCount %d), want 3", len(rows), res[0].RowCount)
 	}
-	if len(sink.Rows) != 3 {
-		t.Fatalf("%d rows, want 3", len(sink.Rows))
-	}
-	if _, ok := sink.Rows[0].(core.MultiServerRow); !ok {
-		t.Errorf("row type %T, want core.MultiServerRow", sink.Rows[0])
+	if _, ok := rows[0].(core.MultiServerRow); !ok {
+		t.Errorf("row type %T, want core.MultiServerRow", rows[0])
 	}
 }
 

@@ -21,15 +21,30 @@ var regenGolden = flag.Bool("regen-golden", false, "rewrite testdata/golden_suit
 
 const goldenPath = "testdata/golden_suite.jsonl"
 
-// suiteJSONL runs the given experiments at the golden options and renders
-// each one's rows as JSONL, keyed by name.
+// streamJSONL runs exps through RunStream with one JSONL sink per
+// experiment and returns each experiment's bytes keyed by name.
+func streamJSONL(exps []core.Experiment, opts core.Options, cfg Config) ([]ExperimentResult, map[string][]byte, error) {
+	bufs := map[string]*bytes.Buffer{}
+	results, err := RunStream(exps, opts, cfg, func(e core.Experiment) (Sink, error) {
+		bufs[e.Name] = &bytes.Buffer{}
+		return NewJSONLSink(bufs[e.Name]), nil
+	})
+	out := map[string][]byte{}
+	for name, b := range bufs {
+		out[name] = b.Bytes()
+	}
+	return results, out, err
+}
+
+// suiteJSONL runs the given experiments at the golden options and returns
+// each one's JSONL, keyed by name.
 func suiteJSONL(t *testing.T, exps []core.Experiment, workers int) map[string][]byte {
 	t.Helper()
-	results, err := Run(exps, testOpts(1), Config{Workers: workers})
+	_, out, err := streamJSONL(exps, testOpts(1), Config{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return encodeJSONL(t, results)
+	return out
 }
 
 // fullSuiteW1 caches the workers=1 full-suite run: it is both the golden

@@ -16,7 +16,7 @@ func TestSweepManifestCellTimingsComplete(t *testing.T) {
 	cells := spec.Cells()
 	for _, workers := range []int{1, 4} {
 		opts := core.Quick(5)
-		results, err := RunSweep(spec, opts, Config{Workers: workers})
+		results, _, err := sweepRows(spec, opts, Config{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -56,7 +56,7 @@ func TestSweepManifestCellTimingsComplete(t *testing.T) {
 // wall time, positive whenever rows were emitted and wall time elapsed.
 func TestManifestPerExperimentRowsPerSec(t *testing.T) {
 	exp, _ := flakyExperiment("rps", 3, 0, false)
-	results, err := Run([]core.Experiment{exp}, core.Quick(3), Config{Workers: 4})
+	results, _, err := runRows([]core.Experiment{exp}, core.Quick(3), Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func (m *recordingMonitor) byKind(k EventKind) []MonitorEvent {
 func TestMonitorLifecycleEvents(t *testing.T) {
 	mon := &recordingMonitor{}
 	exp, _ := flakyExperiment("steady", 4, 0, false)
-	res, err := Run([]core.Experiment{exp}, core.Quick(1), Config{Workers: 2, Monitor: mon})
+	res, _, err := runRows([]core.Experiment{exp}, core.Quick(1), Config{Workers: 2, Monitor: mon})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestMonitorRetryPanicEvents(t *testing.T) {
 	exp, _ := flakyExperiment("crashy", 2, 1, true) // each rep panics once
 	cfg := Config{Workers: 2, Monitor: mon,
 		Retry: RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond}}
-	if _, err := Run([]core.Experiment{exp}, core.Quick(1), cfg); err != nil {
+	if _, _, err := runRows([]core.Experiment{exp}, core.Quick(1), cfg); err != nil {
 		t.Fatalf("retries did not converge: %v", err)
 	}
 
@@ -162,7 +162,7 @@ func TestMonitorTimeout(t *testing.T) {
 	}
 	cfg := Config{Workers: 1, Monitor: mon,
 		Retry: RetryPolicy{MaxAttempts: 1, PerCellTimeout: 30 * time.Millisecond}}
-	if _, err := Run([]core.Experiment{hang}, core.Quick(1), cfg); !errors.Is(err, ErrUnitTimeout) {
+	if _, _, err := runRows([]core.Experiment{hang}, core.Quick(1), cfg); !errors.Is(err, ErrUnitTimeout) {
 		t.Fatalf("err = %v, want ErrUnitTimeout", err)
 	}
 	timeouts := mon.byKind(EventUnitTimedOut)

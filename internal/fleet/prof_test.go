@@ -30,7 +30,7 @@ func TestProfFilesDeterministicAcrossWorkers(t *testing.T) {
 		dir := t.TempDir()
 		o := opts
 		o.ProfDir = dir
-		if _, err := Run(exps, o, Config{Workers: workers}); err != nil {
+		if _, _, err := runRows(exps, o, Config{Workers: workers}); err != nil {
 			t.Fatal(err)
 		}
 		hot, err := MergeProfiles(dir)

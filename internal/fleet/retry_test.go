@@ -36,11 +36,12 @@ func flakyExperiment(name string, reps, failPer int, doPanic bool) (core.Experim
 
 // TestPanicIsolation: a panicking rep must not kill the process or its
 // sibling experiments — it becomes that experiment's error, with the
-// panic stack captured for the manifest.
+// panic stack captured for the manifest, and leaves a gap in the stream
+// while every sibling's rows still arrive.
 func TestPanicIsolation(t *testing.T) {
 	boom, _ := flakyExperiment("boom", 2, 99, true)
 	good, _ := flakyExperiment("good", 2, 0, false)
-	res, err := Run([]core.Experiment{boom, good}, core.Quick(1), Config{Workers: 4})
+	res, rows, err := runRows([]core.Experiment{boom, good}, core.Quick(1), Config{Workers: 4})
 	if err == nil {
 		t.Fatal("panicking experiment produced no error")
 	}
@@ -57,8 +58,11 @@ func TestPanicIsolation(t *testing.T) {
 	if f.Unit != "run/boom/rep0" && f.Unit != "run/boom/rep1" {
 		t.Errorf("failure unit key %q", f.Unit)
 	}
-	if res[1].Err != nil || len(res[1].Rows) != 4 {
-		t.Errorf("sibling experiment harmed: err=%v rows=%d", res[1].Err, len(res[1].Rows))
+	if res[0].RowCount != 0 || len(rows["boom"]) != 0 {
+		t.Errorf("failed reps emitted rows: count=%d sink=%v", res[0].RowCount, rows["boom"])
+	}
+	if res[1].Err != nil || res[1].RowCount != 4 || len(rows["good"]) != 4 {
+		t.Errorf("sibling experiment harmed: err=%v count=%d sink=%d", res[1].Err, res[1].RowCount, len(rows["good"]))
 	}
 }
 
@@ -71,17 +75,16 @@ func TestRetryDeterminism(t *testing.T) {
 	clean, _ := flakyExperiment("flaky", 4, 0, false) // same name: same unit keys
 	opts := core.Quick(1)
 
-	want, err := Run([]core.Experiment{clean}, opts, Config{Workers: 4})
+	_, want, err := streamJSONL([]core.Experiment{clean}, opts, Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run([]core.Experiment{flaky}, opts, Config{Workers: 4, Retry: RetryPolicy{MaxAttempts: n}})
+	got, gotJSONL, err := streamJSONL([]core.Experiment{flaky}, opts, Config{Workers: 4, Retry: RetryPolicy{MaxAttempts: n}})
 	if err != nil {
 		t.Fatalf("retries did not converge: %v", err)
 	}
-	w := encodeJSONL(t, want)["flaky"]
-	g := encodeJSONL(t, got)["flaky"]
-	if string(w) != string(g) {
+	w, g := want["flaky"], gotJSONL["flaky"]
+	if len(w) == 0 || string(w) != string(g) {
 		t.Errorf("retried rows diverge from clean rows\nclean: %s\nretry: %s", w, g)
 	}
 	if got[0].Attempts != 4*n {
@@ -89,7 +92,7 @@ func TestRetryDeterminism(t *testing.T) {
 	}
 	// Same runner with one attempt fewer must fail instead of converging.
 	flaky2, _ := flakyExperiment("flaky", 4, n-1, false)
-	if _, err := Run([]core.Experiment{flaky2}, opts, Config{Workers: 4, Retry: RetryPolicy{MaxAttempts: n - 1}}); err == nil {
+	if _, _, err := runRows([]core.Experiment{flaky2}, opts, Config{Workers: 4, Retry: RetryPolicy{MaxAttempts: n - 1}}); err == nil {
 		t.Error("under-budgeted retry succeeded")
 	}
 }
@@ -111,12 +114,12 @@ func TestWatchdogTimeout(t *testing.T) {
 		},
 	}
 	cfg := Config{Workers: 1, Retry: RetryPolicy{MaxAttempts: 2, PerCellTimeout: 50 * time.Millisecond}}
-	res, err := Run([]core.Experiment{hangFirst}, core.Quick(1), cfg)
+	res, rows, err := runRows([]core.Experiment{hangFirst}, core.Quick(1), cfg)
 	if err != nil {
 		t.Fatalf("watchdog retry did not converge: %v", err)
 	}
-	if len(res[0].Rows) != 1 || res[0].Attempts != 2 {
-		t.Errorf("rows=%d attempts=%d, want 1 row in 2 attempts", len(res[0].Rows), res[0].Attempts)
+	if len(rows["hang"]) != 1 || res[0].Attempts != 2 {
+		t.Errorf("rows=%d attempts=%d, want 1 row in 2 attempts", len(rows["hang"]), res[0].Attempts)
 	}
 
 	alwaysHang := core.Experiment{
@@ -128,7 +131,7 @@ func TestWatchdogTimeout(t *testing.T) {
 		},
 	}
 	cfg = Config{Workers: 1, Retry: RetryPolicy{MaxAttempts: 1, PerCellTimeout: 50 * time.Millisecond}}
-	_, err = Run([]core.Experiment{alwaysHang}, core.Quick(1), cfg)
+	_, _, err = runRows([]core.Experiment{alwaysHang}, core.Quick(1), cfg)
 	if !errors.Is(err, ErrUnitTimeout) {
 		t.Errorf("hung unit error = %v, want ErrUnitTimeout", err)
 	}
@@ -150,29 +153,12 @@ func TestBackoffSchedule(t *testing.T) {
 	}
 }
 
-// TestBufferedRunsRejectResume: the buffered entry points promise typed
-// rows, which journal entries cannot provide.
-func TestBufferedRunsRejectResume(t *testing.T) {
-	j, err := OpenJournal(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Checkpoint: j, Resume: true}
-	if _, err := RunAll(core.Quick(1), cfg); err == nil || !strings.Contains(err.Error(), "RunStream") {
-		t.Errorf("Run with Resume: %v, want a rejection pointing at RunStream", err)
-	}
-	spec := SweepSpec{Target: "synth-sweep", Axes: []Axis{{Name: "a", Values: []float64{1}}}}
-	if _, err := RunSweep(spec, core.Quick(1), cfg); err == nil || !strings.Contains(err.Error(), "RunSweepStream") {
-		t.Errorf("RunSweep with Resume: %v, want a rejection pointing at RunSweepStream", err)
-	}
-}
-
 // TestSweepPanicIsolated: the sweep path shares the same isolation (panic
 // stack lands in the cell result and the manifest failures section).
 func TestSweepPanicIsolated(t *testing.T) {
 	spec := SweepSpec{Target: "synth-sweep", Axes: []Axis{
 		{Name: "a", Values: []float64{-2, 1}}}}
-	results, err := RunSweep(spec, core.Quick(1), Config{Workers: 2})
+	results, rows, err := sweepRows(spec, core.Quick(1), Config{Workers: 2})
 	if err == nil {
 		t.Fatal("panicking cell produced no error")
 	}
@@ -182,8 +168,8 @@ func TestSweepPanicIsolated(t *testing.T) {
 	if results[0].Stack == "" {
 		t.Error("panic stack not captured on cell result")
 	}
-	if results[1].Err != nil || len(results[1].Rows) != 1 {
-		t.Errorf("surviving cell harmed: %v", results[1].Err)
+	if results[1].Err != nil || results[1].RowCount != 1 || len(rows) != 1 {
+		t.Errorf("surviving cell harmed: err=%v rows=%d", results[1].Err, len(rows))
 	}
 	m := NewSweepManifest(spec, core.Quick(1), 2, time.Millisecond, results)
 	if len(m.Failures) != 1 || m.Failures[0].Stack == "" || m.Failures[0].Attempts != 1 {

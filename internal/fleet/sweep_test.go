@@ -55,8 +55,8 @@ func TestSweepSpecValidate(t *testing.T) {
 		if err := s.Validate(); err == nil {
 			t.Errorf("bad spec %d accepted", i)
 		}
-		if _, err := RunSweep(s, core.Quick(1), Config{}); err == nil {
-			t.Errorf("RunSweep accepted bad spec %d", i)
+		if _, _, err := sweepRows(s, core.Quick(1), Config{}); err == nil {
+			t.Errorf("RunSweepStream accepted bad spec %d", i)
 		}
 	}
 }
@@ -91,35 +91,25 @@ func TestSweepCellsEnumeration(t *testing.T) {
 	}
 }
 
-func sweepJSONL(t *testing.T, results []SweepCellResult) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := WriteSweep(results, NewJSONLSink(&buf)); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 func TestSweepDeterminismAcrossWorkers(t *testing.T) {
 	spec := SweepSpec{Target: "synth-sweep", Axes: []Axis{
 		{Name: "a", Values: []float64{1, 2, 3}},
 		{Name: "b", Values: []float64{10, 20}},
 	}}
 	opts := core.Quick(7)
-	seq, err := RunSweep(spec, opts, Config{Workers: 1})
+	w, seq, err := streamSweepJSONL(t, spec, opts, Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunSweep(spec, opts, Config{Workers: 8})
+	g, _, err := streamSweepJSONL(t, spec, opts, Config{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, g := sweepJSONL(t, seq), sweepJSONL(t, par)
 	if !bytes.Equal(w, g) {
 		t.Errorf("workers=1 and workers=8 sweep output differ\nseq: %s\npar: %s", w, g)
 	}
-	if len(seq) != 6 {
-		t.Fatalf("%d results, want 6", len(seq))
+	if len(seq) != 6 || bytes.Count(w, []byte("\n")) != 6 {
+		t.Fatalf("%d results, %d rows, want 6", len(seq), bytes.Count(w, []byte("\n")))
 	}
 }
 
@@ -130,41 +120,42 @@ func TestSweepSeedsDependOnValuesNotPosition(t *testing.T) {
 	narrow := SweepSpec{Target: "synth-sweep", Axes: []Axis{
 		{Name: "a", Values: []float64{3}}}}
 	opts := core.Quick(5)
-	rw, err := RunSweep(wide, opts, Config{Workers: 2})
+	_, rw, err := sweepRows(wide, opts, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rn, err := RunSweep(narrow, opts, Config{Workers: 1})
+	_, rn, err := sweepRows(narrow, opts, Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRow := rw[2].Rows[0].(map[string]float64) // a=3 at index 2
-	gotRow := rn[0].Rows[0].(map[string]float64)  // a=3 at index 0
+	wantRow := rw[2].(map[string]float64) // a=3 at index 2
+	gotRow := rn[0].(map[string]float64)  // a=3 at index 0
 	if wantRow["seed"] != gotRow["seed"] || wantRow["a"] != gotRow["a"] {
 		t.Errorf("cell a=3 differs by grid position: %v vs %v", wantRow, gotRow)
 	}
 	// Different values get different seeds.
-	if s0, s1 := rw[0].Rows[0].(map[string]float64)["seed"], rw[1].Rows[0].(map[string]float64)["seed"]; s0 == s1 {
+	if s0, s1 := rw[0].(map[string]float64)["seed"], rw[1].(map[string]float64)["seed"]; s0 == s1 {
 		t.Errorf("distinct cells share a derived seed: %v", s0)
 	}
 }
 
+// TestSweepCellFailureIsolated: a failed cell leaves a gap in the stream
+// exactly where its rows would be; the surviving cells' rows still stream.
 func TestSweepCellFailureIsolated(t *testing.T) {
 	spec := SweepSpec{Target: "synth-sweep", Axes: []Axis{
 		{Name: "a", Values: []float64{-1, 1}}}}
-	results, err := RunSweep(spec, core.Quick(1), Config{Workers: 2})
+	out, results, err := streamSweepJSONL(t, spec, core.Quick(1), Config{Workers: 2})
 	if err == nil {
 		t.Fatal("failing cell produced no error")
 	}
 	if results[0].Err == nil || results[1].Err != nil {
 		t.Errorf("failure not isolated to cell 0: %v / %v", results[0].Err, results[1].Err)
 	}
-	if len(results[1].Rows) != 1 {
-		t.Errorf("surviving cell lost its rows")
+	if results[0].RowCount != 0 || results[1].RowCount != 1 {
+		t.Errorf("row counts %d / %d, want 0 / 1", results[0].RowCount, results[1].RowCount)
 	}
-	out := sweepJSONL(t, results)
-	if n := bytes.Count(out, []byte("\n")); n != 1 {
-		t.Errorf("sink saw %d rows, want 1 (failed cell skipped)", n)
+	if n := bytes.Count(out, []byte("\n")); n != 1 || !bytes.Contains(out, []byte(`"a":1`)) {
+		t.Errorf("sink saw %d rows (%s), want only the surviving cell's", n, out)
 	}
 }
 
@@ -172,7 +163,7 @@ func TestSweepManifest(t *testing.T) {
 	spec := SweepSpec{Target: "synth-sweep", Axes: []Axis{
 		{Name: "a", Values: []float64{1, 2}}}}
 	opts := core.Quick(9)
-	results, err := RunSweep(spec, opts, Config{Workers: 2})
+	results, _, err := sweepRows(spec, opts, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +202,7 @@ func TestScenarioSweepMatchesExperiment(t *testing.T) {
 	opts := testOpts(1)
 	spec := SweepSpec{Target: "handover", Axes: []Axis{
 		{Name: "delay_ms", Values: []float64{core.DefaultHandoverDelaysMs()[0]}}}}
-	sweep, err := RunSweep(spec, opts, Config{Workers: 1})
+	_, sweep, err := sweepRows(spec, opts, Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +211,7 @@ func TestScenarioSweepMatchesExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := json.Marshal(sweep[0].Rows[0])
+	a, _ := json.Marshal(sweep[0])
 	b, _ := json.Marshal(rows[0])
 	if !bytes.Equal(a, b) {
 		t.Errorf("sweep cell and experiment rep diverge:\nsweep: %s\nexp:   %s", a, b)
@@ -239,21 +230,22 @@ func TestCCRateSweepDeterminism(t *testing.T) {
 		{Name: "cap_mbps", Values: []float64{0.9}},
 	}}
 	opts := core.Quick(3)
-	seq, err := RunSweep(spec, opts, Config{Workers: 1})
+	_, seq, err := sweepRows(spec, opts, Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunSweep(spec, opts, Config{Workers: 2})
+	_, par, err := sweepRows(spec, opts, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, g := sweepJSONL(t, seq), sweepJSONL(t, par)
+	w, _ := json.Marshal(seq)
+	g, _ := json.Marshal(par)
 	if !bytes.Equal(w, g) {
 		t.Errorf("workers=1 and workers=2 ccrate sweep output differ\nseq: %s\npar: %s", w, g)
 	}
 	// The two controllers must actually diverge (the loop is closed).
-	open := seq[0].Rows[0].(core.CCRateRow)
-	gcc := seq[1].Rows[0].(core.CCRateRow)
+	open := seq[0].(core.CCRateRow)
+	gcc := seq[1].(core.CCRateRow)
 	if open.Controller != "fixed" || gcc.Controller != "gcc" {
 		t.Fatalf("controller labels wrong: %q, %q", open.Controller, gcc.Controller)
 	}

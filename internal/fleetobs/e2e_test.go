@@ -133,9 +133,14 @@ func TestLiveServerMatchesManifest(t *testing.T) {
 		t.Errorf("retries: api %d, manifest-derived %d", snap.Retries, wantRetries)
 	}
 	// Failure entries line up: same unit, attempts and stack; the manifest
-	// error wraps the unit error the monitor saw.
+	// error wraps the unit error the monitor saw. The API lists failures in
+	// completion order and the manifest in grid order, so match by unit.
+	apiFailures := map[string]Failure{}
+	for _, af := range snap.Failures {
+		apiFailures[af.Unit] = af
+	}
 	for i, f := range m.Failures {
-		af := snap.Failures[i]
+		af := apiFailures[f.Unit]
 		if af.Unit != f.Unit || af.Attempts != f.Attempts || af.Stack != f.Stack {
 			t.Errorf("failure %d: api %+v, manifest %+v", i, af, f)
 		}
