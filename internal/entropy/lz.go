@@ -206,11 +206,15 @@ func (c *Compressor) Compress(dst, src []byte) []byte {
 				if d > maxDistance {
 					break
 				}
-				l := matchLen(src, int(cand), i, limit)
-				if l > bestLen && worthIt(l, d) {
-					bestLen, bestDist = l, d
-					if l == limit {
-						break
+				// A candidate that differs at bestLen cannot beat the best
+				// match, so skip measuring it (it still costs a try).
+				if src[int(cand)+bestLen] == src[i+bestLen] {
+					l := matchLen(src, int(cand), i, limit)
+					if l > bestLen && worthIt(l, d) {
+						bestLen, bestDist = l, d
+						if l == limit {
+							break
+						}
 					}
 				}
 				cand = prev[cand]
@@ -290,21 +294,19 @@ func (c *Decompressor) Decompress(dst, src []byte) ([]byte, error) {
 		return bit
 	}
 
-	// The stream declares its decoded size up front: allocate once and
-	// write through a cursor instead of paying append bookkeeping per
-	// literal.
+	// Write through a cursor instead of paying append bookkeeping per
+	// literal. The declared size bounds the output but does not size the
+	// first allocation: a forged header can declare 2 GiB in five bytes, so
+	// preallocate in proportion to the input and grow as the output does.
 	base := len(dst)
 	need := base + int(size)
-	out := dst
-	if cap(out) < need {
-		grown := make([]byte, len(out), need)
-		copy(grown, out)
-		out = grown
-	}
-	out = out[:need]
+	out := extend(dst, min(need, max(cap(dst), base+preallocMin+preallocPerByte*len(src))))
 	w := base
 	for w < need {
 		if isMatchBit() == 0 {
+			if w == len(out) {
+				out = extend(out, min(need, 2*len(out)))
+			}
 			out[w] = byte(m.lit.Decode(dec))
 			w++
 		} else {
@@ -325,6 +327,9 @@ func (c *Decompressor) Decompress(dst, src []byte) ([]byte, error) {
 			if w+length > need {
 				return nil, fmt.Errorf("%w: match overruns declared size", ErrCorrupt)
 			}
+			if w+length > len(out) {
+				out = extend(out, min(need, max(2*len(out), w+length)))
+			}
 			if dist >= length {
 				copy(out[w:w+length], out[start:start+length])
 				w += length
@@ -340,6 +345,27 @@ func (c *Decompressor) Decompress(dst, src []byte) ([]byte, error) {
 		}
 	}
 	return out, nil
+}
+
+// Decompress's first output allocation is preallocMin plus preallocPerByte
+// bytes per input byte, capped at the declared size. Adaptive probabilities
+// cap how many bytes one input bit can decode to, so a short forged stream
+// fails long before its declared size; real streams that expand further
+// grow the output by doubling.
+const (
+	preallocMin     = 4 << 10
+	preallocPerByte = 64
+)
+
+// extend returns out resliced to length n, copying it into a new array
+// only when its capacity is short.
+func extend(out []byte, n int) []byte {
+	if n <= cap(out) {
+		return out[:n]
+	}
+	grown := make([]byte, n)
+	copy(grown, out)
+	return grown
 }
 
 // Decompress decodes a Compress stream appended after dst. One-shot

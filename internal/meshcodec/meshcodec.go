@@ -142,6 +142,11 @@ func Decode(b []byte) (*mesh.Mesh, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
+	// Every vertex and triangle takes three varints of at least a byte:
+	// check the counts against the body before allocating for them.
+	if 3*(nv+nt) > uint64(len(body)) {
+		return nil, fmt.Errorf("%w: counts %d/%d exceed %d body bytes", ErrCorrupt, nv, nt, len(body))
+	}
 	bpos := 0
 	next := func() (int64, error) {
 		u, n := binary.Uvarint(body[bpos:])

@@ -1,7 +1,13 @@
 // Package simrand provides seeded random-variate generators used across the
-// simulation: normal/lognormal draws for network jitter, Ornstein-Uhlenbeck
-// processes for natural head/hand motion, and helpers for deriving
-// independent sub-streams from one experiment seed.
+// simulation: normal/lognormal draws for network jitter and camera noise,
+// Ornstein-Uhlenbeck processes for natural head/hand motion, and helpers
+// for deriving independent sub-streams from one experiment seed.
+//
+// The uniform stream comes from simrand's own port of math/rand's
+// generator (rng.go), so every seed yields exactly the stream
+// rand.NewSource would; the simulator's golden outputs depend on that.
+// Owning the concrete generator lets the hot normal samplers (ziggurat.go)
+// skip the rand.Source interface call per draw.
 package simrand
 
 import (
@@ -9,19 +15,19 @@ import (
 	"math/rand"
 )
 
-// Source is a deterministic random stream. It wraps math/rand with the
-// distribution helpers the simulation needs. The raw source is kept
-// alongside the *rand.Rand so the hot normal sampler (ziggurat.go) can
-// draw from the same stream without the wrapper overhead.
+// Source is a deterministic random stream with the distribution helpers
+// the simulation needs. A *rand.Rand over the generator provides the
+// uniform helpers; the generator itself is kept alongside so the hot normal
+// samplers (ziggurat.go) draw from the same stream without the wrapper.
 type Source struct {
-	r   *rand.Rand
-	src rand.Source
+	r *rand.Rand
+	g *rngSource
 }
 
 // New returns a source seeded with seed.
 func New(seed int64) *Source {
-	src := rand.NewSource(seed)
-	return &Source{r: rand.New(src), src: src}
+	g := newRngSource(seed)
+	return &Source{r: rand.New(g), g: g}
 }
 
 // Split derives an independent sub-stream identified by label. Deriving the

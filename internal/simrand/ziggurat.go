@@ -2,10 +2,12 @@
 // LICENSE; "The Ziggurat Method for Generating Random Variables", Marsaglia
 // & Tsang, 2000). The port exists purely for speed: Source draws normals on
 // the per-pixel camera-noise and motion hot paths, and going through
-// *rand.Rand costs several wrapper calls per draw. This implementation
-// consumes the SAME underlying source stream with the SAME arithmetic, so
-// every sequence is bit-identical to rand.Rand.NormFloat64 — the fleet's
-// golden determinism test depends on that.
+// *rand.Rand costs several wrapper calls per draw. It consumes simrand's
+// own generator (rng.go), whose stream equals rand.NewSource's, with the
+// SAME arithmetic, so every sequence is bit-identical to
+// rand.Rand.NormFloat64 — the fleet's golden determinism test depends on
+// that. FillNormal inlines the fast path over a batch; every draw that
+// misses it finishes in normTail, the one copy of the rejection loop.
 package simrand
 
 import "math"
@@ -13,13 +15,13 @@ import "math"
 const zigRn = 3.442619855899
 
 // zigUint32 replicates rand.Rand.Uint32.
-func (s *Source) zigUint32() uint32 { return uint32(s.src.Int63() >> 31) }
+func (s *Source) zigUint32() uint32 { return uint32(s.g.Int63() >> 31) }
 
 // zigFloat64 replicates rand.Rand.Float64, including the round-up-retry
 // quirk Go 1 shipped with.
 func (s *Source) zigFloat64() float64 {
 again:
-	f := float64(s.src.Int63()) / (1 << 63)
+	f := float64(s.g.Int63()) / (1 << 63)
 	if f == 1 {
 		goto again
 	}
@@ -35,15 +37,22 @@ func zigAbsInt32(i int32) uint32 {
 
 // normFloat64 is rand.Rand.NormFloat64 over the Source's stream.
 func (s *Source) normFloat64() float64 {
+	j := int32(s.zigUint32()) // Possibly negative
+	i := j & 0x7F
+	if zigAbsInt32(j) < kn[i] {
+		// This case should be hit better than 99% of the time.
+		return float64(j) * float64(wn[i])
+	}
+	return s.normTail(j)
+}
+
+// normTail finishes a draw whose 32-bit sample j missed the fast path:
+// rand.Rand.NormFloat64's loop, entered just after its first fast-path
+// test, with the next sample drawn at the bottom of the loop.
+func (s *Source) normTail(j int32) float64 {
 	for {
-		j := int32(s.zigUint32()) // Possibly negative
 		i := j & 0x7F
 		x := float64(j) * float64(wn[i])
-		if zigAbsInt32(j) < kn[i] {
-			// This case should be hit better than 99% of the time.
-			return x
-		}
-
 		if i == 0 {
 			// This extra work is only required for the base strip.
 			for {
@@ -61,7 +70,43 @@ func (s *Source) normFloat64() float64 {
 		if fn[i]+float32(s.zigFloat64())*(fn[i-1]-fn[i]) < float32(math.Exp(-.5*x*x)) {
 			return x
 		}
+		j = int32(s.zigUint32())
+		if i := j & 0x7F; zigAbsInt32(j) < kn[i] {
+			return float64(j) * float64(wn[i])
+		}
 	}
+}
+
+// FillNormal fills dst with normal draws of the given mean and standard
+// deviation. It consumes the stream and produces the values of len(dst)
+// sequential Normal calls, bit for bit; it is faster because the
+// generator's indices stay in locals and the ziggurat fast path is inline.
+func (s *Source) FillNormal(dst []float64, mean, stddev float64) {
+	g := s.g
+	tap, feed := g.tap, g.feed
+	for k := range dst {
+		// g.Uint64, with the indices held in locals.
+		tap--
+		if tap < 0 {
+			tap += rngLen
+		}
+		feed--
+		if feed < 0 {
+			feed += rngLen
+		}
+		u := g.vec[feed] + g.vec[tap]
+		g.vec[feed] = u
+
+		j := int32(uint32((uint64(u) & rngMask) >> 31)) // zigUint32
+		if i := j & 0x7F; zigAbsInt32(j) < kn[i] {
+			dst[k] = mean + stddev*(float64(j)*float64(wn[i]))
+			continue
+		}
+		g.tap, g.feed = tap, feed
+		dst[k] = mean + stddev*s.normTail(j)
+		tap, feed = g.tap, g.feed
+	}
+	g.tap, g.feed = tap, feed
 }
 
 var kn = [128]uint32{

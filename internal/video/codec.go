@@ -7,9 +7,9 @@
 //
 // Both codec directions run allocation-free in steady state: encoder and
 // decoder double-buffer their reference frames, reuse their coefficient and
-// body scratch, and hold reusable entropy coders. Encode's returned Data
-// and Decode's returned Frame are therefore owned by the codec and valid
-// only until the next call — callers that retain them must copy.
+// body scratch, and hold reusable entropy coders. Encode's returned
+// EncodedFrame and Decode's returned Frame are therefore owned by the codec
+// and valid only until the next call — callers that retain them must copy.
 package video
 
 import (
@@ -225,9 +225,10 @@ type Encoder struct {
 	qscale  float64
 	bitDebt float64 // rate-control integrator
 
-	body []byte // coefficient stream scratch
-	out  []byte // header + compressed output scratch
-	cmp  *entropy.Compressor
+	body  []byte       // coefficient stream scratch
+	out   []byte       // header + compressed output scratch
+	frame EncodedFrame // returned by Encode
+	cmp   *entropy.Compressor
 }
 
 // NewEncoder validates cfg and returns an encoder.
@@ -265,7 +266,8 @@ const (
 )
 
 // Encode compresses f. Frames must match the configured dimensions. The
-// returned EncodedFrame (and its Data) is reused by the next Encode call.
+// returned EncodedFrame (and its Data) is owned by the encoder and
+// overwritten by the next Encode call; copy what must outlive it.
 func (e *Encoder) Encode(f *Frame) (*EncodedFrame, error) {
 	if f.W != e.cfg.W || f.H != e.cfg.H {
 		return nil, fmt.Errorf("video: frame %dx%d vs config %dx%d", f.W, f.H, e.cfg.W, e.cfg.H)
@@ -301,16 +303,16 @@ func (e *Encoder) Encode(f *Frame) (*EncodedFrame, error) {
 			if !key {
 				var sad int
 				if interior {
+					// The skip test is monotone in sad, so stop summing once
+					// it has failed: the flag is unchanged.
 					base := oy*w + ox
-					for y := 0; y < 8; y++ {
+					for y := 0; y < 8 && float64(sad)/64 < e.cfg.SkipThreshold; y++ {
 						cur := f.Pix[base+y*w : base+y*w+8 : base+y*w+8]
 						prev := e.ref.Pix[base+y*w : base+y*w+8 : base+y*w+8]
 						for x := 0; x < 8; x++ {
 							d := int(cur[x]) - int(prev[x])
-							if d < 0 {
-								d = -d
-							}
-							sad += d
+							m := d >> 63 // branch-free |d|
+							sad += (d ^ m) - m
 						}
 					}
 				} else {
@@ -435,19 +437,24 @@ func (e *Encoder) Encode(f *Frame) (*EncodedFrame, error) {
 	hdr = append(hdr, d[:]...)
 	e.out = e.cmp.Compress(hdr, body)
 
-	ef := &EncodedFrame{Data: e.out, Key: key, QScale: e.qscale}
+	e.frame = EncodedFrame{Data: e.out, Key: key, QScale: e.qscale}
 	e.adaptRate(len(e.out))
-	return ef, nil
+	return &e.frame, nil
 }
 
+// clamp255 clamps v to [0,255] and rounds half away from zero, exactly
+// like math.Round, without calling it. For v >= 0.5 the sum v+0.5 is exact
+// or rounds within the same integer interval, so truncating it is
+// round-half-up; the one double below 0.5 whose sum would round up to 1,
+// 0.49999999999999994, takes the first branch.
 func clamp255(v float64) uint8 {
-	if v < 0 {
+	if v < 0.5 {
 		return 0
 	}
-	if v > 255 {
+	if v >= 254.5 {
 		return 255
 	}
-	return uint8(math.Round(v))
+	return uint8(int32(v + 0.5))
 }
 
 // quantTable scales the JPEG table by the current quantizer: higher qscale
@@ -544,12 +551,18 @@ func (d *Decoder) Decode(data []byte) (*Frame, error) {
 		return v, nil
 	}
 
+	bw, bh := (w+7)/8, (h+7)/8
+	// Every block costs at least a byte (a skip flag or an end-of-block
+	// marker), so a body shorter than the block count cannot decode; say so
+	// before allocating a frame of the header's dimensions.
+	if len(body) < bw*bh {
+		return nil, ErrCorrupt
+	}
 	out := d.spare
 	if out == nil || out.W != w || out.H != h {
 		out = NewFrame(w, h)
 	}
 	d.spare = nil
-	bw, bh := (w+7)/8, (h+7)/8
 	var block [64]float64
 	for by := 0; by < bh; by++ {
 		for bx := 0; bx < bw; bx++ {

@@ -126,12 +126,17 @@ func (s *Scene) Next() *Frame {
 		fill(hx, hy, rx*0.35, rx*0.35, 185)
 		fill(2*cx-hx, hy, rx*0.35, rx*0.35, 185)
 	}
-	// Camera sensor noise.
+	// Camera sensor noise, one normal draw per pixel in raster order,
+	// drawn a stack-sized chunk at a time.
 	if s.NoiseLevel > 0 {
-		for i := range f.Pix {
-			n := s.noiseRng.Normal(0, s.NoiseLevel)
-			v := float64(f.Pix[i]) + n
-			f.Pix[i] = clamp255(v)
+		var noise [512]float64
+		for pix := f.Pix; len(pix) > 0; {
+			chunk := noise[:min(len(pix), len(noise))]
+			s.noiseRng.FillNormal(chunk, 0, s.NoiseLevel)
+			for i, n := range chunk {
+				pix[i] = clamp255(float64(pix[i]) + n)
+			}
+			pix = pix[len(chunk):]
 		}
 	}
 	return f

@@ -130,12 +130,13 @@ func TestPFramesSmallerThanIFrames(t *testing.T) {
 	// frames collapse to almost nothing.
 	f := scene.Next()
 	iFrame, _ := enc.Encode(f)
+	iLen := len(iFrame.Data) // the next Encode reuses the EncodedFrame
 	p1, _ := enc.Encode(f)
 	if p1.Key {
 		t.Fatal("expected P frame")
 	}
-	if len(p1.Data) >= len(iFrame.Data)/5 {
-		t.Errorf("static P frame %d B vs I %d B: skip mode ineffective", len(p1.Data), len(iFrame.Data))
+	if len(p1.Data) >= iLen/5 {
+		t.Errorf("static P frame %d B vs I %d B: skip mode ineffective", len(p1.Data), iLen)
 	}
 	// Moving content: P frames still beat I frames.
 	pTotal, pCount := 0, 0
@@ -146,8 +147,8 @@ func TestPFramesSmallerThanIFrames(t *testing.T) {
 			pCount++
 		}
 	}
-	if pMean := float64(pTotal) / float64(pCount); pMean >= float64(len(iFrame.Data)) {
-		t.Errorf("moving P mean %.0f B not below I %d B", pMean, len(iFrame.Data))
+	if pMean := float64(pTotal) / float64(pCount); pMean >= float64(iLen) {
+		t.Errorf("moving P mean %.0f B not below I %d B", pMean, iLen)
 	}
 }
 
@@ -391,5 +392,52 @@ func TestSetTargetBpsRetargetsMidStream(t *testing.T) {
 	if after >= before*0.55 {
 		t.Errorf("mean frame size %.0f -> %.0f B; want a ~4x target cut to shrink frames by >45%%",
 			before, after)
+	}
+}
+
+// TestSteadyStateAllocs pins the "allocation-free in steady state" contract
+// of the capture path: once the scene's render target and the encoder's
+// reference frames and scratch exist, Scene.Next and Encode allocate
+// nothing per frame.
+func TestSteadyStateAllocs(t *testing.T) {
+	scene := NewScene(simrand.New(15), 320, 180, 30)
+	cfg := DefaultConfig(320, 180, 1e6)
+	cfg.GOP = 4 // keyframes and delta frames both inside the measured run
+	enc, err := NewEncoder(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2*cfg.GOP; i++ { // warm the scratch buffers
+		if _, err := enc.Encode(scene.Next()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a := testing.AllocsPerRun(50, func() { scene.Next() }); a != 0 {
+		t.Errorf("Scene.Next allocates %.1f times per frame, want 0", a)
+	}
+	f := scene.Next()
+	if a := testing.AllocsPerRun(50, func() {
+		if _, err := enc.Encode(f); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("Encode allocates %.1f times per frame, want 0", a)
+	}
+}
+
+func BenchmarkSceneNext(b *testing.B) {
+	for _, r := range []struct {
+		name string
+		w, h int
+	}{{"360p", 640, 360}, {"1080p", 1920, 1080}} {
+		b.Run(r.name, func(b *testing.B) {
+			scene := NewScene(simrand.New(16), r.w, r.h, 30)
+			scene.Next()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				scene.Next()
+			}
+		})
 	}
 }
