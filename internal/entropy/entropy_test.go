@@ -228,19 +228,45 @@ func TestCompressTracksEntropy(t *testing.T) {
 	}
 }
 
+// benchFrames is how many distinct inputs a compression benchmark rotates
+// over. Re-coding one buffer lets the branch predictor learn its bits and
+// reads about twice as fast as a live stream of distinct frames.
+const benchFrames = 256
+
+// BenchmarkCompressKeypointLike compresses delta-coded keypoint-like
+// frames: 74 keypoints x 3 coordinates as small signed 16-bit values.
 func BenchmarkCompressKeypointLike(b *testing.B) {
-	// Simulates a delta-coded keypoint frame: small signed values.
 	rng := simrand.New(4)
-	src := make([]byte, 444) // 74 keypoints x 3 coords x 2 bytes
-	for i := range src {
-		if i%2 == 0 {
-			src[i] = byte(rng.Intn(7))
+	frames := make([][]byte, benchFrames)
+	for k := range frames {
+		src := make([]byte, 444)
+		for i := range src {
+			if i%2 == 0 {
+				src[i] = byte(rng.Intn(7))
+			}
 		}
+		frames[k] = src
 	}
-	b.SetBytes(int64(len(src)))
+	benchCompress(b, frames)
+}
+
+// BenchmarkCompressKeypointFrames compresses distinct generator keypoint
+// frames in the semantic encoder's float32 layout, the spatial-persona
+// payload.
+func BenchmarkCompressKeypointFrames(b *testing.B) {
+	benchCompress(b, keypointFrames(6, benchFrames))
+}
+
+// benchCompress compresses frames in rotation through one reused
+// Compressor, as the encoders do.
+func benchCompress(b *testing.B, frames [][]byte) {
+	c := NewCompressor()
+	var dst []byte
+	b.SetBytes(int64(len(frames[0])))
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Compress(nil, src)
+		dst = c.Compress(dst[:0], frames[i%len(frames)])
 	}
 }
 

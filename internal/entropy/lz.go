@@ -46,6 +46,32 @@ func (m *lzModels) reset() {
 	m.distSlot.Reset()
 }
 
+// literal codes one literal: an isMatch bit of 0, then the byte. The coder
+// state stays in locals across the two.
+func (m *lzModels) literal(e *RangeEncoder, b byte) {
+	low, rng, p := encodeBit(e.low, e.rng, m.isMatch, 0)
+	m.isMatch = p
+	for rng < topValue {
+		rng <<= 8
+		low = e.shiftLow(low)
+	}
+	e.low, e.rng = e.encodeTree(low, rng, &m.lit.probs, uint32(b)<<24, 1<<8)
+}
+
+// match codes one match: an isMatch bit of 1, the length, then distance-1
+// as a bit-width slot plus the low bits directly (cheap for the short
+// distances that dominate coherent streams).
+func (m *lzModels) match(e *RangeEncoder, length, dist int) {
+	e.EncodeBit(&m.isMatch, 1)
+	m.length.Encode(e, uint32(length-minMatch))
+	d := uint32(dist - 1)
+	slot := nbits(d)
+	m.distSlot.Encode(e, uint32(slot))
+	if slot > 1 {
+		e.EncodeDirect(d&((1<<(slot-1))-1), slot-1)
+	}
+}
+
 // nbits returns the bit width of v (>=1 for v>=0; nbits(0)==0).
 func nbits(v uint32) int {
 	n := 0
@@ -140,40 +166,6 @@ func (c *Compressor) Compress(dst, src []byte) []byte {
 	c.enc.Reset(dst)
 	enc := &c.enc
 
-	// isMatchBit is EncodeBit(&m.isMatch, bit) inlined by hand: the call
-	// sits on the per-symbol hot path and is too costly for the inliner.
-	isMatchBit := func(bit uint32) {
-		p := m.isMatch
-		bound := (enc.rng >> probBits) * uint32(p)
-		if bit == 0 {
-			enc.rng = bound
-			m.isMatch = p + (probTotal-p)>>moveBits
-		} else {
-			enc.low += uint64(bound)
-			enc.rng -= bound
-			m.isMatch = p - p>>moveBits
-		}
-		if enc.rng < topValue {
-			enc.normalize()
-		}
-	}
-	emitLiteral := func(b byte) {
-		isMatchBit(0)
-		m.lit.Encode(enc, uint32(b))
-	}
-	emitMatch := func(length, dist int) {
-		isMatchBit(1)
-		m.length.Encode(enc, uint32(length-minMatch))
-		// Distance-1 coded as a bit-width slot plus the low bits directly:
-		// cheap for the short distances that dominate coherent streams.
-		d := uint32(dist - 1)
-		slot := nbits(d)
-		m.distSlot.Encode(enc, uint32(slot))
-		if slot > 1 {
-			enc.EncodeDirect(d&((1<<(slot-1))-1), slot-1)
-		}
-	}
-
 	// lookup returns the chain head for hash h, or -1 for entries written
 	// by earlier Compress calls.
 	lookup := func(h uint32) int32 {
@@ -195,7 +187,8 @@ func (c *Compressor) Compress(dst, src []byte) []byte {
 		bestLen, bestDist := 0, 0
 		if i+minMatch <= len(src) {
 			h := hash3(src[i:])
-			cand := lookup(h)
+			first := lookup(h)
+			cand := first
 			tries := 32
 			limit := len(src) - i
 			if limit > maxMatch {
@@ -220,16 +213,20 @@ func (c *Compressor) Compress(dst, src []byte) []byte {
 				cand = prev[cand]
 				tries--
 			}
+			// Insert i from the hash and chain head the search just read:
+			// nothing between the two touches head, so this is insert(i)
+			// without hashing and looking up again.
+			prev[i] = first
+			head[h] = gen | uint64(uint32(i))
 		}
 		if bestLen >= minMatch && worthIt(bestLen, bestDist) {
-			emitMatch(bestLen, bestDist)
-			for k := 0; k < bestLen; k++ {
+			m.match(enc, bestLen, bestDist)
+			for k := 1; k < bestLen; k++ {
 				insert(i + k)
 			}
 			i += bestLen
 		} else {
-			emitLiteral(src[i])
-			insert(i)
+			m.literal(enc, src[i])
 			i++
 		}
 	}

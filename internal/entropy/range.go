@@ -4,10 +4,18 @@
 // LZMA (§4.3); stdlib Go has no LZMA, so this package is the documented
 // substitute — same architecture (match finding + adaptive range coding),
 // same behaviour class on the low-entropy delta streams we feed it.
+//
+// The encoder is written for the spatial-persona send path, where float32
+// mantissa bits are close to coin flips: each adaptive bit selects its
+// update with a mask instead of a branch, the coder state stays in
+// registers for a whole symbol, and the match finder hashes each literal
+// position once. None of this changes an output byte (see DESIGN.md,
+// "Bit-exact kernels").
 package entropy
 
 import (
 	"errors"
+	"fmt"
 )
 
 const (
@@ -50,9 +58,16 @@ func (e *RangeEncoder) Reset(out []byte) {
 	*e = RangeEncoder{rng: 0xFFFFFFFF, cacheSize: 1, out: out}
 }
 
-func (e *RangeEncoder) shiftLow() {
-	if uint32(e.low) < 0xFF000000 || e.low>>32 != 0 {
-		carry := byte(e.low >> 32)
+// shiftLow moves the top byte of low out to the stream (through the
+// one-byte cache that resolves carries) and returns the shifted low. The
+// coder methods keep low in a register and pass it here about once per
+// output byte. It stays out of line: inlined, its append spills the coder
+// loops' registers on every bit.
+//
+//go:noinline
+func (e *RangeEncoder) shiftLow(low uint64) uint64 {
+	if uint32(low) < 0xFF000000 || low>>32 != 0 {
+		carry := byte(low >> 32)
 		temp := e.cache
 		for {
 			e.out = append(e.out, temp+carry)
@@ -62,54 +77,58 @@ func (e *RangeEncoder) shiftLow() {
 				break
 			}
 		}
-		e.cache = byte(e.low >> 24)
+		e.cache = byte(low >> 24)
 	}
 	e.cacheSize++
-	e.low = (e.low << 8) & 0xFFFFFFFF
+	return (low << 8) & 0xFFFFFFFF
 }
 
-// EncodeBit encodes bit under the adaptive probability p. The normalization
-// loop lives in a separate method so this hot path stays inlinable.
+// encodeBit codes one adaptive bit on register copies of the coder state
+// and returns the new state; the caller normalizes. bit must be 0 or 1.
+//
+// The mantissa bits of keypoint floats are close to coin flips, so a branch
+// on bit mispredicts about half the time. mask = -bit is all zeros for 0
+// and all ones for 1, and selects between the two updates of the branchy
+// form: for 0, rng = bound and p += (probTotal-p)>>moveBits; for 1, low +=
+// bound, rng -= bound and p -= p>>moveBits. The arithmetic is the same, so
+// the output is too.
+func encodeBit(low uint64, rng uint32, p Prob, bit uint32) (uint64, uint32, Prob) {
+	mask := -bit
+	v := uint32(p)
+	bound := (rng >> probBits) * v
+	return low + uint64(bound&mask), bound&^mask | (rng-bound)&mask,
+		Prob(v + (probTotal-v)>>moveBits&^mask - v>>moveBits&mask)
+}
+
+// EncodeBit encodes bit (0 or 1) under the adaptive probability p.
 func (e *RangeEncoder) EncodeBit(p *Prob, bit int) {
-	bound := (e.rng >> probBits) * uint32(*p)
-	if bit == 0 {
-		e.rng = bound
-		*p += (probTotal - *p) >> moveBits
-	} else {
-		e.low += uint64(bound)
-		e.rng -= bound
-		*p -= *p >> moveBits
+	low, rng, q := encodeBit(e.low, e.rng, *p, uint32(bit))
+	*p = q
+	for rng < topValue {
+		rng <<= 8
+		low = e.shiftLow(low)
 	}
-	if e.rng < topValue {
-		e.normalize()
-	}
-}
-
-func (e *RangeEncoder) normalize() {
-	for e.rng < topValue {
-		e.rng <<= 8
-		e.shiftLow()
-	}
+	e.low, e.rng = low, rng
 }
 
 // EncodeDirect encodes nbits of v (MSB first) at fixed probability 0.5.
 func (e *RangeEncoder) EncodeDirect(v uint32, nbits int) {
+	low, rng := e.low, e.rng
 	for i := nbits - 1; i >= 0; i-- {
-		e.rng >>= 1
-		if (v>>uint(i))&1 != 0 {
-			e.low += uint64(e.rng)
-		}
-		for e.rng < topValue {
-			e.rng <<= 8
-			e.shiftLow()
+		rng >>= 1
+		low += uint64(rng & -(v >> uint(i) & 1))
+		for rng < topValue {
+			rng <<= 8
+			low = e.shiftLow(low)
 		}
 	}
+	e.low, e.rng = low, rng
 }
 
 // Flush finalizes the stream and returns the encoded bytes.
 func (e *RangeEncoder) Flush() []byte {
 	for i := 0; i < 5; i++ {
-		e.shiftLow()
+		e.low = e.shiftLow(e.low)
 	}
 	return e.out
 }
@@ -215,55 +234,62 @@ func (d *RangeDecoder) DecodeDirect(nbits int) uint32 {
 }
 
 // BitTree codes fixed-width symbols bit by bit with per-node adaptive
-// probabilities (the standard LZMA building block).
+// probabilities (the standard LZMA building block). Symbols are at most
+// maxTreeBits wide, so the nodes fit one fixed array and uint8 node indices
+// need no bounds checks.
 type BitTree struct {
-	probs []Prob
+	probs [1 << maxTreeBits]Prob
 	bits  int
 }
 
-// NewBitTree returns a tree for symbols of the given bit width.
+// maxTreeBits is the widest BitTree: the literal and match-length trees.
+const maxTreeBits = 8
+
+// NewBitTree returns a tree for symbols of the given bit width (1 to 8).
 func NewBitTree(bits int) *BitTree {
-	return &BitTree{probs: NewProbs(1 << bits), bits: bits}
+	if bits < 1 || bits > maxTreeBits {
+		panic(fmt.Sprintf("entropy: BitTree width %d outside 1..%d", bits, maxTreeBits))
+	}
+	t := &BitTree{bits: bits}
+	t.Reset()
+	return t
 }
 
 // Reset restores every node to p=0.5 so the tree can code a fresh stream.
 func (t *BitTree) Reset() {
-	for i := range t.probs {
+	for i := range t.probs[:1<<t.bits] {
 		t.probs[i] = probInit
 	}
 }
 
-// Encode writes sym (must fit in the tree's width). The per-bit range-coder
-// update is inlined with the range register held in a local so the hot loop
-// runs without call overhead; the arithmetic is exactly EncodeBit's.
+// Encode writes sym (must fit in the tree's width).
 func (t *BitTree) Encode(e *RangeEncoder, sym uint32) {
-	probs := t.probs
-	rng := e.rng
-	ctx := uint32(1)
-	for i := t.bits - 1; i >= 0; i-- {
-		bit := (sym >> uint(i)) & 1
-		p := probs[ctx]
-		bound := (rng >> probBits) * uint32(p)
-		if bit == 0 {
-			rng = bound
-			probs[ctx] = p + (probTotal-p)>>moveBits
-		} else {
-			e.low += uint64(bound)
-			rng -= bound
-			probs[ctx] = p - p>>moveBits
-		}
-		for rng < topValue {
-			rng <<= 8
-			e.shiftLow()
-		}
-		ctx = ctx<<1 | bit
-	}
-	e.rng = rng
+	e.low, e.rng = e.encodeTree(e.low, e.rng, &t.probs, sym<<(32-t.bits), 1<<t.bits)
 }
 
-// Decode reads one symbol, mirroring Encode's inlined hot loop.
+// encodeTree codes a symbol's bits, MSB first from bit 31 of s, down a
+// tree of probs until the node index ctx reaches end (1<<width). The coder
+// state comes in and goes out in registers, so a caller can code more bits
+// of the same symbol around it without a round trip through e.
+func (e *RangeEncoder) encodeTree(low uint64, rng uint32, probs *[1 << maxTreeBits]Prob, s, end uint32) (uint64, uint32) {
+	for ctx := uint32(1); ctx < end; {
+		bit := s >> 31
+		s <<= 1
+		low, rng, probs[uint8(ctx)] = encodeBit(low, rng, probs[uint8(ctx)], bit)
+		ctx = ctx<<1 | bit
+		for rng < topValue {
+			rng <<= 8
+			low = e.shiftLow(low)
+		}
+	}
+	return low, rng
+}
+
+// Decode reads one symbol, with the decoder state in locals as in
+// encodeTree. It indexes a slice of the nodes: unlike the encoder's loop,
+// this one measured slower with uint8 indices into the array.
 func (t *BitTree) Decode(d *RangeDecoder) uint32 {
-	probs := t.probs
+	probs := t.probs[:1<<t.bits]
 	rng, code := d.rng, d.code
 	in, pos := d.in, d.pos
 	ctx := uint32(1)

@@ -23,8 +23,9 @@ const (
 
 // HotSite is one entry of a manifest's hot_sites ranking: a scheduling
 // site and its merged deterministic event count, plus wall CPU when the
-// pprof inputs carried it. The ranking (by events, ties by name) is
-// deterministic; the CPU figure, like every manifest timing, is not.
+// pprof inputs carried it. With CPU the ranking is by CPU (vprof.Report.Top)
+// and, like every manifest timing, not deterministic; without it the
+// ranking is by events and is.
 type HotSite struct {
 	Site    string `json:"site"`
 	Events  uint64 `json:"events"`
@@ -99,7 +100,7 @@ func MergeProfiles(dir string) ([]HotSite, error) {
 			return nil, err
 		}
 		// Rank from the pprof merge when present: same deterministic event
-		// counts as the JSONL merge, plus the CPU attribution.
+		// counts as the JSONL merge, plus the CPU attribution to rank by.
 		ranked = cpu
 	}
 	if ranked == nil {

@@ -19,6 +19,7 @@
 package quic
 
 import (
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -120,6 +121,7 @@ type Conn struct {
 	spPool  []*sentPacket // sentPacket nodes
 	ssPool  []*sendStream // sendStream nodes
 	rxBuf   []byte        // descrambled payload of the packet in flight
+	ks      []byte        // keystream cache (see keystream)
 	msgBuf  []byte        // multi-fragment reassembly target
 
 	// Profiler site labels for the connection's timer events, interned at
@@ -285,13 +287,27 @@ func (c *Conn) appendShortHeader(b []byte, pn uint64) []byte {
 
 // scramble is the toy AEAD: a keyed keystream XOR. It makes 1-RTT payloads
 // opaque to the capture layer while remaining trivially invertible for the
-// peer that shares the key.
+// peer that shares the key. The keystream is an LCG restarted from the key
+// for every payload, so it is a constant of the connection: keystream
+// computes it once and XORBytes applies it.
 func (c *Conn) scramble(b []byte) {
-	state := uint32(c.key) * 2654435761
-	for i := range b {
-		state = state*1664525 + 1013904223
-		b[i] ^= byte(state >> 24)
+	subtle.XORBytes(b, b, c.keystream(len(b)))
+}
+
+// keystream returns the first n bytes of the connection's keystream,
+// growing the cached stream on demand to the longest payload seen (at
+// least an MTU, so ordinary traffic computes it once).
+func (c *Conn) keystream(n int) []byte {
+	if n > len(c.ks) {
+		ks := make([]byte, max(n, MTU))
+		state := uint32(c.key) * 2654435761
+		for i := range ks {
+			state = state*1664525 + 1013904223
+			ks[i] = byte(state >> 24)
+		}
+		c.ks = ks
 	}
+	return c.ks[:n]
 }
 
 // SendMessage opens a new stream, writes data, and FINs it — the
@@ -483,9 +499,13 @@ func (c *Conn) handleShort(now simtime.Time, b []byte) {
 	}
 	// Descramble into the connection's receive scratch: the frame payload
 	// belongs to the sender and must not be modified in place.
-	c.rxBuf = append(c.rxBuf[:0], b[9+n:]...)
-	c.scramble(c.rxBuf)
-	c.parseFrames(now, pn, c.rxBuf)
+	payload := b[9+n:]
+	if cap(c.rxBuf) < len(payload) {
+		c.rxBuf = make([]byte, len(payload))
+	}
+	rx := c.rxBuf[:len(payload)]
+	subtle.XORBytes(rx, payload, c.keystream(len(payload)))
+	c.parseFrames(now, pn, rx)
 }
 
 func (c *Conn) parseFrames(now simtime.Time, pn uint64, p []byte) {
@@ -557,9 +577,34 @@ func (c *Conn) markDelivered(id uint64) {
 				c.putBuf(seg)
 			}
 			delete(c.recvStreams, c.recvNext)
+		} else {
+			// Nothing is held for recvNext: jump to the lowest stream that
+			// holds state, which stepping by 4 would reach anyway. A peer
+			// that completes streams far ahead cannot make this loop count
+			// through the gap.
+			c.recvNext = c.lowestHeldStream()
+			continue
 		}
 		c.recvNext += 4
 	}
+}
+
+// lowestHeldStream returns the lowest stream ID at or above recvNext in
+// recvDone or recvStreams; recvDone must hold one. Held IDs are of the
+// peer's stream type, so the result is recvNext plus a multiple of 4.
+func (c *Conn) lowestHeldStream() uint64 {
+	low := ^uint64(0)
+	//vplint:allow maporder(a minimum does not depend on visiting order)
+	for id := range c.recvDone {
+		low = min(low, id)
+	}
+	//vplint:allow maporder(a minimum does not depend on visiting order)
+	for id := range c.recvStreams {
+		if id >= c.recvNext {
+			low = min(low, id)
+		}
+	}
+	return low
 }
 
 func (c *Conn) parseStream(now simtime.Time, ftype byte, p []byte) ([]byte, bool) {
@@ -590,6 +635,12 @@ func (c *Conn) parseStream(now simtime.Time, ftype byte, p []byte) ([]byte, bool
 	data := p[:length]
 	fin := ftype&0x01 != 0
 	rest := p[length:]
+	if id&3 != c.recvNext&3 {
+		// Not a stream the peer may open (RFC 9000 §2.1: the low two bits
+		// give initiator and direction); the watermark only ever visits
+		// the peer's own type, so such IDs would never be released.
+		return nil, false
+	}
 
 	if c.streamDelivered(id) {
 		return rest, true // duplicate of a completed stream
@@ -605,7 +656,9 @@ func (c *Conn) parseStream(now simtime.Time, ftype byte, p []byte) ([]byte, bool
 		rs = &recvStream{segs: map[uint64][]byte{}, finOff: -1}
 		c.recvStreams[id] = rs
 	}
-	if _, dup := rs.segs[off]; !dup {
+	// Only FIN gives an empty frame meaning: an empty segment would stall
+	// tryDeliver's walk, which advances by segment length.
+	if _, dup := rs.segs[off]; !dup && length > 0 {
 		seg := c.getBuf(len(data))
 		copy(seg, data)
 		rs.segs[off] = seg

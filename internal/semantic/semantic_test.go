@@ -207,32 +207,42 @@ func TestEncoderDeterministic(t *testing.T) {
 	}
 }
 
+// benchFrames is how many distinct frames the codec benchmarks rotate over.
+// Re-encoding one frame lets the branch predictor learn its bits and reads
+// about twice as fast as a live stream.
+const benchFrames = 256
+
 func BenchmarkEncodeFloat32(b *testing.B) {
 	enc := NewEncoder(ModeFloat32)
-	f := genFrames(10, 1)[0]
+	frames := genFrames(10, benchFrames)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		enc.Encode(&f)
+		enc.Encode(&frames[i%benchFrames])
 	}
 }
 
 func BenchmarkEncodeQuantized(b *testing.B) {
 	enc := NewEncoder(ModeQuantized)
-	frames := genFrames(11, 256)
+	frames := genFrames(11, benchFrames)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		enc.Encode(&frames[i%256])
+		enc.Encode(&frames[i%benchFrames])
 	}
 }
 
 func BenchmarkDecodeFloat32(b *testing.B) {
 	enc := NewEncoder(ModeFloat32)
-	f := genFrames(12, 1)[0]
-	wire := enc.Encode(&f)
+	wires := make([][]byte, benchFrames)
+	for i, f := range genFrames(12, benchFrames) {
+		wires[i] = enc.Encode(&f)
+	}
 	dec := NewDecoder()
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dec.Decode(wire); err != nil {
+		if _, err := dec.Decode(wires[i%benchFrames]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"telepresence/internal/entropy"
 	"telepresence/internal/simrand"
 )
 
@@ -301,6 +302,31 @@ func BenchmarkEncode360p(b *testing.B) {
 		if _, err := enc.Encode(frames[i%16]); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkCompressBody360p compresses the uncompressed bodies of a
+// rate-controlled 640x360 stream (keyframes and deltas) in rotation through
+// one reused Compressor: the encoder's entropy stage on its own.
+func BenchmarkCompressBody360p(b *testing.B) {
+	scene := NewScene(simrand.New(14), 640, 360, 30)
+	enc, _ := NewEncoder(DefaultConfig(640, 360, 1.5e6))
+	bodies := make([][]byte, 120)
+	size := 0
+	for i := range bodies {
+		if _, err := enc.Encode(scene.Next()); err != nil {
+			b.Fatal(err)
+		}
+		bodies[i] = append([]byte(nil), enc.body...)
+		size += len(bodies[i])
+	}
+	c := entropy.NewCompressor()
+	var dst []byte
+	b.SetBytes(int64(size / len(bodies)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = c.Compress(dst[:0], bodies[i%len(bodies)])
 	}
 }
 

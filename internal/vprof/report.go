@@ -257,16 +257,22 @@ func Merge(reports ...*Report) *Report {
 	return m
 }
 
-// Top returns the n hottest sites by deterministic event count (ties
-// broken by name, so the ranking itself is deterministic).
+// Top returns the n hottest sites by wall-CPU nanoseconds, ties broken by
+// event count and then by name. A report without CPU (one parsed from
+// JSONL) has every CPUNanos at zero and so ranks by events, and that
+// ranking is deterministic.
 func (r *Report) Top(n int) []SiteReport {
 	top := make([]SiteReport, len(r.Sites))
 	copy(top, r.Sites)
 	sort.Slice(top, func(i, j int) bool {
-		if top[i].Events != top[j].Events {
-			return top[i].Events > top[j].Events
+		a, b := &top[i], &top[j]
+		if a.CPUNanos != b.CPUNanos {
+			return a.CPUNanos > b.CPUNanos
 		}
-		return top[i].Site < top[j].Site
+		if a.Events != b.Events {
+			return a.Events > b.Events
+		}
+		return a.Site < b.Site
 	})
 	if n > 0 && len(top) > n {
 		top = top[:n]

@@ -154,9 +154,19 @@ func TestMerge(t *testing.T) {
 	}
 }
 
+// TestTop ranks a report without CPU, as parsed from JSONL: by events,
+// deterministically.
 func TestTop(t *testing.T) {
 	p, _ := buildProfile(t)
-	top := p.Report().Top(2)
+	var jsonl bytes.Buffer
+	if err := p.Report().WriteJSONL(&jsonl); err != nil {
+		t.Fatal(err)
+	}
+	r, err := ParseReport(&jsonl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := r.Top(2)
 	if len(top) != 2 || top[0].Site != "netem.deliver" || top[1].Site != "vca/recovery.scan" {
 		t.Errorf("Top(2) = %+v", top)
 	}
@@ -166,6 +176,27 @@ func TestTop(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "netem.deliver") {
 		t.Errorf("WriteTop output missing hot site:\n%s", buf.String())
+	}
+}
+
+// TestTopRanksByCPU: when the report carries CPU, the site with the most
+// CPU ranks first even with fewer events; equal CPU falls back to events,
+// then to name.
+func TestTopRanksByCPU(t *testing.T) {
+	r := &Report{Sites: []SiteReport{
+		{Site: "netem.deliver", Events: 296000, CPUNanos: 410e6},
+		{Site: "quic.ack", Events: 900, CPUNanos: 5e6},
+		{Site: "quic.rto", Events: 40, CPUNanos: 5e6},
+		{Site: "scenario.apply", Events: 40, CPUNanos: 5e6},
+		{Site: "vca/quic.frame", Events: 54000, CPUNanos: 4330e6},
+	}}
+	var got []string
+	for _, s := range r.Top(0) {
+		got = append(got, s.Site)
+	}
+	want := []string{"vca/quic.frame", "netem.deliver", "quic.ack", "quic.rto", "scenario.apply"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("Top(0) = %v, want %v", got, want)
 	}
 }
 
