@@ -125,7 +125,7 @@ func TestPublicFleetAPI(t *testing.T) {
 		t.Errorf("%d rows through the public fleet API, want 11", len(sink.Rows))
 	}
 	m := tp.NewFleetManifest(opts, 4, 0, results)
-	if m.Seed != 5 || len(m.Experiments) != 2 {
+	if m.Seed != 5 || len(m.Sections) != 2 || m.Sections[0].Name != "servers" || m.Rows != 11 {
 		t.Errorf("manifest = %+v", m)
 	}
 }
@@ -188,8 +188,8 @@ func TestPublicSweepAPI(t *testing.T) {
 	if !ok || row.StepDelayMs != 250 {
 		t.Errorf("row = %#v", sink.Rows[0])
 	}
-	m := tp.NewFleetSweepManifest(spec, opts, 2, 0, results)
-	if m.Target != "handover" || m.Cells != 1 || m.Rows != 1 {
+	m := tp.NewFleetManifest(opts, 2, 0, results)
+	if len(m.Sections) != 1 || m.Sections[0].Name != "handover" || len(m.Sections[0].Units) != 1 || m.Rows != 1 {
 		t.Errorf("sweep manifest = %+v", m)
 	}
 }

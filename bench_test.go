@@ -304,7 +304,7 @@ func runFleetSuite(b *testing.B, cfg tp.FleetConfig) int {
 	}
 	rows := 0
 	for _, r := range results {
-		rows += r.RowCount
+		rows += r.Rows
 	}
 	return rows
 }

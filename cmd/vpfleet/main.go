@@ -95,17 +95,6 @@ const (
 	exitInterrupted = 3 // gracefully drained; resume with -checkpoint/-resume
 )
 
-// writeManifest renders a run or sweep manifest as indented JSON.
-func writeManifest(w io.WriteCloser, m any) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(m); err != nil {
-		w.Close()
-		return err
-	}
-	return w.Close()
-}
-
 func main() {
 	if len(os.Args) < 2 {
 		usage()
@@ -670,43 +659,12 @@ func sweepCmd(args []string, lis net.Listener) {
 	// reorder window, not the grid); journaled cells replay on -resume.
 	start := time.Now()
 	results, runErr := tp.FleetRunSweepStream(spec, opts, cfg, newFileSink(f, format, target.Row, obs.rowTee()))
-	wall := time.Since(start)
-
-	manifest := tp.NewFleetSweepManifest(spec, opts, workers, wall, results)
-	manifest.File = path
-	manifest.HotSites = c.mergeProfiles()
-	if journal != nil {
-		manifest.Checkpoint = journal.Dir()
-	}
+	manifest := tp.NewFleetManifest(opts, workers, time.Since(start), results)
 	// Per-target manifest name, so sweeping two targets into one output
 	// directory preserves both runs' provenance.
-	mf, err := os.Create(filepath.Join(out, "sweep-"+spec.Target+"-manifest.json"))
-	if err != nil {
-		fail(err)
-	}
-	if err := writeManifest(mf, manifest); err != nil {
-		fail(err)
-	}
-
-	fmt.Printf("%-5s %-40s %-7s %-9s %s\n", "cell", "params", "rows", "wall", "status")
-	for _, r := range results {
-		status := "ok"
-		switch {
-		case r.Err != nil && errors.Is(r.Err, tp.ErrFleetInterrupted):
-			status = "INTERRUPTED"
-		case r.Err != nil:
-			status = "ERROR: " + r.Err.Error()
-		case r.Resumed:
-			status = "ok (resumed)"
-		}
-		fmt.Printf("%-5d %-40s %-7d %-9s %s\n",
-			r.Cell.Index, r.Cell.Label, r.RowCount, r.Wall.Round(time.Millisecond), status)
-	}
-	fmt.Printf("\nsweep %s: %d cells in %s (workers=%d); rows: %s\n",
-		spec.Target, len(results), wall.Round(time.Millisecond), workers, path)
-	hint := fmt.Sprintf("vpfleet sweep %s ... -checkpoint %s -resume", spec.Target, *c.checkpoint)
-	obs.finish(runErr, hint)
-	exit(runErr, journal, hint)
+	c.finish(manifest, filepath.Join(out, "sweep-"+spec.Target+"-manifest.json"),
+		map[string]string{spec.Target: path}, journal, obs, runErr,
+		fmt.Sprintf("vpfleet sweep %s ... -checkpoint %s -resume", spec.Target, *c.checkpoint))
 }
 
 func runCmd(args []string, lis net.Listener) {
@@ -727,8 +685,8 @@ func runCmd(args []string, lis net.Listener) {
 	obs := c.attachObs("run", "run", &cfg)
 
 	// Profiling hooks for the hot-path work the ROADMAP tracks. Runner
-	// execution carries pprof labels, so samples still attribute to
-	// (experiment, rep) even though sink I/O now overlaps the run.
+	// execution carries pprof labels, so samples still attribute to their
+	// experiment even though sink I/O overlaps the run.
 	var cpuFile *os.File
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -754,7 +712,7 @@ func runCmd(args []string, lis net.Listener) {
 		}
 		return newFileSink(f, format, e.Row, obs.rowTee()), nil
 	})
-	wall := time.Since(start)
+	manifest := tp.NewFleetManifest(opts, workers, time.Since(start), results)
 
 	if cpuFile != nil {
 		pprof.StopCPUProfile()
@@ -775,42 +733,63 @@ func runCmd(args []string, lis net.Listener) {
 			fail(err)
 		}
 	}
+	c.finish(manifest, filepath.Join(out, "manifest.json"), files, journal, obs, runErr,
+		fmt.Sprintf("vpfleet run %s -checkpoint %s -resume", strings.Join(names, " "), *c.checkpoint))
+}
 
-	manifest := tp.NewFleetManifest(opts, workers, wall, results)
-	manifest.HotSites = c.mergeProfiles()
-	for i := range manifest.Experiments {
-		manifest.Experiments[i].File = files[manifest.Experiments[i].Name]
+// finish is the tail run and sweep share: it completes the manifest (row
+// files, hot sites, journal), writes it to manifestPath, prints one line
+// per section, reports the outcome to the live views and exits with the
+// run's code (exit prints the failures). files maps each section to its
+// row file.
+func (c *commonFlags) finish(m tp.FleetManifest, manifestPath string, files map[string]string,
+	journal *tp.FleetJournal, obs *obsSession, runErr error, resumeHint string) {
+	m.HotSites = c.mergeProfiles()
+	for i := range m.Sections {
+		m.Sections[i].File = files[m.Sections[i].Name]
 	}
 	if journal != nil {
-		manifest.Checkpoint = journal.Dir()
+		m.Checkpoint = journal.Dir()
 	}
-	mf, err := os.Create(filepath.Join(out, "manifest.json"))
+	mf, err := os.Create(manifestPath)
 	if err != nil {
 		fail(err)
 	}
-	if err := writeManifest(mf, manifest); err != nil {
+	enc := json.NewEncoder(mf)
+	enc.SetIndent("", "  ")
+	if err := errors.Join(enc.Encode(m), mf.Close()); err != nil {
 		fail(err)
 	}
 
-	fmt.Printf("%-10s %-5s %-7s %-9s %s\n", "name", "reps", "rows", "wall", "file")
-	for _, r := range results {
-		status := files[r.Experiment.Name]
-		switch {
-		case r.Err != nil && errors.Is(r.Err, tp.ErrFleetInterrupted):
-			status = "INTERRUPTED"
-		case r.Err != nil:
-			status = "ERROR: " + r.Err.Error()
-		case r.Resumed > 0:
-			status += fmt.Sprintf(" (%d/%d reps resumed)", r.Resumed, r.Reps)
+	fmt.Printf("%-10s %-6s %-7s %-9s %s\n", "section", "units", "rows", "wall", "file")
+	units := 0
+	for _, s := range m.Sections {
+		var wallMs float64
+		var resumed, skipped int
+		for _, u := range s.Units {
+			wallMs += u.WallMs
+			if u.Resumed {
+				resumed++
+			}
+			if u.Skipped {
+				skipped++
+			}
 		}
-		fmt.Printf("%-10s %-5d %-7d %-9s %s\n",
-			r.Experiment.Name, r.Reps, r.RowCount, r.Wall.Round(time.Millisecond), status)
+		status := s.File
+		if resumed > 0 {
+			status += fmt.Sprintf(" (%d/%d units resumed)", resumed, len(s.Units))
+		}
+		if skipped > 0 {
+			status += fmt.Sprintf(" (%d/%d units INTERRUPTED)", skipped, len(s.Units))
+		}
+		fmt.Printf("%-10s %-6d %-7d %-9s %s\n", s.Name, len(s.Units), s.Rows,
+			time.Duration(wallMs*float64(time.Millisecond)).Round(time.Millisecond), status)
+		units += len(s.Units)
 	}
-	fmt.Printf("\n%d experiments in %s (workers=%d); manifest: %s\n",
-		len(results), wall.Round(time.Millisecond), workers, filepath.Join(out, "manifest.json"))
-	hint := fmt.Sprintf("vpfleet run %s -checkpoint %s -resume", strings.Join(names, " "), *c.checkpoint)
-	obs.finish(runErr, hint)
-	exit(runErr, journal, hint)
+	fmt.Printf("\n%d units in %s (workers=%d); manifest: %s\n",
+		units, time.Duration(m.WallMs*float64(time.Millisecond)).Round(time.Millisecond), m.Workers, manifestPath)
+	obs.finish(runErr, resumeHint)
+	exit(runErr, journal, resumeHint)
 }
 
 // newFileSink wraps f in the row sink for format ("csv" or "jsonl",

@@ -150,9 +150,11 @@ func TestChaosHealedBytesMatchClean(t *testing.T) {
 	}
 	// The manifest records the extra attempts.
 	var m struct {
-		Experiments []struct {
-			Attempts int `json:"attempts"`
-		} `json:"experiments"`
+		Sections []struct {
+			Units []struct {
+				Attempts int `json:"attempts"`
+			} `json:"units"`
+		} `json:"sections"`
 	}
 	data, err := os.ReadFile(filepath.Join(healed, "manifest.json"))
 	if err != nil {
@@ -161,8 +163,8 @@ func TestChaosHealedBytesMatchClean(t *testing.T) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Experiments) != 1 || m.Experiments[0].Attempts != 2 {
-		t.Errorf("manifest attempts = %+v, want 2 (one faulted + one clean)", m.Experiments)
+	if len(m.Sections) != 1 || len(m.Sections[0].Units) != 1 || m.Sections[0].Units[0].Attempts != 2 {
+		t.Errorf("manifest attempts = %+v, want one unit with 2 (one faulted + one clean)", m.Sections)
 	}
 }
 

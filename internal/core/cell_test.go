@@ -28,7 +28,7 @@ func TestRejectedCellLeavesNoArtifacts(t *testing.T) {
 			}
 			opts := Quick(1)
 			opts.TraceDir, opts.ProfDir = t.TempDir(), t.TempDir()
-			if _, err := target.Run(opts, withDefaults(target, tc.params)); err == nil {
+			if _, err := target.Run(opts, target.WithDefaults(tc.params)); err == nil {
 				t.Fatalf("%s %v: no error", tc.target, tc.params)
 			}
 			for _, dir := range []string{opts.TraceDir, opts.ProfDir} {

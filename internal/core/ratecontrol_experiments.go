@@ -16,9 +16,9 @@ import (
 // open-loop baseline ("fixed") at the same impairment.
 //
 // Both experiments follow the scenario-experiment determinism contract:
-// registered twice (fixed default grid for the golden suite, sweep target
-// for vpfleet sweep grids), with every cell's seed derived from the run
-// seed and the cell's parameter values alone via SweepCellOptions.
+// registered once as a sweep target whose default grid is also the
+// golden-pinned registry experiment, with every cell's seed derived from
+// the run seed and the cell's parameter values alone via SweepCellOptions.
 // Controllers are addressed by their index in ratecontrol.Kinds() so they
 // can ride a numeric sweep axis; the index order is part of the cell-seed
 // contract.
@@ -68,7 +68,7 @@ func DefaultCCRateControllers() []float64 {
 	return out
 }
 
-// DefaultCCRateCaps is the ccrate registry grid in Mbps (0 = uncapped),
+// DefaultCCRateCaps is the ccrate default cap grid in Mbps (0 = uncapped),
 // straddling Zoom's 1.4 Mbps encoder target: a cap that never bites, one
 // that barely bites, and two that strangle a fixed-rate sender.
 func DefaultCCRateCaps() []float64 { return []float64{0, 1.2, 0.9, 0.6} }
@@ -185,17 +185,21 @@ func ccrampCell(opts Options, params map[string]float64) (CCRampRow, error) {
 
 // ---------------------------------------------------------- registration
 
+// Default grids: every controller against every impairment level, the
+// open-loop "fixed" rows doubling as the baseline within the section.
 func init() {
-	ccrate := SweepTarget{
+	ctrls := Axis("controller", DefaultCCRateControllers()...)
+	RegisterSweep(SweepTarget{
 		Name: "ccrate", Desc: "closed-loop §4.3 rate adaptation: controller x static uplink cap (controller: 0=fixed 1=loss 2=gcc)",
 		Row: CCRateRow{},
 		Params: []SweepParam{
 			{Name: "controller", Default: 2, Desc: "ratecontrol.Kinds() index: 0=fixed (open loop), 1=loss, 2=gcc"},
 			{Name: "cap_mbps", Default: 1, Desc: "static uplink cap in Mbps (0 = uncapped)"},
 		},
-		Run: func(o Options, p map[string]float64) ([]Row, error) { return rows(ccrateCell(o, p)) },
-	}
-	ccramp := SweepTarget{
+		Run:  func(o Options, p map[string]float64) ([]Row, error) { return rows(ccrateCell(o, p)) },
+		Grid: Cross(ctrls, Axis("cap_mbps", DefaultCCRateCaps()...)),
+	})
+	RegisterSweep(SweepTarget{
 		Name: "ccramp", Desc: "closed-loop congestion ramp: controller x rate floor under the mid-call bandwidth ramp (controller: 0=fixed 1=loss 2=gcc)",
 		Row: CCRampRow{},
 		Params: []SweepParam{
@@ -203,36 +207,7 @@ func init() {
 			{Name: "start_mbps", Default: 4, Desc: "uncongested rate cap"},
 			{Name: "floor_mbps", Default: 1, Desc: "rate floor at peak congestion"},
 		},
-		Run: func(o Options, p map[string]float64) ([]Row, error) { return rows(ccrampCell(o, p)) },
-	}
-	RegisterSweep(ccrate)
-	RegisterSweep(ccramp)
-
-	// Default grids: every controller against every impairment level, the
-	// open-loop "fixed" rows doubling as the baseline within the section.
-	ctrls := DefaultCCRateControllers()
-	caps := DefaultCCRateCaps()
-	Register(Experiment{
-		Name: "ccrate", Desc: ccrate.Desc + " (default grid)",
-		Row: CCRateRow{}, Reps: fixed(len(ctrls) * len(caps)),
-		Run: func(o Options, rep int) ([]Row, error) {
-			p := withDefaults(ccrate, map[string]float64{
-				"controller": ctrls[rep/len(caps)],
-				"cap_mbps":   caps[rep%len(caps)],
-			})
-			return rows(ccrateCell(o, p))
-		},
-	})
-	floors := DefaultCongestionFloorsMbps()
-	Register(Experiment{
-		Name: "ccramp", Desc: ccramp.Desc + " (default grid)",
-		Row: CCRampRow{}, Reps: fixed(len(ctrls) * len(floors)),
-		Run: func(o Options, rep int) ([]Row, error) {
-			p := withDefaults(ccramp, map[string]float64{
-				"controller": ctrls[rep/len(floors)],
-				"floor_mbps": floors[rep%len(floors)],
-			})
-			return rows(ccrampCell(o, p))
-		},
+		Run:  func(o Options, p map[string]float64) ([]Row, error) { return rows(ccrampCell(o, p)) },
+		Grid: Cross(ctrls, Axis("floor_mbps", DefaultCongestionFloorsMbps()...)),
 	})
 }

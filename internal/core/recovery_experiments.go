@@ -18,10 +18,10 @@ import (
 // "recramp" crosses strategies with the mid-call bandwidth ramp under gcc
 // rate control (does reactive repair traffic blow the congestion budget?).
 //
-// Both follow the scenario-experiment determinism contract: registered as
-// a fixed default grid (golden-pinned) and as a sweep target, with every
-// cell's seed derived from the run seed and parameter values alone via
-// SweepCellOptions. Strategies ride a numeric axis as the index into
+// Both follow the scenario-experiment determinism contract: registered
+// once as a sweep target whose default grid is also the golden-pinned
+// registry experiment, with every cell's seed derived from the run seed
+// and parameter values alone via SweepCellOptions. Strategies ride a numeric axis as the index into
 // recovery.Kinds() (0=none 1=nack 2=fec 3=hybrid); the order is part of
 // the cell-seed contract like ratecontrol.Kinds in ccrate/ccramp.
 
@@ -170,7 +170,7 @@ type RecRampRow struct {
 	DecodedFrac     float64
 }
 
-// DefaultRecRampFloorsMbps is the recramp registry floor grid: a floor the
+// DefaultRecRampFloorsMbps is the recramp default floor grid: a floor the
 // 1.4 Mbps Zoom encoder can almost hold and one that strangles it.
 func DefaultRecRampFloorsMbps() []float64 { return []float64{1.0, 0.5} }
 
@@ -220,8 +220,11 @@ func recrampCell(opts Options, params map[string]float64) (RecRampRow, error) {
 
 // ---------------------------------------------------------- registration
 
+// Default grids: every strategy against every impairment level; the inert
+// "none" rows double as the no-recovery baseline within the section.
 func init() {
-	rec := SweepTarget{
+	strategies := Axis("strategy", DefaultRecoveryStrategies()...)
+	RegisterSweep(SweepTarget{
 		Name: "recovery", Desc: "loss recovery: strategy x Gilbert-Elliott burst channel (strategy: 0=none 1=nack 2=fec 3=hybrid)",
 		Row: RecoveryRow{},
 		Params: []SweepParam{
@@ -230,9 +233,10 @@ func init() {
 			{Name: "p_bad_good", Default: 0.25, Desc: "per-frame P(bad->good)"},
 			{Name: "loss_bad", Default: 0.9, Desc: "loss probability in the bad state"},
 		},
-		Run: func(o Options, p map[string]float64) ([]Row, error) { return rows(recoveryCell(o, p)) },
-	}
-	recramp := SweepTarget{
+		Run:  func(o Options, p map[string]float64) ([]Row, error) { return rows(recoveryCell(o, p)) },
+		Grid: Cross(strategies, burstLossGrid),
+	})
+	RegisterSweep(SweepTarget{
 		Name: "recramp", Desc: "loss recovery under congestion: strategy x ramp floor with gcc rate control (strategy: 0=none 1=nack 2=fec 3=hybrid)",
 		Row: RecRampRow{},
 		Params: []SweepParam{
@@ -240,34 +244,7 @@ func init() {
 			{Name: "start_mbps", Default: 4, Desc: "uncongested rate cap"},
 			{Name: "floor_mbps", Default: 1, Desc: "rate floor at peak congestion"},
 		},
-		Run: func(o Options, p map[string]float64) ([]Row, error) { return rows(recrampCell(o, p)) },
-	}
-	RegisterSweep(rec)
-	RegisterSweep(recramp)
-
-	// Default grids: every strategy against every impairment level; the
-	// inert "none" rows double as the no-recovery baseline within the
-	// section.
-	strategies := DefaultRecoveryStrategies()
-	Register(Experiment{
-		Name: "recovery", Desc: rec.Desc + " (default grid)",
-		Row: RecoveryRow{}, Reps: fixed(len(strategies) * len(burstLossGrid)),
-		Run: func(o Options, rep int) ([]Row, error) {
-			p := withDefaults(rec, burstLossGrid[rep%len(burstLossGrid)])
-			p["strategy"] = strategies[rep/len(burstLossGrid)]
-			return rows(recoveryCell(o, p))
-		},
-	})
-	floors := DefaultRecRampFloorsMbps()
-	Register(Experiment{
-		Name: "recramp", Desc: recramp.Desc + " (default grid)",
-		Row: RecRampRow{}, Reps: fixed(len(strategies) * len(floors)),
-		Run: func(o Options, rep int) ([]Row, error) {
-			p := withDefaults(recramp, map[string]float64{
-				"strategy":   strategies[rep/len(floors)],
-				"floor_mbps": floors[rep%len(floors)],
-			})
-			return rows(recrampCell(o, p))
-		},
+		Run:  func(o Options, p map[string]float64) ([]Row, error) { return rows(recrampCell(o, p)) },
+		Grid: Cross(strategies, Axis("floor_mbps", DefaultRecRampFloorsMbps()...)),
 	})
 }

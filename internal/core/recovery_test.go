@@ -43,7 +43,7 @@ func TestHybridRecoveryAcceptance(t *testing.T) {
 	}
 	hybridIdx := float64(3) // recovery.Kinds(): 0=none 1=nack 2=fec 3=hybrid
 	for _, ge := range grid {
-		params := withDefaults(mustSweep(t, "recovery"), ge)
+		params := mustSweep(t, "recovery").WithDefaults(ge)
 		params["strategy"] = 0
 		none, err := recoveryCell(opts, params)
 		if err != nil {
@@ -92,7 +92,7 @@ func TestRecoveryCellDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two 12 s sessions; skipped in -short")
 	}
-	params := withDefaults(mustSweep(t, "recovery"), map[string]float64{"strategy": 3})
+	params := mustSweep(t, "recovery").WithDefaults(map[string]float64{"strategy": 3})
 	a, err := recoveryCell(Quick(7), params)
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +118,7 @@ func TestRecRampRecoveryStaysInBudget(t *testing.T) {
 		t.Skip("two 12 s sessions; skipped in -short")
 	}
 	opts := Quick(1)
-	params := withDefaults(mustSweep(t, "recramp"), map[string]float64{"floor_mbps": 0.5})
+	params := mustSweep(t, "recramp").WithDefaults(map[string]float64{"floor_mbps": 0.5})
 	params["strategy"] = 0
 	none, err := recrampCell(opts, params)
 	if err != nil {

@@ -106,7 +106,7 @@ type CellRunner func(opts Options, params map[string]float64) ([]Row, error)
 
 // SweepTarget is a parameterized experiment for vpfleet's sweep grids: the
 // scenario experiments register one target per schedule family (handover,
-// burstloss, congestion), exposing their schedule parameters as named
+// burstloss, congestion, ...), exposing their schedule parameters as named
 // sweep axes.
 type SweepTarget struct {
 	// Name addresses the target from the sweep CLI ("handover").
@@ -120,23 +120,40 @@ type SweepTarget struct {
 	Params []SweepParam
 	// Run executes one cell.
 	Run CellRunner
+	// Grid is the target's default cell list in repetition order: each
+	// cell overrides some parameters and the rest keep their defaults. A
+	// list rather than axes, because a default grid need not be a
+	// cartesian product (burstLossGrid zips three channels). When set,
+	// RegisterSweep also registers the registry experiment of the same
+	// name whose repetition r is cell r.
+	Grid []map[string]float64
 }
 
-// RegisterSweep adds a sweep target to the global registry; like Register
-// it panics on an empty or duplicate name at init time.
+// RegisterSweep adds a sweep target to the global registry, and with it
+// the target's "(default grid)" registry experiment when t.Grid is set;
+// like Register it panics on an empty or duplicate name at init time.
 func RegisterSweep(t SweepTarget) {
 	if t.Name == "" || t.Run == nil {
 		panic("core: RegisterSweep: target needs a name and Run")
 	}
 	registry.Lock()
-	defer registry.Unlock()
 	if registry.sweeps == nil {
 		registry.sweeps = map[string]SweepTarget{}
 	}
-	if _, dup := registry.sweeps[t.Name]; dup {
+	_, dup := registry.sweeps[t.Name]
+	if !dup {
+		registry.sweeps[t.Name] = t
+	}
+	registry.Unlock()
+	if dup {
 		panic("core: RegisterSweep: duplicate target " + t.Name)
 	}
-	registry.sweeps[t.Name] = t
+	if len(t.Grid) > 0 {
+		Register(Experiment{
+			Name: t.Name, Desc: t.Desc + " (default grid)", Row: t.Row, Reps: fixed(len(t.Grid)),
+			Run: func(o Options, rep int) ([]Row, error) { return t.Run(o, t.WithDefaults(t.Grid[rep])) },
+		})
+	}
 }
 
 // SweepTargets returns all registered sweep targets sorted by name.
@@ -166,6 +183,47 @@ func (t SweepTarget) DefaultParams() map[string]float64 {
 		out[p.Name] = p.Default
 	}
 	return out
+}
+
+// WithDefaults overlays cell onto the target's defaults so every
+// recognized parameter is present.
+func (t SweepTarget) WithDefaults(cell map[string]float64) map[string]float64 {
+	return overlay(t.DefaultParams(), cell)
+}
+
+// overlay copies src's entries into dst and returns dst.
+func overlay(dst, src map[string]float64) map[string]float64 {
+	//vplint:allow maporder(keyed map-into-map copy; each key is written once, so order cannot matter)
+	for k, v := range src {
+		dst[k] = v
+	}
+	return dst
+}
+
+// Axis lists one parameter's values as grid cells.
+func Axis(name string, values ...float64) []map[string]float64 {
+	cells := make([]map[string]float64, len(values))
+	for i, v := range values {
+		cells[i] = map[string]float64{name: v}
+	}
+	return cells
+}
+
+// Cross is the cartesian product of cell lists, enumerated row-major with
+// the first list slowest: each product cell merges one cell of every
+// list. With no lists it is the single empty cell.
+func Cross(lists ...[]map[string]float64) []map[string]float64 {
+	cells := []map[string]float64{{}}
+	for _, list := range lists {
+		next := make([]map[string]float64, 0, len(cells)*len(list))
+		for _, c := range cells {
+			for _, in := range list {
+				next = append(next, overlay(overlay(map[string]float64{}, c), in))
+			}
+		}
+		cells = next
+	}
+	return cells
 }
 
 // rows lifts a single typed row into a Row slice.

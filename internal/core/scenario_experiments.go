@@ -8,9 +8,10 @@ import (
 
 // The scenario experiments run full spatial sessions under time-varying
 // impairment schedules — the paper's §4.3 methodology made declarative.
-// Each is registered twice: as a fixed-grid fleet experiment (one rep per
-// default-grid cell, so the golden suite pins its rows) and as a sweep
-// target (vpfleet sweep) whose grid axes are the schedule parameters.
+// Each registers once, as a sweep target (vpfleet sweep) whose grid axes
+// are the schedule parameters; its default cell list (SweepTarget.Grid)
+// doubles as the registry experiment of the same name, one rep per cell,
+// so the golden suite pins its rows.
 //
 // A cell's randomness derives from the run seed and the cell's parameter
 // values alone (SweepCellOptions), so a sweep cell at the default
@@ -47,8 +48,8 @@ type HandoverRow struct {
 	DecodedFrac float64
 }
 
-// DefaultHandoverDelaysMs is the registry experiment's delay-step grid,
-// inside the paper's 0-1,000 ms injection range.
+// DefaultHandoverDelaysMs is the default delay-step grid, inside the
+// paper's 0-1,000 ms injection range.
 func DefaultHandoverDelaysMs() []float64 { return []float64{100, 500, 1000} }
 
 // handoverCell runs one delay-step cell.
@@ -93,8 +94,8 @@ type BurstLossRow struct {
 	DecodedFrac     float64
 }
 
-// burstLossGrid is the registry experiment's default channel grid: light,
-// moderate and heavy bursting (mean burst lengths 3.3, 4 and 6.7 frames).
+// burstLossGrid is the default channel grid: light, moderate and heavy
+// bursting (mean burst lengths 3.3, 4 and 6.7 frames).
 var burstLossGrid = []map[string]float64{
 	{"p_good_bad": 0.005, "p_bad_good": 0.3, "loss_bad": 0.9},
 	{"p_good_bad": 0.02, "p_bad_good": 0.25, "loss_bad": 0.9},
@@ -147,8 +148,8 @@ type CongestionRow struct {
 	DecodedFrac     float64
 }
 
-// DefaultCongestionFloorsMbps is the registry experiment's floor grid,
-// straddling the spatial persona's ~1.5 Mbps uplink demand.
+// DefaultCongestionFloorsMbps is the default floor grid, straddling the
+// spatial persona's ~1.5 Mbps uplink demand.
 func DefaultCongestionFloorsMbps() []float64 { return []float64{2.0, 1.0, 0.5} }
 
 // congestionCell runs one bandwidth-ramp cell (rampSchedule).
@@ -177,27 +178,17 @@ func congestionCell(opts Options, params map[string]float64) (CongestionRow, err
 
 // ---------------------------------------------------------- registration
 
-// withDefaults overlays grid onto the target's defaults so every recognized
-// parameter is present.
-func withDefaults(t SweepTarget, grid map[string]float64) map[string]float64 {
-	p := t.DefaultParams()
-	//vplint:allow maporder(keyed map-into-map overlay; each key is written once, so order cannot matter)
-	for k, v := range grid {
-		p[k] = v
-	}
-	return p
-}
-
 func init() {
-	handover := SweepTarget{
+	RegisterSweep(SweepTarget{
 		Name: "handover", Desc: "§4.3 scenario: mid-call one-way delay step (path handover)",
 		Row: HandoverRow{},
 		Params: []SweepParam{
 			{Name: "delay_ms", Default: 500, Desc: "injected one-way delay during the step"},
 		},
-		Run: func(o Options, p map[string]float64) ([]Row, error) { return rows(handoverCell(o, p)) },
-	}
-	burst := SweepTarget{
+		Run:  func(o Options, p map[string]float64) ([]Row, error) { return rows(handoverCell(o, p)) },
+		Grid: Axis("delay_ms", DefaultHandoverDelaysMs()...),
+	})
+	RegisterSweep(SweepTarget{
 		Name: "burstloss", Desc: "§4.3 scenario: Gilbert-Elliott burst loss on the uplink",
 		Row: BurstLossRow{},
 		Params: []SweepParam{
@@ -205,42 +196,17 @@ func init() {
 			{Name: "p_bad_good", Default: 0.25, Desc: "per-frame P(bad->good)"},
 			{Name: "loss_bad", Default: 0.9, Desc: "loss probability in the bad state"},
 		},
-		Run: func(o Options, p map[string]float64) ([]Row, error) { return rows(burstLossCell(o, p)) },
-	}
-	congestion := SweepTarget{
+		Run:  func(o Options, p map[string]float64) ([]Row, error) { return rows(burstLossCell(o, p)) },
+		Grid: burstLossGrid,
+	})
+	RegisterSweep(SweepTarget{
 		Name: "congestion", Desc: "§4.3 scenario: mid-call bandwidth ramp to a floor and back",
 		Row: CongestionRow{},
 		Params: []SweepParam{
 			{Name: "start_mbps", Default: 4, Desc: "uncongested rate cap"},
 			{Name: "floor_mbps", Default: 1, Desc: "rate floor at peak congestion"},
 		},
-		Run: func(o Options, p map[string]float64) ([]Row, error) { return rows(congestionCell(o, p)) },
-	}
-	RegisterSweep(handover)
-	RegisterSweep(burst)
-	RegisterSweep(congestion)
-
-	Register(Experiment{
-		Name: "handover", Desc: handover.Desc + " (default grid)",
-		Row: HandoverRow{}, Reps: fixed(len(DefaultHandoverDelaysMs())),
-		Run: func(o Options, rep int) ([]Row, error) {
-			p := withDefaults(handover, map[string]float64{"delay_ms": DefaultHandoverDelaysMs()[rep]})
-			return rows(handoverCell(o, p))
-		},
-	})
-	Register(Experiment{
-		Name: "burstloss", Desc: burst.Desc + " (default grid)",
-		Row: BurstLossRow{}, Reps: fixed(len(burstLossGrid)),
-		Run: func(o Options, rep int) ([]Row, error) {
-			return rows(burstLossCell(o, withDefaults(burst, burstLossGrid[rep])))
-		},
-	})
-	Register(Experiment{
-		Name: "congestion", Desc: congestion.Desc + " (default grid)",
-		Row: CongestionRow{}, Reps: fixed(len(DefaultCongestionFloorsMbps())),
-		Run: func(o Options, rep int) ([]Row, error) {
-			p := withDefaults(congestion, map[string]float64{"floor_mbps": DefaultCongestionFloorsMbps()[rep]})
-			return rows(congestionCell(o, p))
-		},
+		Run:  func(o Options, p map[string]float64) ([]Row, error) { return rows(congestionCell(o, p)) },
+		Grid: Axis("floor_mbps", DefaultCongestionFloorsMbps()...),
 	})
 }

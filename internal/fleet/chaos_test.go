@@ -39,7 +39,7 @@ func TestChaosDeterministic(t *testing.T) {
 	c := &FaultPlan{Seed: 4}
 	same, diff := true, false
 	for i := 0; i < 64; i++ {
-		key := "sweep/x/cell" + string(rune('a'+i%26))
+		key := "grid/x/cell" + string(rune('a'+i%26))
 		if a.roll("panic", key, 1) != b.roll("panic", key, 1) {
 			same = false
 		}
@@ -130,7 +130,7 @@ func TestChaosPanicMessageNamesUnit(t *testing.T) {
 		t.Fatal("PanicProb=1 run succeeded")
 	}
 	if !strings.Contains(results[0].Err.Error(), "chaos: injected panic") ||
-		!strings.Contains(results[0].Err.Error(), "sweep/synth-sweep/") {
+		!strings.Contains(results[0].Err.Error(), "grid/synth-sweep/") {
 		t.Errorf("injected panic unidentifiable: %v", results[0].Err)
 	}
 }

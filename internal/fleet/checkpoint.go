@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -23,8 +24,8 @@ const JournalEntryFormat = "telepresence-journal/1"
 // one without needing to restore typed row values.
 type JournalEntry struct {
 	Format string `json:"format"`
-	// Unit is the unit's stable identity ("sweep/handover/delay_ms=100",
-	// "run/fig4/rep0").
+	// Unit is the unit's stable identity ("grid/handover/delay_ms=100",
+	// "grid/fig4/rep=0").
 	Unit string `json:"unit"`
 	// Scope pins the result-affecting options (core.Options.Fingerprint):
 	// an entry is only reusable by a run whose scope matches, so resuming
@@ -75,6 +76,8 @@ func (j *Journal) entryPath(unit, scope string) string {
 // usable. A torn entry (interrupted mid-write without the atomic rename
 // completing, or truncated by a crash) fails to parse or fails its
 // self-checks; it counts as a miss and is removed so the unit re-runs.
+// So does a foreign entry whose JSONL lines are not compact JSON: replayed
+// verbatim, such a line could span several output lines.
 func (j *Journal) Lookup(unit, scope string) (*JournalEntry, bool) {
 	path := j.entryPath(unit, scope)
 	data, err := os.ReadFile(path)
@@ -84,11 +87,24 @@ func (j *Journal) Lookup(unit, scope string) (*JournalEntry, bool) {
 	var e JournalEntry
 	if err := json.Unmarshal(data, &e); err != nil ||
 		e.Format != JournalEntryFormat || e.Unit != unit || e.Scope != scope ||
-		len(e.JSONL) != e.Rows || len(e.CSV) != e.Rows {
+		len(e.JSONL) != e.Rows || len(e.CSV) != e.Rows || !compactLines(e.JSONL) {
 		os.Remove(path)
 		return nil, false
 	}
 	return &e, true
+}
+
+// compactLines reports whether every line equals its json.Compact form,
+// which is what json.Marshal writes and holds no newline.
+func compactLines(lines []json.RawMessage) bool {
+	var buf bytes.Buffer
+	for _, line := range lines {
+		buf.Reset()
+		if json.Compact(&buf, line) != nil || !bytes.Equal(buf.Bytes(), line) {
+			return false
+		}
+	}
+	return true
 }
 
 // Write persists one completed unit crash-consistently: the entry is

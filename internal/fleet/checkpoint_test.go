@@ -18,14 +18,14 @@ func TestJournalRoundTrip(t *testing.T) {
 		map[string]float64{"a": 1, "seed": 42},
 		map[string]float64{"a": 2, "seed": 43},
 	}
-	e, err := encodeEntry("sweep/x/a=1", "seed=1,dur=6000,reps=2", 3, rows)
+	e, err := encodeEntry("grid/x/a=1", "seed=1,dur=6000,reps=2", 3, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Write(e); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := j.Lookup("sweep/x/a=1", "seed=1,dur=6000,reps=2")
+	got, ok := j.Lookup("grid/x/a=1", "seed=1,dur=6000,reps=2")
 	if !ok {
 		t.Fatal("written entry not found")
 	}
@@ -45,17 +45,17 @@ func TestJournalRoundTrip(t *testing.T) {
 // re-runs everything instead of serving stale rows.
 func TestJournalScopeMismatch(t *testing.T) {
 	j, _ := OpenJournal(t.TempDir())
-	e, _ := encodeEntry("sweep/x/a=1", "seed=1,dur=6000,reps=2", 1, []core.Row{map[string]float64{"a": 1}})
+	e, _ := encodeEntry("grid/x/a=1", "seed=1,dur=6000,reps=2", 1, []core.Row{map[string]float64{"a": 1}})
 	if err := j.Write(e); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := j.Lookup("sweep/x/a=1", "seed=2,dur=6000,reps=2"); ok {
+	if _, ok := j.Lookup("grid/x/a=1", "seed=2,dur=6000,reps=2"); ok {
 		t.Error("entry visible under a different scope")
 	}
-	if _, ok := j.Lookup("sweep/x/a=2", "seed=1,dur=6000,reps=2"); ok {
+	if _, ok := j.Lookup("grid/x/a=2", "seed=1,dur=6000,reps=2"); ok {
 		t.Error("entry visible under a different unit")
 	}
-	if _, ok := j.Lookup("sweep/x/a=1", "seed=1,dur=6000,reps=2"); !ok {
+	if _, ok := j.Lookup("grid/x/a=1", "seed=1,dur=6000,reps=2"); !ok {
 		t.Error("entry lost under its own key")
 	}
 }
@@ -66,17 +66,20 @@ func TestJournalScopeMismatch(t *testing.T) {
 func TestJournalTornEntryRemoved(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := OpenJournal(dir)
-	path := j.entryPath("sweep/x/a=1", "s")
+	path := j.entryPath("grid/x/a=1", "s")
 	for _, torn := range []string{
 		"",                     // empty (crash before any bytes)
 		`{"format":"telep`,     // truncated JSON
 		`{"format":"other/1"}`, // foreign format
-		`{"format":"` + JournalEntryFormat + `","unit":"sweep/x/a=1","scope":"s","rows":2,"jsonl":[],"csv":[]}`, // row-count mismatch
+		`{"format":"` + JournalEntryFormat + `","unit":"grid/x/a=1","scope":"s","rows":2,"jsonl":[],"csv":[]}`, // row-count mismatch
+		// Valid but not compact JSON: replayed verbatim, the row would span
+		// two output lines.
+		`{"format":"` + JournalEntryFormat + `","unit":"grid/x/a=1","scope":"s","rows":1,"jsonl":[{ "a" :` + "\n" + ` 1 }],"csv":[["1"]]}`,
 	} {
 		if err := os.WriteFile(path, []byte(torn), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := j.Lookup("sweep/x/a=1", "s"); ok {
+		if _, ok := j.Lookup("grid/x/a=1", "s"); ok {
 			t.Errorf("torn entry %.30q accepted", torn)
 		}
 		if _, err := os.Stat(path); !os.IsNotExist(err) {

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -11,13 +10,13 @@ import (
 )
 
 // unit is one schedulable work item: an experiment repetition or a sweep
-// cell. Units are pure (all randomness derives from the seed and the
-// unit's identity), which is what makes retry, resume, and worker-count
-// invariance cheap — a unit's rows are the same wherever and whenever it
-// runs.
+// cell (see section). Units are pure (all randomness derives from the seed
+// and the unit's identity), which is what makes retry, resume, and
+// worker-count invariance cheap — a unit's rows are the same wherever and
+// whenever it runs.
 type unit struct {
-	// key is the unit's stable identity ("run/fig4/rep0",
-	// "sweep/handover/delay_ms=100"); with the options scope it forms the
+	// key is the unit's stable identity ("grid/fig4/rep=0",
+	// "grid/handover/delay_ms=100"); with the options scope it forms the
 	// journal key and seeds chaos decisions.
 	key string
 	// labels are pprof label pairs attached while the unit runs.
@@ -45,16 +44,6 @@ func (o unitOutcome) rowCount() int {
 	return len(o.rows)
 }
 
-// engineReport is runOrdered's internal accounting, surfaced to tests via
-// Config.onReport.
-type engineReport struct {
-	interrupted bool
-	resumed     int
-	// maxBuffered is the high-water mark of completed-but-unemitted
-	// units (the reorder buffer); bounded by the dispatch window.
-	maxBuffered int
-}
-
 // runOrdered executes units under cfg's pool, retry policy, chaos plan and
 // journal, calling emit exactly once per unit in index order as soon as the
 // unit and all its predecessors have resolved. Guarantees:
@@ -71,11 +60,10 @@ type engineReport struct {
 //     and emit; never-started units emit with ErrInterrupted.
 //   - An emit error aborts the run: dispatch stops, in-flight work drains,
 //     and no further emit calls are made.
-func runOrdered(units []unit, scope string, cfg Config, emit func(i int, o unitOutcome) error) (engineReport, error) {
-	var rep engineReport
+func runOrdered(units []unit, scope string, cfg Config, emit func(i int, o unitOutcome) error) error {
 	n := len(units)
 	if n == 0 {
-		return rep, nil
+		return nil
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -206,12 +194,6 @@ func runOrdered(units []unit, scope string, cfg Config, emit func(i int, o unitO
 				return
 			}
 			delete(buf, next)
-			if o.resumed {
-				rep.resumed++
-			}
-			if errors.Is(o.err, ErrInterrupted) {
-				rep.interrupted = true
-			}
 			if emitErr == nil {
 				if err := emit(next, o); err != nil {
 					emitErr = err
@@ -225,11 +207,10 @@ func runOrdered(units []unit, scope string, cfg Config, emit func(i int, o unitO
 			tokens <- struct{}{}
 		}
 	}
+	maxBuffered := 0 // reorder-buffer high-water mark, bounded by the window
 	for ix := range done {
 		buf[ix.i] = ix.o
-		if len(buf) > rep.maxBuffered {
-			rep.maxBuffered = len(buf)
-		}
+		maxBuffered = max(maxBuffered, len(buf))
 		flush()
 		if cfg.Monitor != nil {
 			cfg.publish(MonitorEvent{Kind: EventWindow, Unit: -1,
@@ -240,21 +221,18 @@ func runOrdered(units []unit, scope string, cfg Config, emit func(i int, o unitO
 
 	// Units never dispatched (a contiguous suffix, since dispatch is
 	// index-ordered) were skipped by an interrupt or an emit abort.
-	if next < n {
-		rep.interrupted = true
-		for ; next < n; next++ {
-			cfg.publish(MonitorEvent{Kind: EventUnitDone, Unit: next, Key: units[next].key,
-				Err: ErrInterrupted})
-			if emitErr == nil {
-				if err := emit(next, unitOutcome{err: ErrInterrupted}); err != nil {
-					emitErr = err
-				}
+	for ; next < n; next++ {
+		cfg.publish(MonitorEvent{Kind: EventUnitDone, Unit: next, Key: units[next].key,
+			Err: ErrInterrupted})
+		if emitErr == nil {
+			if err := emit(next, unitOutcome{err: ErrInterrupted}); err != nil {
+				emitErr = err
 			}
 		}
 	}
 	cfg.publish(MonitorEvent{Kind: EventRunDone, Unit: -1, Err: emitErr})
-	if cfg.onReport != nil {
-		cfg.onReport(rep)
+	if cfg.onMaxBuffered != nil {
+		cfg.onMaxBuffered(maxBuffered)
 	}
-	return rep, emitErr
+	return emitErr
 }

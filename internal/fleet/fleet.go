@@ -1,15 +1,16 @@
-// Package fleet is the parallel experiment-fleet scheduler: it runs
-// registered experiments (internal/core's registry) by sharding each
-// experiment's repetitions across one bounded worker pool, then merges the
-// per-rep rows back in repetition order.
+// Package fleet is the parallel experiment-fleet scheduler. Every run is
+// one grid of units split into sections: a registered experiment
+// (internal/core's registry) is a section whose units are its repetitions,
+// and a sweep over a target's parameters is a section whose units are its
+// grid cells. One driver shards all units across a bounded worker pool and
+// streams each section's rows to its sink in unit order.
 //
-// Determinism is the core guarantee: repetitions derive their randomness
-// from the experiment seed and the rep index alone (the RepRunner
-// contract), and merged output preserves (experiment, rep) order, so a
-// fleet run with any worker count produces byte-identical results to a
-// sequential run. Sinks (JSONL, CSV, in-memory) serialize the merged rows;
-// a run manifest records seed, options, worker count, wall time and rows
-// emitted.
+// Determinism is the core guarantee: a unit derives its randomness from
+// the run seed and its own identity alone (the RepRunner and CellRunner
+// contracts), and merged output preserves unit order, so a fleet run with
+// any worker count produces byte-identical results to a sequential run.
+// Sinks (JSONL, CSV, in-memory) serialize the rows; a run manifest records
+// seed, options, worker count, wall time and every unit's accounting.
 //
 // The fleet is fault tolerant: a panicking runner is isolated (recovered,
 // stack captured, its unit marked failed) instead of killing the process;
@@ -66,167 +67,187 @@ type Config struct {
 	// HTTP/terminal views built on this.
 	Monitor Monitor
 
-	// onReport receives the engine's internal accounting (tests only).
-	onReport func(engineReport)
+	// onMaxBuffered receives the run's reorder-buffer high-water mark
+	// (tests only).
+	onMaxBuffered func(int)
 }
 
-// ExperimentResult is one experiment's merged outcome. Rows go to the
-// experiment's sink; the result carries only per-rep metadata.
-type ExperimentResult struct {
-	// Experiment is the registry entry that produced the rows.
-	Experiment core.Experiment
-	// RowCount is the number of rows the experiment emitted.
-	RowCount int
-	// Reps is how many work units the experiment sharded into.
-	Reps int
-	// Wall is the cumulative wall time spent in this experiment's reps
-	// (across workers and attempts; parallel runs overlap these
-	// intervals).
+// UnitResult is one unit's outcome: an experiment repetition or a sweep
+// cell. Rows go to the unit's section sink; the result carries only
+// metadata.
+type UnitResult struct {
+	// Section names the experiment or sweep target the unit belongs to.
+	Section string
+	// Label names the unit within its section: "rep=N" for a registry
+	// repetition, the canonical parameter label for a sweep cell.
+	Label string
+	// Key is the unit's stable identity (unitKey): the journal key and the
+	// chaos roll key.
+	Key string
+	// Rows is the number of rows the unit emitted.
+	Rows int
+	// Wall is the unit's wall time across attempts (parallel units overlap
+	// these intervals).
 	Wall time.Duration
-	// Attempts is the total attempt count across reps (> Reps when
-	// retries fired).
+	// Attempts is how many tries the unit took (>1 when retries fired).
 	Attempts int
-	// Resumed counts reps served from the checkpoint journal.
-	Resumed int
-	// Err is the first (lowest-rep) failure, if any.
+	// Resumed reports the unit was served from the checkpoint journal.
+	Resumed bool
+	// Err is the unit's failure, or ErrInterrupted when the run drained
+	// before the unit ran.
 	Err error
-	// Failures records every failed rep with its error, captured panic
-	// stack, and attempt count (the manifest's failures section).
-	Failures []UnitFailure
+	// Stack is the captured goroutine stack when the failure was a panic.
+	Stack string
 }
 
-// experimentUnits flattens experiments into scheduler units, exp-major in
-// rep order, and returns the owner map from unit index to (exp, rep).
-func experimentUnits(exps []core.Experiment, opts core.Options) ([]unit, []struct{ exp, rep int }, error) {
-	var units []unit
-	var owners []struct{ exp, rep int }
-	for ei, e := range exps {
-		reps := e.Reps(opts)
-		if reps <= 0 {
-			return nil, nil, fmt.Errorf("fleet: experiment %q reports %d reps", e.Name, reps)
-		}
-		for r := 0; r < reps; r++ {
-			ei, r, e := ei, r, e
-			units = append(units, unit{
-				key:    "run/" + e.Name + "/rep" + strconv.Itoa(r),
-				labels: []string{"experiment", e.Name},
-				run:    func() ([]core.Row, error) { return e.Run(opts, r) },
+// unitKey builds every unit key: "grid/<section>/<label>". The section
+// name sits in the middle field, where per-section accounting finds it.
+func unitKey(section, label string) string {
+	return "grid/" + section + "/" + label
+}
+
+// section is one named run of units sharing a sink: a registry
+// experiment's repetitions or a sweep grid's cells.
+type section struct {
+	name string
+	// labels name the units, in emission order.
+	labels []string
+	// run executes unit i of the section.
+	run func(i int) ([]core.Row, error)
+	// open returns the section's sink; the driver calls it on the
+	// section's first emitted unit and closes the sink after its last.
+	open func() (Sink, error)
+}
+
+// runSections is the one grid driver. It flattens sections into units,
+// section-major in label order, runs them on cfg's pool (runOrdered), and
+// streams each successful unit's rows to its section's sink as soon as the
+// unit and all earlier ones have resolved. Rows reach each sink in unit
+// order, byte-identical for any worker count, and memory stays bounded by
+// the reorder window (Config.Window) instead of the whole run.
+//
+// A failing unit (error, panic, or watchdog timeout, after retries) does
+// not suppress its siblings: it leaves a gap in the stream exactly where
+// its rows would be, which a later resumed run fills in. With
+// cfg.Checkpoint set, completed units journal before they stream; with
+// cfg.Resume, journaled units replay through the sink without running, so
+// the sink must implement EntrySink (NewJSONLSink and NewCSVSink do).
+//
+// The returned error joins every unit failure, plus ErrInterrupted once
+// when any unit was skipped by a drain.
+func runSections(secs []section, opts core.Options, cfg Config) ([]UnitResult, error) {
+	n := 0
+	for _, s := range secs {
+		n += len(s.labels)
+	}
+	units := make([]unit, 0, n)
+	results := make([]UnitResult, 0, n)
+	ends := make([]int, len(secs)) // ends[s] is one past section s's last unit
+	for si := range secs {
+		s := &secs[si]
+		labels := []string{"experiment", s.name}
+		for i, label := range s.labels {
+			key := unitKey(s.name, label)
+			units = append(units, unit{key: key, labels: labels,
+				run: func() ([]core.Row, error) { return s.run(i) }})
+			// Pre-mark every unit interrupted; emission overwrites. A run
+			// aborted by an emit error leaves the untouched tail marked
+			// resumable, which is exactly what it is.
+			results = append(results, UnitResult{
+				Section: s.name, Label: key[len(key)-len(label):], Key: key, Err: ErrInterrupted,
 			})
-			owners = append(owners, struct{ exp, rep int }{ei, r})
 		}
+		ends[si] = len(units)
 	}
-	return units, owners, nil
-}
-
-// RunStream executes the given experiments under opts, sharding every
-// experiment's repetitions across one worker pool of cfg.Workers
-// goroutines, and streams each repetition's rows to per-experiment sinks
-// (from factory) as soon as the repetition and all earlier ones have
-// completed. Rows reach each sink in rep order — identical bytes for any
-// worker count — and memory stays bounded by the reorder window
-// (Config.Window) instead of the whole run. Collect rows in memory with a
-// factory returning a MemorySink.
-//
-// A failing repetition (error, panic, or watchdog timeout, after retries)
-// does not suppress its siblings: completed reps stream immediately and
-// failures land in Failures and the joined error — the resulting file has
-// a gap exactly where the failed rep's rows would be, which a later
-// resumed run fills in.
-//
-// With cfg.Checkpoint set, completed reps journal before they stream; with
-// cfg.Resume, journaled reps replay through the sink without running — the
-// sink must implement EntrySink (NewJSONLSink and NewCSVSink do).
-func RunStream(exps []core.Experiment, opts core.Options, cfg Config, factory SinkFactory) ([]ExperimentResult, error) {
-	opts, err := opts.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	units, owners, err := experimentUnits(exps, opts)
-	if err != nil {
-		return nil, err
-	}
-
-	results := make([]ExperimentResult, len(exps))
-	for ei, e := range exps {
-		// Pre-mark every experiment interrupted; emission overwrites. A
-		// run aborted by an emit error leaves the untouched tail marked
-		// resumable, which is exactly what it is.
-		results[ei] = ExperimentResult{Experiment: e, Err: ErrInterrupted}
-	}
-	for _, o := range owners {
-		results[o.exp].Reps++
-	}
-	seenErr := make([]error, len(exps))
 
 	var sink Sink
-	openExp := -1
-	closeOpen := func() error {
+	cur, opened := 0, -1
+	closeSink := func() error {
 		if sink == nil {
 			return nil
 		}
 		s := sink
 		sink = nil
-		openExp = -1
 		return s.Close()
 	}
-
-	_, emitErr := runOrdered(units, opts.Fingerprint(), cfg, func(i int, o unitOutcome) error {
-		t := owners[i]
-		res := &results[t.exp]
-		if res.Err != nil && errors.Is(res.Err, ErrInterrupted) && seenErr[t.exp] == nil {
-			res.Err = nil // first emission for this experiment: clear the pre-mark
+	// runOrdered's error is the emit error that stopped the run, which the
+	// closure has already recorded on its unit's result.
+	_ = runOrdered(units, opts.Fingerprint(), cfg, func(i int, o unitOutcome) error {
+		for i >= ends[cur] {
+			cur++
 		}
-		res.Wall += o.wall
-		res.Attempts += o.attempts
-		if o.resumed {
-			res.Resumed++
-		}
+		r := &results[i]
+		r.Wall, r.Attempts, r.Resumed, r.Err, r.Stack = o.wall, o.attempts, o.resumed, o.err, o.stack
 		if o.err != nil {
-			if seenErr[t.exp] == nil {
-				seenErr[t.exp] = fmt.Errorf("fleet: %s rep %d: %w", res.Experiment.Name, t.rep, o.err)
-				res.Err = seenErr[t.exp]
-			}
-			// Interrupted units are skips, not failures: resumable work,
-			// not defects worth a manifest failures entry.
-			if !errors.Is(o.err, ErrInterrupted) {
-				res.Failures = append(res.Failures, UnitFailure{
-					Unit: units[i].key, Error: o.err.Error(), Stack: o.stack, Attempts: o.attempts,
-				})
-			}
 			return nil
 		}
-		// Open this experiment's sink on its first emitted rep; close the
-		// previous experiment's (emission order is exp-major).
-		if openExp != t.exp {
-			if err := closeOpen(); err != nil {
-				return err
+		// Emission is section-major: open this section's sink on its first
+		// emitted unit and close the previous section's.
+		if opened != cur {
+			if r.Err = closeSink(); r.Err != nil {
+				return r.Err
 			}
-			s, err := factory(res.Experiment)
-			if err != nil {
-				return err
+			if sink, r.Err = secs[cur].open(); r.Err != nil {
+				return r.Err
 			}
-			sink, openExp = s, t.exp
+			opened = cur
 		}
-		if err := emitUnit(sink, units[i].key, o, cfg.Chaos); err != nil {
-			return err
+		if r.Err = emitUnit(sink, r.Key, o, cfg.Chaos); r.Err != nil {
+			return r.Err
 		}
-		res.RowCount += o.rowCount()
+		r.Rows = o.rowCount()
 		return nil
 	})
-	closeErr := closeOpen()
 
-	var joined []error
-	for ei := range results {
-		if results[ei].Err != nil {
-			joined = append(joined, fmt.Errorf("fleet: %s: %w", results[ei].Experiment.Name, results[ei].Err))
+	var errs []error
+	interrupted := false
+	for _, r := range results {
+		switch {
+		case r.Err == nil:
+		case errors.Is(r.Err, ErrInterrupted):
+			interrupted = true
+		default:
+			errs = append(errs, r.Err)
 		}
 	}
-	return results, errors.Join(append(joined, emitErr, closeErr)...)
+	if interrupted {
+		errs = append(errs, ErrInterrupted)
+	}
+	return results, errors.Join(append(errs, closeSink())...)
 }
 
-// emitUnit writes one successful unit's rows to sink, for both drivers: a
-// journal replay goes through EntrySink verbatim; a live outcome first
-// passes the chaos plan's sink fault, then writes its rows in order.
+// RunStream executes the given experiments under opts, one section per
+// experiment whose units are its repetitions ("rep=N"), and streams each
+// experiment's rows to its own sink from factory (see runSections).
+// Collect rows in memory with a factory returning a MemorySink.
+func RunStream(exps []core.Experiment, opts core.Options, cfg Config, factory SinkFactory) ([]UnitResult, error) {
+	opts, err := opts.Normalize()
+	if err != nil {
+		return nil, err
+	}
+	secs := make([]section, len(exps))
+	for i, e := range exps {
+		reps := e.Reps(opts)
+		if reps <= 0 {
+			return nil, fmt.Errorf("fleet: experiment %q reports %d reps", e.Name, reps)
+		}
+		labels := make([]string, reps)
+		for r := range labels {
+			labels[r] = "rep=" + strconv.Itoa(r)
+		}
+		secs[i] = section{
+			name:   e.Name,
+			labels: labels,
+			run:    func(r int) ([]core.Row, error) { return e.Run(opts, r) },
+			open:   func() (Sink, error) { return factory(e) },
+		}
+	}
+	return runSections(secs, opts, cfg)
+}
+
+// emitUnit writes one successful unit's rows to sink: a journal replay
+// goes through EntrySink verbatim; a live outcome first passes the chaos
+// plan's sink fault, then writes its rows in order.
 func emitUnit(sink Sink, key string, o unitOutcome, chaos *FaultPlan) error {
 	if o.entry != nil {
 		es, ok := sink.(EntrySink)

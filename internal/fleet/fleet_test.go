@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -22,7 +23,7 @@ func testOpts(seed int64) core.Options {
 
 // runRows runs exps through RunStream into one MemorySink per experiment
 // and returns the collected rows keyed by experiment name.
-func runRows(exps []core.Experiment, opts core.Options, cfg Config) ([]ExperimentResult, map[string][]core.Row, error) {
+func runRows(exps []core.Experiment, opts core.Options, cfg Config) ([]UnitResult, map[string][]core.Row, error) {
 	sinks := map[string]*MemorySink{}
 	results, err := RunStream(exps, opts, cfg, func(e core.Experiment) (Sink, error) {
 		sinks[e.Name] = NewMemorySink()
@@ -37,7 +38,7 @@ func runRows(exps []core.Experiment, opts core.Options, cfg Config) ([]Experimen
 
 // sweepRows runs spec through RunSweepStream into a MemorySink and returns
 // the collected rows in grid order.
-func sweepRows(spec SweepSpec, opts core.Options, cfg Config) ([]SweepCellResult, []core.Row, error) {
+func sweepRows(spec SweepSpec, opts core.Options, cfg Config) ([]UnitResult, []core.Row, error) {
 	sink := NewMemorySink()
 	results, err := RunSweepStream(spec, opts, cfg, sink)
 	return results, sink.Rows, err
@@ -135,8 +136,15 @@ func TestManifest(t *testing.T) {
 	if m.Format != ManifestFormat || m.Seed != 3 || m.Workers != 2 {
 		t.Errorf("manifest header wrong: %+v", m)
 	}
-	if len(m.Experiments) != 2 || m.Experiments[0].Name != "servers" || m.Experiments[0].Rows != 3 {
-		t.Errorf("experiment manifests wrong: %+v", m.Experiments)
+	if len(m.Sections) != 2 || m.Sections[0].Name != "servers" || m.Sections[0].Rows != 3 {
+		t.Fatalf("section manifests wrong: %+v", m.Sections)
+	}
+	// A registry experiment is a section whose unit labels are its reps.
+	for i, u := range m.Sections[0].Units {
+		label := fmt.Sprintf("rep=%d", i)
+		if u.Label != label || u.Key != "grid/servers/"+label || u.Rows != 1 || u.Attempts != 1 || u.WallMs < 0 {
+			t.Errorf("servers unit %d = %+v", i, u)
+		}
 	}
 	if _, err := json.Marshal(m); err != nil {
 		t.Errorf("manifest not serializable: %v", err)
@@ -150,8 +158,8 @@ func TestMemorySink(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := byName["servers"]
-	if len(rows) != 3 || res[0].RowCount != 3 {
-		t.Fatalf("%d rows (RowCount %d), want 3", len(rows), res[0].RowCount)
+	if len(rows) != 3 || len(res) != 3 || res[0].Rows != 1 {
+		t.Fatalf("%d rows over %d units (unit 0: %d rows), want 3 over 3", len(rows), len(res), res[0].Rows)
 	}
 	if _, ok := rows[0].(core.MultiServerRow); !ok {
 		t.Errorf("row type %T, want core.MultiServerRow", rows[0])

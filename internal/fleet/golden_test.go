@@ -23,7 +23,7 @@ const goldenPath = "testdata/golden_suite.jsonl"
 
 // streamJSONL runs exps through RunStream with one JSONL sink per
 // experiment and returns each experiment's bytes keyed by name.
-func streamJSONL(exps []core.Experiment, opts core.Options, cfg Config) ([]ExperimentResult, map[string][]byte, error) {
+func streamJSONL(exps []core.Experiment, opts core.Options, cfg Config) ([]UnitResult, map[string][]byte, error) {
 	bufs := map[string]*bytes.Buffer{}
 	results, err := RunStream(exps, opts, cfg, func(e core.Experiment) (Sink, error) {
 		bufs[e.Name] = &bytes.Buffer{}

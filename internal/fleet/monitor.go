@@ -55,8 +55,8 @@ type MonitorEvent struct {
 	Kind EventKind
 	// Unit is the unit's index in dispatch order; -1 for run-level events.
 	Unit int
-	// Key is the unit's stable identity ("run/fig4/rep0",
-	// "sweep/handover/delay_ms=100"); empty for run-level events.
+	// Key is the unit's stable identity ("grid/fig4/rep=0",
+	// "grid/handover/delay_ms=100"); empty for run-level events.
 	Key string
 	// Attempt is the 1-based attempt number (or the terminal attempt
 	// count on EventUnitDone / EventJournalHit).

@@ -48,8 +48,8 @@ func TestMonitorLifecycleEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res[0].RowCount != 8 {
-		t.Fatalf("rows = %d, want 8", res[0].RowCount)
+	if m := NewManifest(core.Quick(1), 2, 0, res); m.Rows != 8 {
+		t.Fatalf("rows = %d, want 8", m.Rows)
 	}
 
 	started := mon.byKind(EventRunStarted)
@@ -71,7 +71,7 @@ func TestMonitorLifecycleEvents(t *testing.T) {
 		}
 		seen := map[int]bool{}
 		for _, ev := range evs {
-			if !strings.HasPrefix(ev.Key, "run/steady/rep") {
+			if !strings.HasPrefix(ev.Key, "grid/steady/rep=") {
 				t.Errorf("%s key = %q", tc.name, ev.Key)
 			}
 			if ev.Unit < 0 || ev.Unit > 3 || seen[ev.Unit] {
@@ -206,7 +206,7 @@ func TestMonitorJournalHit(t *testing.T) {
 		t.Fatalf("%d JournalHit events, want 12 (every cell journaled)", len(hits))
 	}
 	for _, ev := range hits {
-		if ev.Rows != 1 || ev.Attempt != 1 || !strings.HasPrefix(ev.Key, "sweep/synth-sweep/") {
+		if ev.Rows != 1 || ev.Attempt != 1 || !strings.HasPrefix(ev.Key, "grid/synth-sweep/") {
 			t.Errorf("JournalHit = %+v", ev)
 		}
 	}
@@ -277,7 +277,7 @@ func TestMonitorWindowGauges(t *testing.T) {
 // allocates nothing.
 func TestNilMonitorNoAllocsOnDispatch(t *testing.T) {
 	cfg := Config{}
-	key := "sweep/synth-sweep/a=1"
+	key := "grid/synth-sweep/a=1"
 	allocs := testing.AllocsPerRun(1000, func() {
 		cfg.publish(MonitorEvent{Kind: EventUnitDispatched, Unit: 3, Key: key})
 		cfg.publish(MonitorEvent{Kind: EventUnitDone, Unit: 3, Key: key, Attempt: 1, Rows: 2})

@@ -21,7 +21,7 @@ func testSweepSpec() SweepSpec {
 
 // streamSweepJSONL runs the sweep through the streaming path into one
 // JSONL buffer.
-func streamSweepJSONL(t *testing.T, spec SweepSpec, opts core.Options, cfg Config) ([]byte, []SweepCellResult, error) {
+func streamSweepJSONL(t *testing.T, spec SweepSpec, opts core.Options, cfg Config) ([]byte, []UnitResult, error) {
 	t.Helper()
 	var buf bytes.Buffer
 	results, err := RunSweepStream(spec, opts, cfg, NewJSONLSink(&buf))
@@ -37,7 +37,7 @@ func TestStreamWindowBoundsBuffer(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		i := i
 		units = append(units, unit{
-			key: fmt.Sprintf("run/synth/rep%d", i),
+			key: unitKey("synth", fmt.Sprintf("rep=%d", i)),
 			run: func() ([]core.Row, error) {
 				time.Sleep(time.Duration(3-i%4) * time.Millisecond)
 				return []core.Row{i}, nil
@@ -46,13 +46,13 @@ func TestStreamWindowBoundsBuffer(t *testing.T) {
 	}
 	const window = 5
 	var mu sync.Mutex
-	var report engineReport
+	var maxBuffered int
 	cfg := Config{
 		Workers: 8, Window: window,
-		onReport: func(r engineReport) { mu.Lock(); report = r; mu.Unlock() },
+		onMaxBuffered: func(n int) { mu.Lock(); maxBuffered = n; mu.Unlock() },
 	}
 	next := 0
-	if _, err := runOrdered(units, "s", cfg, func(i int, o unitOutcome) error {
+	if err := runOrdered(units, "s", cfg, func(i int, o unitOutcome) error {
 		if i != next {
 			t.Fatalf("emitted unit %d before %d", i, next)
 		}
@@ -64,9 +64,9 @@ func TestStreamWindowBoundsBuffer(t *testing.T) {
 	if next != 60 {
 		t.Fatalf("emitted %d units, want 60", next)
 	}
-	if report.maxBuffered == 0 || report.maxBuffered > window {
+	if maxBuffered == 0 || maxBuffered > window {
 		t.Errorf("reorder buffer high-water mark %d, want 1..%d (memory must not scale with run size)",
-			report.maxBuffered, window)
+			maxBuffered, window)
 	}
 }
 
@@ -133,7 +133,7 @@ func TestKillAndResume(t *testing.T) {
 	if journal.Len() == 0 {
 		t.Fatal("no cells journaled before the kill")
 	}
-	m := NewSweepManifest(spec, opts, 2, time.Second, results)
+	m := NewManifest(opts, 2, time.Second, results)
 	if !m.Interrupted || len(m.Failures) != 0 {
 		t.Errorf("interrupted manifest: interrupted=%v failures=%+v, want true/none", m.Interrupted, m.Failures)
 	}
@@ -159,7 +159,7 @@ func TestKillAndResume(t *testing.T) {
 		if resumed == 0 {
 			t.Errorf("resume workers=%d served no cells from the journal", workers)
 		}
-		m := NewSweepManifest(spec, opts, workers, time.Second, results)
+		m := NewManifest(opts, workers, time.Second, results)
 		if m.Resumed != resumed || m.Interrupted {
 			t.Errorf("resumed manifest: %+v", m)
 		}
@@ -175,7 +175,7 @@ func TestKillAndResume(t *testing.T) {
 	}
 	for _, r := range results {
 		if !r.Resumed {
-			t.Fatalf("cell %d ran live despite a full journal", r.Cell.Index)
+			t.Fatalf("cell %s ran live despite a full journal", r.Label)
 		}
 	}
 }
@@ -247,8 +247,9 @@ func TestRunStreamExperiments(t *testing.T) {
 	if err == nil {
 		t.Fatal("failing rep produced no joined error")
 	}
-	if results[0].Err != nil || results[0].RowCount != 6 {
-		t.Errorf("good experiment: %+v", results[0])
+	man := NewManifest(core.Quick(1), 4, time.Second, results)
+	if len(man.Sections) != 2 || man.Sections[0].Rows != 6 || man.Sections[1].Rows != 4 {
+		t.Errorf("sections = %+v, want s-good with 6 rows and s-half with 4", man.Sections)
 	}
 	if len(sinks["s-good"].Rows) != 6 {
 		t.Errorf("good sink rows = %d, want 6", len(sinks["s-good"].Rows))
@@ -259,11 +260,12 @@ func TestRunStreamExperiments(t *testing.T) {
 	if fmt.Sprint(gotHalf) != fmt.Sprint(wantHalf) {
 		t.Errorf("half sink rows = %v, want %v (gap where rep 1 failed)", gotHalf, wantHalf)
 	}
-	if results[1].Err == nil || results[1].RowCount != 4 || len(results[1].Failures) != 1 {
-		t.Errorf("half experiment: err=%v count=%d failures=%+v", results[1].Err, results[1].RowCount, results[1].Failures)
+	for i, r := range results {
+		if failed := r.Err != nil; failed != (r.Key == "grid/s-half/rep=1") {
+			t.Errorf("unit %d (%s): err = %v", i, r.Key, r.Err)
+		}
 	}
-	man := NewManifest(core.Quick(1), 4, time.Second, results)
-	if len(man.Failures) != 1 || man.Failures[0].Unit != "run/s-half/rep1" {
+	if len(man.Failures) != 1 || man.Failures[0].Unit != "grid/s-half/rep=1" {
 		t.Errorf("manifest failures = %+v", man.Failures)
 	}
 }

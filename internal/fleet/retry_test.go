@@ -48,21 +48,23 @@ func TestPanicIsolation(t *testing.T) {
 	if res[0].Err == nil || !strings.Contains(res[0].Err.Error(), "panic: synthetic rep panic") {
 		t.Errorf("panic not converted to error: %v", res[0].Err)
 	}
-	if len(res[0].Failures) != 2 {
-		t.Fatalf("%d failures recorded, want 2 (one per rep)", len(res[0].Failures))
+	m := NewManifest(core.Quick(1), 4, 0, res)
+	if len(m.Failures) != 2 {
+		t.Fatalf("%d failures recorded, want 2 (one per rep)", len(m.Failures))
 	}
-	f := res[0].Failures[0]
+	f := m.Failures[0]
 	if f.Stack == "" || !strings.Contains(f.Stack, "goroutine") {
 		t.Errorf("panic stack not captured: %q", f.Stack)
 	}
-	if f.Unit != "run/boom/rep0" && f.Unit != "run/boom/rep1" {
+	if f.Unit != "grid/boom/rep=0" && f.Unit != "grid/boom/rep=1" {
 		t.Errorf("failure unit key %q", f.Unit)
 	}
-	if res[0].RowCount != 0 || len(rows["boom"]) != 0 {
-		t.Errorf("failed reps emitted rows: count=%d sink=%v", res[0].RowCount, rows["boom"])
+	if m.Sections[0].Rows != 0 || len(rows["boom"]) != 0 {
+		t.Errorf("failed reps emitted rows: count=%d sink=%v", m.Sections[0].Rows, rows["boom"])
 	}
-	if res[1].Err != nil || res[1].RowCount != 4 || len(rows["good"]) != 4 {
-		t.Errorf("sibling experiment harmed: err=%v count=%d sink=%d", res[1].Err, res[1].RowCount, len(rows["good"]))
+	if res[2].Err != nil || res[3].Err != nil || m.Sections[1].Rows != 4 || len(rows["good"]) != 4 {
+		t.Errorf("sibling experiment harmed: err=%v/%v count=%d sink=%d",
+			res[2].Err, res[3].Err, m.Sections[1].Rows, len(rows["good"]))
 	}
 }
 
@@ -87,8 +89,12 @@ func TestRetryDeterminism(t *testing.T) {
 	if len(w) == 0 || string(w) != string(g) {
 		t.Errorf("retried rows diverge from clean rows\nclean: %s\nretry: %s", w, g)
 	}
-	if got[0].Attempts != 4*n {
-		t.Errorf("attempts = %d, want %d (every rep retried %d times)", got[0].Attempts, 4*n, n)
+	attempts := 0
+	for _, r := range got {
+		attempts += r.Attempts
+	}
+	if attempts != 4*n {
+		t.Errorf("attempts = %d, want %d (every rep retried %d times)", attempts, 4*n, n)
 	}
 	// Same runner with one attempt fewer must fail instead of converging.
 	flaky2, _ := flakyExperiment("flaky", 4, n-1, false)
@@ -168,10 +174,10 @@ func TestSweepPanicIsolated(t *testing.T) {
 	if results[0].Stack == "" {
 		t.Error("panic stack not captured on cell result")
 	}
-	if results[1].Err != nil || results[1].RowCount != 1 || len(rows) != 1 {
+	if results[1].Err != nil || results[1].Rows != 1 || len(rows) != 1 {
 		t.Errorf("surviving cell harmed: err=%v rows=%d", results[1].Err, len(rows))
 	}
-	m := NewSweepManifest(spec, core.Quick(1), 2, time.Millisecond, results)
+	m := NewManifest(core.Quick(1), 2, time.Millisecond, results)
 	if len(m.Failures) != 1 || m.Failures[0].Stack == "" || m.Failures[0].Attempts != 1 {
 		t.Errorf("manifest failures = %+v", m.Failures)
 	}

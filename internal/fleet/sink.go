@@ -81,26 +81,29 @@ func (s *MemorySink) Close() error { return nil }
 
 // --------------------------------------------------------------- Manifest
 
-// ExperimentManifest summarizes one experiment inside a run manifest.
-type ExperimentManifest struct {
-	Name   string  `json:"name"`
-	Reps   int     `json:"reps"`
+// UnitManifest records one unit inside a manifest section.
+type UnitManifest struct {
+	Key    string  `json:"key"`
+	Label  string  `json:"label"`
 	Rows   int     `json:"rows"`
 	WallMs float64 `json:"wall_ms"`
-	// RowsPerSec is rows over the experiment's cumulative rep wall time —
-	// a per-experiment throughput figure (parallel reps overlap, so the
-	// run-level rate can exceed the per-experiment ones summed).
-	RowsPerSec float64 `json:"rows_per_sec"`
-	File       string  `json:"file,omitempty"`
-	// Attempts is the total attempt count across reps (> Reps when
-	// retries fired).
+	// Attempts is how many tries the unit took; omitted (0) for units an
+	// interrupted run never started.
 	Attempts int `json:"attempts,omitempty"`
-	// Resumed counts reps served from the checkpoint journal.
-	Resumed int `json:"resumed,omitempty"`
-	// Skipped marks experiments an interrupted run never completed; a
-	// resumed run fills them in.
-	Skipped bool   `json:"skipped,omitempty"`
-	Error   string `json:"error,omitempty"`
+	// Resumed marks units replayed from the checkpoint journal.
+	Resumed bool `json:"resumed,omitempty"`
+	// Skipped marks units an interrupted run never completed; a resumed
+	// run fills them in.
+	Skipped bool `json:"skipped,omitempty"`
+}
+
+// SectionManifest records one section of a run: a registry experiment or
+// a sweep target, with its row file and every unit in emission order.
+type SectionManifest struct {
+	Name  string         `json:"name"`
+	File  string         `json:"file,omitempty"`
+	Rows  int            `json:"rows"`
+	Units []UnitManifest `json:"units"`
 }
 
 // rowsPerSec computes a rows-per-second rate, 0 when the interval is
@@ -112,9 +115,10 @@ func rowsPerSec(rows int, wall time.Duration) float64 {
 	return float64(rows) / wall.Seconds()
 }
 
-// Manifest records what a fleet run did: the options that parameterized
-// it, the worker count, wall time, and per-experiment row counts. It is
-// the run's provenance document; rows themselves go to sinks.
+// Manifest records what a fleet run or sweep did: the options that
+// parameterized it, the worker count, wall time, and every unit's
+// accounting, section by section. It is the run's provenance document;
+// rows themselves go to sinks.
 type Manifest struct {
 	Format             string  `json:"format"`
 	Seed               int64   `json:"seed"`
@@ -124,16 +128,16 @@ type Manifest struct {
 	WallMs             float64 `json:"wall_ms"`
 	// Rows is the total row count the run emitted; RowsPerSec is that
 	// total over the run's elapsed wall time.
-	Rows        int                  `json:"rows"`
-	RowsPerSec  float64              `json:"rows_per_sec"`
-	Experiments []ExperimentManifest `json:"experiments"`
-	// Failures details every failed rep: error, captured panic stack,
-	// attempt count. Interrupted (skipped) reps are not failures.
+	Rows       int               `json:"rows"`
+	RowsPerSec float64           `json:"rows_per_sec"`
+	Sections   []SectionManifest `json:"sections"`
+	// Failures details every failed unit: error, captured panic stack,
+	// attempt count. Interrupted (skipped) units are not failures.
 	Failures []UnitFailure `json:"failures,omitempty"`
 	// Interrupted marks a run that drained early (signal or abort); its
 	// journal, if any, makes it resumable.
 	Interrupted bool `json:"interrupted,omitempty"`
-	// Resumed counts reps served from the checkpoint journal.
+	// Resumed counts units served from the checkpoint journal.
 	Resumed int `json:"resumed,omitempty"`
 	// Checkpoint is the journal directory the run wrote, when one was set.
 	Checkpoint string   `json:"checkpoint,omitempty"`
@@ -145,13 +149,15 @@ type Manifest struct {
 }
 
 // ManifestFormat identifies the manifest schema version. /2 added the
-// run-level rows/rows_per_sec totals and per-experiment rows_per_sec; /3
-// added the failures section and the interrupted/resumed/checkpoint
-// resume fields.
-const ManifestFormat = "telepresence-fleet/3"
+// run-level rows/rows_per_sec totals; /3 added the failures section and
+// the interrupted/resumed/checkpoint resume fields; /4 made runs and
+// sweeps share one schema: sections of units, each unit by key and label.
+const ManifestFormat = "telepresence-fleet/4"
 
-// NewManifest builds the provenance record for a completed run.
-func NewManifest(opts core.Options, workers int, wall time.Duration, results []ExperimentResult) Manifest {
+// NewManifest builds the provenance record for a completed run or sweep
+// from its unit results (RunStream or RunSweepStream), grouping
+// consecutive units of one section.
+func NewManifest(opts core.Options, workers int, wall time.Duration, results []UnitResult) Manifest {
 	n, normErr := opts.Normalize()
 	if normErr == nil {
 		opts = n
@@ -169,27 +175,33 @@ func NewManifest(opts core.Options, workers int, wall time.Duration, results []E
 		// the manifest never misdescribes the run it documents.
 		m.Errors = append(m.Errors, fmt.Sprintf("options: %v", normErr))
 	}
-	for _, res := range results {
-		em := ExperimentManifest{
-			Name:       res.Experiment.Name,
-			Reps:       res.Reps,
-			Rows:       res.RowCount,
-			WallMs:     float64(res.Wall) / float64(time.Millisecond),
-			RowsPerSec: rowsPerSec(res.RowCount, res.Wall),
-			Attempts:   res.Attempts,
-			Resumed:    res.Resumed,
+	for i, r := range results {
+		if i == 0 || r.Section != results[i-1].Section {
+			m.Sections = append(m.Sections, SectionManifest{Name: r.Section})
 		}
-		m.Resumed += res.Resumed
-		m.Failures = append(m.Failures, res.Failures...)
-		if res.Err != nil {
-			em.Error = res.Err.Error()
-			if errors.Is(res.Err, ErrInterrupted) {
-				m.Interrupted = true
-				em.Skipped = true
-			}
+		s := &m.Sections[len(m.Sections)-1]
+		u := UnitManifest{
+			Key:      r.Key,
+			Label:    r.Label,
+			Rows:     r.Rows,
+			WallMs:   float64(r.Wall) / float64(time.Millisecond),
+			Attempts: r.Attempts,
+			Resumed:  r.Resumed,
 		}
-		m.Rows += res.RowCount
-		m.Experiments = append(m.Experiments, em)
+		if r.Resumed {
+			m.Resumed++
+		}
+		if errors.Is(r.Err, ErrInterrupted) {
+			m.Interrupted = true
+			u.Skipped = true
+		} else if r.Err != nil {
+			m.Failures = append(m.Failures, UnitFailure{
+				Unit: r.Key, Error: r.Err.Error(), Stack: r.Stack, Attempts: r.Attempts,
+			})
+		}
+		s.Rows += r.Rows
+		m.Rows += r.Rows
+		s.Units = append(s.Units, u)
 	}
 	m.RowsPerSec = rowsPerSec(m.Rows, wall)
 	return m

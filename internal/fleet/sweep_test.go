@@ -76,9 +76,6 @@ func TestSweepCellsEnumeration(t *testing.T) {
 	// Row-major: first axis slowest, defaults filled for c.
 	want := []struct{ a, b float64 }{{1, 10}, {1, 20}, {1, 30}, {2, 10}, {2, 20}, {2, 30}}
 	for i, c := range cells {
-		if c.Index != i {
-			t.Errorf("cell %d has Index %d", i, c.Index)
-		}
 		if c.Params["a"] != want[i].a || c.Params["b"] != want[i].b {
 			t.Errorf("cell %d params %v, want a=%v b=%v", i, c.Params, want[i].a, want[i].b)
 		}
@@ -151,8 +148,8 @@ func TestSweepCellFailureIsolated(t *testing.T) {
 	if results[0].Err == nil || results[1].Err != nil {
 		t.Errorf("failure not isolated to cell 0: %v / %v", results[0].Err, results[1].Err)
 	}
-	if results[0].RowCount != 0 || results[1].RowCount != 1 {
-		t.Errorf("row counts %d / %d, want 0 / 1", results[0].RowCount, results[1].RowCount)
+	if results[0].Rows != 0 || results[1].Rows != 1 {
+		t.Errorf("row counts %d / %d, want 0 / 1", results[0].Rows, results[1].Rows)
 	}
 	if n := bytes.Count(out, []byte("\n")); n != 1 || !bytes.Contains(out, []byte(`"a":1`)) {
 		t.Errorf("sink saw %d rows (%s), want only the surviving cell's", n, out)
@@ -167,10 +164,16 @@ func TestSweepManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewSweepManifest(spec, opts, 2, 0, results)
-	if m.Format != SweepManifestFormat || m.Target != "synth-sweep" ||
-		m.Seed != 9 || m.Cells != 2 || m.Rows != 2 || len(m.Axes) != 1 {
-		t.Errorf("manifest wrong: %+v", m)
+	m := NewManifest(opts, 2, 0, results)
+	if m.Format != ManifestFormat || m.Seed != 9 || m.Rows != 2 || len(m.Sections) != 1 {
+		t.Fatalf("manifest wrong: %+v", m)
+	}
+	// A sweep is one section named after its target, whose unit labels
+	// are the cells' parameter labels.
+	sec := m.Sections[0]
+	if sec.Name != "synth-sweep" || sec.Rows != 2 || len(sec.Units) != 2 ||
+		sec.Units[1].Label != "a=2,b=2,c=30" || sec.Units[1].Key != "grid/synth-sweep/a=2,b=2,c=30" {
+		t.Errorf("sweep section wrong: %+v", sec)
 	}
 	if _, err := json.Marshal(m); err != nil {
 		t.Errorf("manifest not serializable: %v", err)

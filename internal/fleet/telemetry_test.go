@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"sort"
 	"testing"
 	"time"
 
@@ -87,21 +86,15 @@ func TestTraceFilesDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestManifestTimingBreakdown pins the run-manifest throughput fields:
-// per-experiment and run-level rows/sec derived from rows and wall time.
+// TestManifestTimingBreakdown pins the manifest's throughput and
+// accounting fields: run-level rows/sec from rows and wall time, per-unit
+// wall time, and the failure and skip markers.
 func TestManifestTimingBreakdown(t *testing.T) {
-	results := []ExperimentResult{
-		{
-			Experiment: core.Experiment{Name: "a"},
-			RowCount:   10,
-			Reps:       2,
-			Wall:       2 * time.Second,
-		},
-		{
-			Experiment: core.Experiment{Name: "b"},
-			Reps:       1,
-			Err:        os.ErrClosed,
-		},
+	results := []UnitResult{
+		{Section: "a", Label: "rep=0", Key: "grid/a/rep=0", Rows: 4, Wall: 500 * time.Millisecond, Attempts: 1},
+		{Section: "a", Label: "rep=1", Key: "grid/a/rep=1", Rows: 6, Wall: time.Second, Attempts: 2, Resumed: true},
+		{Section: "b", Label: "x=1", Key: "grid/b/x=1", Attempts: 1, Err: os.ErrClosed},
+		{Section: "b", Label: "x=2", Key: "grid/b/x=2", Err: ErrInterrupted},
 	}
 	m := NewManifest(core.Options{Seed: 1}, 4, 5*time.Second, results)
 	if m.Format != ManifestFormat {
@@ -110,38 +103,51 @@ func TestManifestTimingBreakdown(t *testing.T) {
 	if m.Rows != 10 || m.RowsPerSec != 2 {
 		t.Errorf("run totals rows=%d rows/sec=%g, want 10 and 2", m.Rows, m.RowsPerSec)
 	}
-	if m.Experiments[0].RowsPerSec != 5 {
-		t.Errorf("experiment a rows/sec %g, want 5", m.Experiments[0].RowsPerSec)
+	if len(m.Sections) != 2 || m.Sections[0].Rows != 10 || m.Sections[1].Rows != 0 {
+		t.Fatalf("sections %+v", m.Sections)
 	}
-	if m.Experiments[1].RowsPerSec != 0 || m.Experiments[1].Error == "" {
-		t.Errorf("failed experiment manifest %+v", m.Experiments[1])
+	a0, a1 := m.Sections[0].Units[0], m.Sections[0].Units[1]
+	if a0.Key != "grid/a/rep=0" || a0.Rows != 4 || a0.WallMs != 500 || a0.Attempts != 1 || a0.Resumed {
+		t.Errorf("unit a/rep=0 %+v", a0)
+	}
+	if a1.Rows != 6 || a1.WallMs != 1000 || a1.Attempts != 2 || !a1.Resumed || m.Resumed != 1 {
+		t.Errorf("unit a/rep=1 %+v (run resumed %d)", a1, m.Resumed)
+	}
+	b0, b1 := m.Sections[1].Units[0], m.Sections[1].Units[1]
+	if b0.Skipped || !b1.Skipped || !m.Interrupted {
+		t.Errorf("skip markers: %+v / %+v, interrupted=%v", b0, b1, m.Interrupted)
+	}
+	if len(m.Failures) != 1 || m.Failures[0].Unit != "grid/b/x=1" || m.Failures[0].Error == "" {
+		t.Errorf("failures %+v, want only grid/b/x=1", m.Failures)
 	}
 }
 
-// TestSweepManifestCellTimings pins the sweep manifest's per-cell timing
-// breakdown and run-level throughput.
+// TestSweepManifestCellTimings pins a sweep's per-cell timing breakdown
+// and run-level throughput: a sweep is one section named by its target,
+// one unit per cell keyed and labelled by the cell's parameters.
 func TestSweepManifestCellTimings(t *testing.T) {
-	spec := SweepSpec{Target: "burstloss", Axes: []Axis{{Name: "loss_bad", Values: []float64{0.5, 0.9}}}}
-	results := []SweepCellResult{
-		{Cell: SweepCell{Index: 0, Label: "loss_bad-0.5"}, RowCount: 1, Wall: 500 * time.Millisecond},
-		{Cell: SweepCell{Index: 1, Label: "loss_bad-0.9"}, RowCount: 3, Wall: time.Second},
+	results := []UnitResult{
+		{Section: "burstloss", Label: "loss_bad-0.5", Key: unitKey("burstloss", "loss_bad-0.5"), Rows: 1, Wall: 500 * time.Millisecond, Attempts: 1},
+		{Section: "burstloss", Label: "loss_bad-0.9", Key: unitKey("burstloss", "loss_bad-0.9"), Rows: 3, Wall: time.Second, Attempts: 1},
 	}
-	m := NewSweepManifest(spec, core.Options{Seed: 1}, 2, 2*time.Second, results)
-	if m.Format != SweepManifestFormat {
+	m := NewManifest(core.Options{Seed: 1}, 2, 2*time.Second, results)
+	if m.Format != ManifestFormat {
 		t.Errorf("format %q", m.Format)
 	}
 	if m.Rows != 4 || m.RowsPerSec != 2 {
 		t.Errorf("totals rows=%d rows/sec=%g", m.Rows, m.RowsPerSec)
 	}
-	if len(m.CellTimings) != 2 {
-		t.Fatalf("%d cell timings", len(m.CellTimings))
+	if len(m.Sections) != 1 || m.Sections[0].Name != "burstloss" || m.Sections[0].Rows != 4 {
+		t.Fatalf("sections %+v", m.Sections)
 	}
-	sort.Slice(m.CellTimings, func(i, j int) bool { return m.CellTimings[i].Index < m.CellTimings[j].Index })
-	c0, c1 := m.CellTimings[0], m.CellTimings[1]
-	if c0.Label != "loss_bad-0.5" || c0.Rows != 1 || c0.WallMs != 500 || c0.RowsPerSec != 2 {
+	if len(m.Sections[0].Units) != 2 {
+		t.Fatalf("%d cell timings", len(m.Sections[0].Units))
+	}
+	c0, c1 := m.Sections[0].Units[0], m.Sections[0].Units[1]
+	if c0.Label != "loss_bad-0.5" || c0.Key != "grid/burstloss/loss_bad-0.5" || c0.Rows != 1 || c0.WallMs != 500 {
 		t.Errorf("cell 0 %+v", c0)
 	}
-	if c1.Label != "loss_bad-0.9" || c1.Rows != 3 || c1.WallMs != 1000 || c1.RowsPerSec != 3 {
+	if c1.Label != "loss_bad-0.9" || c1.Key != "grid/burstloss/loss_bad-0.9" || c1.Rows != 3 || c1.WallMs != 1000 {
 		t.Errorf("cell 1 %+v", c1)
 	}
 }

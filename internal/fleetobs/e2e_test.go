@@ -97,7 +97,8 @@ func TestLiveServerMatchesManifest(t *testing.T) {
 		t.Fatal("sweep with two always-failing cells returned nil error")
 	}
 	st.Finish(runErr, "")
-	m := fleet.NewSweepManifest(spec, opts, cfg.Workers, wall, results)
+	m := fleet.NewManifest(opts, cfg.Workers, wall, results)
+	units := m.Sections[0].Units
 	if len(m.Failures) != 2 {
 		t.Fatalf("manifest failures = %d, want 2 (the a=-1 cells)", len(m.Failures))
 	}
@@ -121,7 +122,7 @@ func TestLiveServerMatchesManifest(t *testing.T) {
 	// Retries: every live cell's manifest attempt count beyond 1 came from
 	// an EventUnitRetried.
 	wantRetries := 0
-	for _, c := range m.CellTimings {
+	for _, c := range units {
 		if !c.Resumed && !c.Skipped && c.Attempts > 1 {
 			wantRetries += c.Attempts - 1
 		}
@@ -149,15 +150,15 @@ func TestLiveServerMatchesManifest(t *testing.T) {
 		}
 	}
 	// Per-unit detail: every cell visible, terminal, attempts >= 1.
-	if len(snap.UnitViews) != len(m.CellTimings) {
-		t.Fatalf("unit views = %d, cells = %d", len(snap.UnitViews), len(m.CellTimings))
+	if len(snap.UnitViews) != len(units) {
+		t.Fatalf("unit views = %d, cells = %d", len(snap.UnitViews), len(units))
 	}
 	for i, u := range snap.UnitViews {
 		if u.Status != StatusDone && u.Status != StatusFailed {
 			t.Errorf("unit %d status %q", i, u.Status)
 		}
-		if u.Attempts < 1 || u.Attempts != m.CellTimings[i].Attempts {
-			t.Errorf("unit %d attempts %d, manifest %d", i, u.Attempts, m.CellTimings[i].Attempts)
+		if u.Attempts < 1 || u.Attempts != units[i].Attempts {
+			t.Errorf("unit %d attempts %d, manifest %d", i, u.Attempts, units[i].Attempts)
 		}
 	}
 

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Sample is an accumulating collection of float64 observations. The zero
@@ -296,33 +295,4 @@ func (s *Sample) Histogram(nbins int) (edges []float64, counts []int) {
 		counts[i]++
 	}
 	return edges, counts
-}
-
-// ASCIICDF renders the CDF as a small text plot (for CLI output), width
-// columns wide and height rows tall.
-func (s *Sample) ASCIICDF(width, height int) string {
-	pts := s.CDF()
-	if len(pts) == 0 || width < 2 || height < 2 {
-		return ""
-	}
-	lo, hi := pts[0].Value, pts[len(pts)-1].Value
-	if hi == lo {
-		hi = lo + 1
-	}
-	grid := make([][]byte, height)
-	for i := range grid {
-		grid[i] = []byte(strings.Repeat(" ", width))
-	}
-	for _, p := range pts {
-		col := int((p.Value - lo) / (hi - lo) * float64(width-1))
-		row := height - 1 - int(p.Fraction*float64(height-1))
-		grid[row][col] = '*'
-	}
-	var b strings.Builder
-	for _, row := range grid {
-		b.Write(row)
-		b.WriteByte('\n')
-	}
-	fmt.Fprintf(&b, "[%.1f .. %.1f]\n", lo, hi)
-	return b.String()
 }

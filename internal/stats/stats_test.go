@@ -201,14 +201,6 @@ func TestHistogramDegenerate(t *testing.T) {
 	}
 }
 
-func TestASCIICDF(t *testing.T) {
-	s := NewSample(1, 2, 3, 4, 5)
-	out := s.ASCIICDF(20, 5)
-	if out == "" {
-		t.Fatal("empty ASCII CDF")
-	}
-}
-
 // Property: percentile is monotone in p, bounded by min/max, and the median
 // of a sample equals the median of its reverse.
 func TestPercentileProperties(t *testing.T) {

@@ -11,9 +11,12 @@
 //     Fig5, Fig6, Fig7, MeshStreaming, KeypointStreaming, DisplayLatency,
 //     RateAdaptation, AnycastAudit, ProtocolMatrix, RemoteRenderAblation).
 //   - Fleet: a registry of every experiment plus a deterministic parallel
-//     scheduler (FleetRunStream, FleetRunSweepStream) that shards
-//     repetitions and sweep cells across a worker pool and streams rows in
-//     order to pluggable sinks (JSONL, CSV, in-memory).
+//     scheduler. Every run is one grid of units: FleetRunStream runs
+//     registry experiments (units are repetitions) and FleetRunSweepStream
+//     runs a sweep target's parameter grid (units are cells), through one
+//     driver that shards units across a worker pool, streams rows in order
+//     to pluggable sinks (JSONL, CSV, in-memory), and returns one result
+//     per unit for one manifest schema (NewFleetManifest).
 //   - Building blocks, re-exported for direct use: the semantic codec, the
 //     mesh codec, the renderer cost model, and the geography/RTT model.
 //
@@ -322,9 +325,8 @@ type (
 	ExperimentRow = core.Row
 	// FleetConfig bounds the scheduler's worker pool.
 	FleetConfig = fleet.Config
-	// FleetResult is one experiment's merged outcome.
-	FleetResult = fleet.ExperimentResult
-	// FleetManifest is a fleet run's provenance record.
+	// FleetManifest is a run's or sweep's provenance record: sections of
+	// units, each unit by key and label (schema telepresence-fleet/4).
 	FleetManifest = fleet.Manifest
 	// Sink consumes one experiment's merged rows.
 	Sink = fleet.Sink
@@ -424,10 +426,6 @@ type (
 	SweepSpec = fleet.SweepSpec
 	// SweepCell is one enumerated grid point.
 	SweepCell = fleet.SweepCell
-	// SweepCellResult is one cell's merged outcome.
-	SweepCellResult = fleet.SweepCellResult
-	// FleetSweepManifest is a sweep run's provenance record.
-	FleetSweepManifest = fleet.SweepManifest
 )
 
 // Fleet entry points.
@@ -453,7 +451,8 @@ var (
 	ErrFleetInterrupted = fleet.ErrInterrupted
 	// ParseFaultPlan parses a vpfleet -chaos spec into a FaultPlan.
 	ParseFaultPlan = fleet.ParseFaultPlan
-	// NewFleetManifest builds the provenance record for a finished run.
+	// NewFleetManifest builds the provenance record of a finished run or
+	// sweep from its unit results.
 	NewFleetManifest = fleet.NewManifest
 	// Sink constructors.
 	NewJSONLSink  = fleet.NewJSONLSink
@@ -472,8 +471,6 @@ var (
 	// (byte-identical for any worker count, bounded memory, checkpoint
 	// resume).
 	FleetRunSweepStream = fleet.RunSweepStream
-	// NewFleetSweepManifest builds the provenance record of a sweep run.
-	NewFleetSweepManifest = fleet.NewSweepManifest
 )
 
 // Statistics helpers (re-exported for consumers of experiment rows).
