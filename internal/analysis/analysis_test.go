@@ -117,7 +117,7 @@ func TestCaptureClassifyAndMeasureQUIC(t *testing.T) {
 	// 900 bytes every 11.1 ms (90 FPS) for 2 seconds ~ 0.65 Mbps.
 	tick := simtime.Second / 90
 	var ticker *simtime.Ticker
-	ticker = simtime.NewTicker(s, tick, func(now simtime.Time) {
+	ticker = simtime.NewTicker(s, tick, 0, func(now simtime.Time) {
 		client.SendMessage(make([]byte, 900))
 		if now > simtime.Time(2*simtime.Second) {
 			ticker.Stop()

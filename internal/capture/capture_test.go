@@ -162,7 +162,7 @@ func TestStreamingThroughputMatchesRecordScan(t *testing.T) {
 	c := New("tp")
 	c.Attach(l)
 	// 1250 bytes every 10 ms = 1 Mbps for 3.5 seconds.
-	tk := simtime.NewTicker(s, 10*simtime.Millisecond, func(simtime.Time) {
+	tk := simtime.NewTicker(s, 10*simtime.Millisecond, 0, func(simtime.Time) {
 		l.Send(netem.Frame{Size: 1250, Payload: []byte{0x80}})
 	})
 	s.RunFor(3500 * simtime.Millisecond)

@@ -183,7 +183,7 @@ func ViewportDeliveryAblation(opts Options) (ViewportDeliveryRow, error) {
 	heartbeatLeft := 0.0
 	const dt = 1.0 / 90
 	frame := simtime.Duration(simtime.Second / 90)
-	simtime.NewTicker(sched, frame, func(now simtime.Time) {
+	simtime.NewTicker(sched, frame, sched.Site("core/viewport.frame"), func(now simtime.Time) {
 		// Viewport process.
 		flipLeft -= dt
 		if flipLeft <= 0 {

@@ -84,11 +84,11 @@ func sanitizeLabel(label string) string {
 	return string(out)
 }
 
-// openCellArtifacts attaches the outputs one cell was asked for to sc:
-// session telemetry (opts.TraceDir, opts.MetricsDir) and the virtual-time
-// profiler (opts.ProfDir). With none of the dirs set, sc keeps nil
-// Telemetry and Prof: the session runs fully inert, with the scheduler's
-// probe hook unset.
+// openCellArtifacts attaches the observers one cell was asked for to
+// sc.Telemetry: the tracer (opts.TraceDir), the metrics sampler
+// (opts.MetricsDir) and the virtual-time profiler (opts.ProfDir). With
+// none of the dirs set, sc keeps nil Telemetry: the session runs fully
+// inert, with the scheduler's probe hook unset.
 //
 // Each cell owns its own files, named <target>__<label> after the cell's
 // canonical parameter label, so parallel fleet workers never share a
@@ -103,6 +103,9 @@ func sanitizeLabel(label string) string {
 // done(err), for a cell that failed before running, closes and removes the
 // files created so far and returns err.
 func openCellArtifacts(sc *vca.SessionConfig, opts Options, target, label string) (func(runErr error) error, error) {
+	if opts.TraceDir == "" && opts.MetricsDir == "" && opts.ProfDir == "" {
+		return func(runErr error) error { return runErr }, nil
+	}
 	stem := target + "__" + sanitizeLabel(label)
 	var files []*os.File
 	var bufs []*bufio.Writer
@@ -123,10 +126,7 @@ func openCellArtifacts(sc *vca.SessionConfig, opts Options, target, label string
 		return err
 	}
 
-	var tc *vca.TelemetryConfig
-	if opts.TraceDir != "" || opts.MetricsDir != "" {
-		tc = &vca.TelemetryConfig{}
-	}
+	tc := &vca.TelemetryConfig{}
 	if opts.TraceDir != "" {
 		w, err := create(opts.TraceDir, ".trace.jsonl")
 		if err != nil {
@@ -141,22 +141,18 @@ func openCellArtifacts(sc *vca.SessionConfig, opts Options, target, label string
 		}
 		tc.Metrics = telemetry.NewMetrics(w, telemetry.FormatCSV)
 	}
-	var prof *vprof.Profiler
 	if opts.ProfDir != "" {
-		prof = vprof.New()
+		tc.Prof = vprof.New()
 	}
-	sc.Telemetry, sc.Prof = tc, prof
+	sc.Telemetry = tc
 
 	done := func(runErr error) error {
 		if runErr != nil {
 			return discard(runErr)
 		}
-		var errs []error
-		if tc != nil {
-			errs = append(errs, tc.Trace.Err(), tc.Metrics.Err())
-		}
-		if prof != nil {
-			r := prof.Report()
+		errs := []error{tc.Trace.Err(), tc.Metrics.Err()}
+		if tc.Prof != nil {
+			r := tc.Prof.Report()
 			if w, err := create(opts.ProfDir, ProfJSONLSuffix); err != nil {
 				errs = append(errs, err)
 			} else {
@@ -231,8 +227,10 @@ func rampSchedule(start, floor float64, d simtime.Duration) *scenario.Schedule {
 // closely the sender tracked the ramp's bottom.
 func floorWindowMbps(sess *vca.Session, d simtime.Duration) func() float64 {
 	var startB, endB int64
-	sess.Scheduler().At(simtime.Time(3*d/8), func() { startB = sess.UplinkStats(0).DeliveredB })
-	sess.Scheduler().At(simtime.Time(5*d/8), func() { endB = sess.UplinkStats(0).DeliveredB })
+	sched := sess.Scheduler()
+	site := sched.Site("core/ramp.floor_sample")
+	sched.At(simtime.Time(3*d/8), site, func() { startB = sess.UplinkStats(0).DeliveredB })
+	sched.At(simtime.Time(5*d/8), site, func() { endB = sess.UplinkStats(0).DeliveredB })
 	return func() float64 { return float64((endB-startB)*8) / (d / 4).Seconds() / 1e6 }
 }
 

@@ -2,7 +2,10 @@ package core
 
 import (
 	"os"
+	"path/filepath"
 	"testing"
+
+	"telepresence/internal/vprof"
 )
 
 // TestRejectedCellLeavesNoArtifacts: a cell that fails — on its own
@@ -41,5 +44,49 @@ func TestRejectedCellLeavesNoArtifacts(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCellProfileHasNoUnlabeledSite: every event of a profiled session
+// cell is attributed to a named site, including the cell's own floor-window
+// samples. ccramp is the cell that schedules its own events on the session
+// scheduler.
+func TestCellProfileHasNoUnlabeledSite(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a full ccramp session")
+	}
+	target, ok := LookupSweep("ccramp")
+	if !ok {
+		t.Fatal("ccramp not registered")
+	}
+	opts := Quick(1)
+	opts.ProfDir = t.TempDir()
+	if _, err := target.Run(opts, target.DefaultParams()); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(opts.ProfDir, "*"+ProfJSONLSuffix))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("profiles %v (%v), want one", files, err)
+	}
+	f, err := os.Open(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	r, err := vprof.ParseReport(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var floorEvents uint64
+	for _, s := range r.Sites {
+		if s.Site == vprof.Unlabeled {
+			t.Errorf("%d events at %s", s.Events, vprof.Unlabeled)
+		}
+		if s.Site == "core/ramp.floor_sample" {
+			floorEvents = s.Events
+		}
+	}
+	if floorEvents != 2 {
+		t.Errorf("core/ramp.floor_sample fired %d times, want 2", floorEvents)
 	}
 }

@@ -86,7 +86,7 @@ func displayLatencyCase(opts Options, inj float64) (DisplayLatencyRow, error) {
 		_ = rec.Feed(f.Payload)
 	})
 	frame := simtime.Time(simtime.Second) / 90
-	simtime.NewTicker(sched, simtime.Duration(frame), func(simtime.Time) {
+	simtime.NewTicker(sched, simtime.Duration(frame), sched.Site("core/latency.keypoints"), func(simtime.Time) {
 		kf := gen.Next()
 		pipe.AB.Send(netem.Frame{Payload: enc.Encode(&kf)})
 	})
@@ -99,16 +99,17 @@ func displayLatencyCase(opts Options, inj float64) (DisplayLatencyRow, error) {
 	// Pre-rendered pipeline state: U1's request travels BA, the new
 	// view returns on AB.
 	var prerenderedAt simtime.Time
+	renderSite := sched.Site("core/latency.render")
 	pipe.BA.SetHandler(func(now simtime.Time, f netem.Frame) {
 		// Sender receives the viewport request, renders (one frame
 		// budget), ships the new view back.
-		sched.After(simtime.Duration(frame), func() {
+		sched.At(sched.Now().Add(simtime.Duration(frame)), renderSite, func() {
 			pipe.AB.Send(netem.Frame{Size: 20000, Payload: []byte("VIEW")})
 		})
 	})
 	handlerInstalled := false
 
-	sched.At(flipAt, func() {
+	sched.At(flipAt, sched.Site("core/latency.flip"), func() {
 		// Real-world passthrough: visible at the next refresh.
 		realWorldAt := frameAlign(flipAt)
 		// Semantic: pose is local; renders at the same refresh if a

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"telepresence/internal/ratecontrol"
 	"telepresence/internal/vca"
@@ -22,19 +21,6 @@ import (
 // Controllers are addressed by their index in ratecontrol.Kinds() so they
 // can ride a numeric sweep axis; the index order is part of the cell-seed
 // contract.
-
-// controllerFromParam resolves the "controller" sweep parameter (an index
-// into ratecontrol.Kinds) to its kind name.
-func controllerFromParam(params map[string]float64) (string, error) {
-	v := params["controller"]
-	idx := int(math.Round(v))
-	kinds := ratecontrol.Kinds()
-	if math.Abs(v-float64(idx)) > 1e-9 || idx < 0 || idx >= len(kinds) {
-		return "", fmt.Errorf("ratecontrol: controller index %g not in [0,%d] (%v)",
-			v, len(kinds)-1, kinds)
-	}
-	return kinds[idx], nil
-}
 
 // ------------------------------------------------------------------ ccrate
 
@@ -84,7 +70,7 @@ func ccrateSessionConfig(cell Options, controller string) vca.SessionConfig {
 
 // ccrateCell runs one controller x cap cell.
 func ccrateCell(opts Options, params map[string]float64) (CCRateRow, error) {
-	kind, err := controllerFromParam(params)
+	kind, err := indexParam("ccrate", "controller", params, ratecontrol.Kinds())
 	if err != nil {
 		return CCRateRow{}, err
 	}
@@ -151,7 +137,7 @@ func ccrampSessionConfig(cell Options, controller string) vca.SessionConfig {
 // ccrampCell runs one controller x floor cell under the congestion ramp
 // (rampSchedule).
 func ccrampCell(opts Options, params map[string]float64) (CCRampRow, error) {
-	kind, err := controllerFromParam(params)
+	kind, err := indexParam("ccramp", "controller", params, ratecontrol.Kinds())
 	if err != nil {
 		return CCRampRow{}, err
 	}

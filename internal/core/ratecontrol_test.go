@@ -7,17 +7,10 @@ import (
 )
 
 func TestControllerFromParam(t *testing.T) {
-	for i, kind := range ratecontrol.Kinds() {
-		got, err := controllerFromParam(map[string]float64{"controller": float64(i)})
-		if err != nil || got != kind {
-			t.Errorf("controller=%d -> (%q, %v), want %q", i, got, err, kind)
-		}
-	}
-	for _, bad := range []float64{-1, 0.5, 99} {
-		if _, err := controllerFromParam(map[string]float64{"controller": bad}); err == nil {
-			t.Errorf("controller=%g accepted", bad)
-		}
-	}
+	ctrls := ratecontrol.Kinds()
+	checkIndexParam(t, "controller", len(ctrls), func(p map[string]float64) (any, error) {
+		return indexParam("ccrate", "controller", p, ctrls)
+	}, func(i int) any { return ctrls[i] })
 }
 
 func TestCCCellParamValidation(t *testing.T) {

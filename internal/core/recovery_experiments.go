@@ -1,9 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"math"
-
 	"telepresence/internal/recovery"
 	"telepresence/internal/scenario"
 	"telepresence/internal/simtime"
@@ -24,19 +21,6 @@ import (
 // and parameter values alone via SweepCellOptions. Strategies ride a numeric axis as the index into
 // recovery.Kinds() (0=none 1=nack 2=fec 3=hybrid); the order is part of
 // the cell-seed contract like ratecontrol.Kinds in ccrate/ccramp.
-
-// strategyFromParam resolves the "strategy" sweep parameter (an index into
-// recovery.Kinds) to its kind name.
-func strategyFromParam(params map[string]float64) (string, error) {
-	v := params["strategy"]
-	idx := int(math.Round(v))
-	kinds := recovery.Kinds()
-	if math.Abs(v-float64(idx)) > 1e-9 || idx < 0 || idx >= len(kinds) {
-		return "", fmt.Errorf("recovery: strategy index %g not in [0,%d] (%v)",
-			v, len(kinds)-1, kinds)
-	}
-	return kinds[idx], nil
-}
 
 // DefaultRecoveryStrategies returns the strategy-index grid (every kind).
 func DefaultRecoveryStrategies() []float64 {
@@ -102,7 +86,7 @@ type RecoveryRow struct {
 
 // recoveryCell runs one strategy x channel cell.
 func recoveryCell(opts Options, params map[string]float64) (RecoveryRow, error) {
-	kind, err := strategyFromParam(params)
+	kind, err := indexParam("recovery", "strategy", params, recovery.Kinds())
 	if err != nil {
 		return RecoveryRow{}, err
 	}
@@ -177,7 +161,7 @@ func DefaultRecRampFloorsMbps() []float64 { return []float64{1.0, 0.5} }
 // recrampCell runs one strategy x floor cell under the congestion ramp
 // (rampSchedule).
 func recrampCell(opts Options, params map[string]float64) (RecRampRow, error) {
-	kind, err := strategyFromParam(params)
+	kind, err := indexParam("recramp", "strategy", params, recovery.Kinds())
 	if err != nil {
 		return RecRampRow{}, err
 	}

@@ -7,17 +7,10 @@ import (
 )
 
 func TestStrategyFromParam(t *testing.T) {
-	for i, kind := range recovery.Kinds() {
-		got, err := strategyFromParam(map[string]float64{"strategy": float64(i)})
-		if err != nil || got != kind {
-			t.Errorf("strategy=%d -> (%q, %v), want %q", i, got, err, kind)
-		}
-	}
-	for _, bad := range []float64{-1, 0.5, 99} {
-		if _, err := strategyFromParam(map[string]float64{"strategy": bad}); err == nil {
-			t.Errorf("strategy=%g accepted", bad)
-		}
-	}
+	strats := recovery.Kinds()
+	checkIndexParam(t, "strategy", len(strats), func(p map[string]float64) (any, error) {
+		return indexParam("recovery", "strategy", p, strats)
+	}, func(i int) any { return strats[i] })
 }
 
 func TestRecRampCellParamValidation(t *testing.T) {

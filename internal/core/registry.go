@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -224,6 +225,31 @@ func Cross(lists ...[]map[string]float64) []map[string]float64 {
 		cells = next
 	}
 	return cells
+}
+
+// intParam reads sweep parameter name as an integer in [lo, hi]. Values
+// within 1e-9 of an integer count as that integer; NaN and infinities
+// never do.
+func intParam(target, name string, params map[string]float64, lo, hi int) (int, error) {
+	v := params[name]
+	r := math.Round(v)
+	if !(math.Abs(v-r) <= 1e-9 && r >= float64(lo) && r <= float64(hi)) {
+		return 0, fmt.Errorf("%s: %s %g not an integer in [%d,%d]", target, name, v, lo, hi)
+	}
+	return int(r), nil
+}
+
+// indexParam resolves an index-valued sweep parameter to its element of
+// values. Kinds (controllers, recovery strategies), apps and devices ride
+// numeric sweep axes as indices into their canonical lists, and the index
+// order is part of the cell-seed contract.
+func indexParam[T any](target, name string, params map[string]float64, values []T) (T, error) {
+	i, err := intParam(target, name, params, 0, len(values)-1)
+	if err != nil {
+		var zero T
+		return zero, fmt.Errorf("%w %v", err, values)
+	}
+	return values[i], nil
 }
 
 // rows lifts a single typed row into a Row slice.

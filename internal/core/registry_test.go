@@ -1,8 +1,12 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"testing"
+
+	"telepresence/internal/ratecontrol"
+	"telepresence/internal/vca"
 )
 
 // expectedExperiments is the stable registry index documented in DESIGN.md.
@@ -14,7 +18,7 @@ var expectedExperiments = []string{
 
 // expectedSweepTargets is the stable sweep-target index.
 var expectedSweepTargets = []string{
-	"burstloss", "ccramp", "ccrate", "congestion", "handover", "recovery", "recramp",
+	"burstloss", "ccramp", "ccrate", "congestion", "handover", "recovery", "recramp", "session",
 }
 
 func TestSweepRegistryComplete(t *testing.T) {
@@ -135,5 +139,41 @@ func TestRepRunnerIndependence(t *testing.T) {
 		if !reflect.DeepEqual(first, again) {
 			t.Errorf("%s: rep %d not reproducible across orderings", name, last)
 		}
+	}
+}
+
+// checkIndexParam asserts that decode maps every index 0..n-1 of the sweep
+// parameter name to want(i) and rejects anything that is not an integer
+// index into the list.
+func checkIndexParam(t *testing.T, name string, n int, decode func(map[string]float64) (any, error), want func(i int) any) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		got, err := decode(map[string]float64{name: float64(i)})
+		if err != nil || got != want(i) {
+			t.Errorf("%s=%d -> (%v, %v), want %v", name, i, got, err, want(i))
+		}
+	}
+	for _, bad := range []float64{-1, 0.5, float64(n), 99, math.NaN(), math.Inf(1)} {
+		if _, err := decode(map[string]float64{name: bad}); err == nil {
+			t.Errorf("%s=%g accepted", name, bad)
+		}
+	}
+}
+
+// TestIndexParam: the session target's index-valued parameters (apps,
+// devices) decode through indexParam like the controller and strategy
+// indices do (TestControllerFromParam, TestStrategyFromParam).
+func TestIndexParam(t *testing.T) {
+	apps, devs := vca.Apps(), vca.Devices()
+	checkIndexParam(t, "app", len(apps), func(p map[string]float64) (any, error) {
+		return indexParam("session", "app", p, apps)
+	}, func(i int) any { return apps[i] })
+	checkIndexParam(t, "peer_device", len(devs), func(p map[string]float64) (any, error) {
+		return indexParam("session", "peer_device", p, devs)
+	}, func(i int) any { return devs[i] })
+	ctrls := ratecontrol.Kinds()
+	// Within 1e-9 of an integer counts as that integer.
+	if got, err := indexParam("ccrate", "controller", map[string]float64{"controller": 2 + 1e-12}, ctrls); err != nil || got != ctrls[2] {
+		t.Errorf("controller=2+1e-12 -> (%q, %v), want %q", got, err, ctrls[2])
 	}
 }

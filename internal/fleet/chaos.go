@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -103,11 +104,12 @@ func ParseFaultPlan(spec string, seed int64) (*FaultPlan, error) {
 		if !ok {
 			return nil, fmt.Errorf("fleet: chaos field %q not of the form key=value", part)
 		}
+		name = strings.TrimSpace(name)
 		v, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-		if err != nil {
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 			return nil, fmt.Errorf("fleet: chaos field %s: bad value %q", name, val)
 		}
-		switch strings.TrimSpace(name) {
+		switch name {
 		case "panic":
 			p.PanicProb = v
 		case "error":
@@ -115,10 +117,17 @@ func ParseFaultPlan(spec string, seed int64) (*FaultPlan, error) {
 		case "delay":
 			p.DelayProb = v
 		case "delay_ms":
-			p.Delay = time.Duration(v * float64(time.Millisecond))
+			ns := v * float64(time.Millisecond)
+			if !(ns >= 0 && ns < math.MaxInt64) {
+				return nil, fmt.Errorf("fleet: chaos delay_ms=%v not a non-negative duration", v)
+			}
+			p.Delay = time.Duration(ns)
 		case "sink":
 			p.SinkErrorProb = v
 		case "attempts":
+			if !(v >= 0 && v <= math.MaxInt32 && v == math.Trunc(v)) {
+				return nil, fmt.Errorf("fleet: chaos attempts=%v not an integer in [0,%d]", v, math.MaxInt32)
+			}
 			p.FailAttempts = int(v)
 		default:
 			return nil, fmt.Errorf("fleet: unknown chaos field %q (have panic, error, delay, delay_ms, sink, attempts)", name)
@@ -131,9 +140,6 @@ func ParseFaultPlan(spec string, seed int64) (*FaultPlan, error) {
 		if prob.v < 0 || prob.v > 1 {
 			return nil, fmt.Errorf("fleet: chaos %s=%v outside [0,1]", prob.name, prob.v)
 		}
-	}
-	if p.Delay < 0 {
-		return nil, fmt.Errorf("fleet: negative chaos delay %v", p.Delay)
 	}
 	if p.DelayProb > 0 && p.Delay == 0 {
 		p.Delay = 50 * time.Millisecond

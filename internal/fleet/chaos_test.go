@@ -28,6 +28,28 @@ func TestParseFaultPlan(t *testing.T) {
 			t.Errorf("spec %q accepted", bad)
 		}
 	}
+	// Non-finite values, attempts that are not a non-negative int, and
+	// delays past time.Duration's range are rejected, naming the field.
+	for spec, field := range map[string]string{
+		"panic=NaN":      "panic",
+		"error=+Inf":     "error",
+		"attempts=-5":    "attempts",
+		"attempts=2.9":   "attempts",
+		"attempts=1e300": "attempts",
+		"delay_ms=1e300": "delay_ms",
+		"delay_ms=Inf":   "delay_ms",
+		"delay_ms=NaN":   "delay_ms",
+	} {
+		_, err := ParseFaultPlan(spec, 1)
+		if err == nil {
+			t.Errorf("spec %q accepted", spec)
+		} else if !strings.Contains(err.Error(), field) {
+			t.Errorf("spec %q: error %q does not name %s", spec, err, field)
+		}
+	}
+	if p, err := ParseFaultPlan("attempts=0", 1); err != nil || p.FailAttempts != 0 {
+		t.Errorf("attempts=0: %+v (%v)", p, err)
+	}
 }
 
 // TestChaosDeterministic: fault decisions are pure functions of

@@ -49,7 +49,7 @@ func (walltimeCheck) Run(pkg *Package, cfg *Config) []Finding {
 		out = append(out, Finding{
 			Pos:   pkg.Fset.Position(sel.Pos()),
 			Check: "walltime",
-			Message: fmt.Sprintf("time.%s reads the machine clock: deterministic packages must take time from the simtime scheduler (simtime.Time, tickers, After)",
+			Message: fmt.Sprintf("time.%s reads the machine clock: deterministic packages must take time from the simtime scheduler (Scheduler.Now, At, AtArg, NewTicker)",
 				name),
 		})
 	})

@@ -366,7 +366,7 @@ func (l *Link) Send(f Frame) bool {
 
 	d := l.getDelivery()
 	d.f = f
-	l.sched.AtArgSite(txDone.Add(delay), deliverFn, d, l.deliverSite)
+	l.sched.AtArg(txDone.Add(delay), l.deliverSite, deliverFn, d)
 	if l.tr != nil {
 		// queue is the occupancy gauge after admission; tx_ms is when the
 		// serializer finishes this frame.

@@ -83,7 +83,7 @@ func TestQueueDrainsOverTime(t *testing.T) {
 	// Send 1000-byte frames at exactly link rate: all should survive.
 	for i := 0; i < 50; i++ {
 		i := i
-		s.At(simtime.Time(i*8*int(simtime.Millisecond)), func() {
+		s.At(simtime.Time(i*8*int(simtime.Millisecond)), 0, func() {
 			_ = i
 			l.Send(Frame{Size: 1000})
 		})
@@ -144,7 +144,7 @@ func TestShaperRateCap(t *testing.T) {
 	// 1 Mbps offered load for 1 second: 125 frames of 1000 B.
 	for i := 0; i < 125; i++ {
 		i := i
-		s.At(simtime.Time(i*8*int(simtime.Millisecond)), func() { l.Send(Frame{Size: 1000}) })
+		s.At(simtime.Time(i*8*int(simtime.Millisecond)), 0, func() { l.Send(Frame{Size: 1000}) })
 	}
 	s.RunFor(5 * simtime.Second)
 	if n == 0 {
@@ -305,7 +305,7 @@ func TestQueueReleasedAtSerialization(t *testing.T) {
 	const pairs = 125
 	for i := 0; i < pairs; i++ {
 		i := i
-		s.At(simtime.Time(i*16*int(simtime.Millisecond)), func() {
+		s.At(simtime.Time(i*16*int(simtime.Millisecond)), 0, func() {
 			l.Send(Frame{Size: 1000})
 			l.Send(Frame{Size: 1000})
 		})
@@ -394,7 +394,7 @@ func TestReorderDelivery(t *testing.T) {
 	const n = 200
 	for i := 0; i < n; i++ {
 		i := i
-		s.At(simtime.Time(i*int(simtime.Millisecond)), func() {
+		s.At(simtime.Time(i*int(simtime.Millisecond)), 0, func() {
 			l.Send(Frame{Payload: []byte{byte(i >> 8), byte(i)}})
 		})
 	}

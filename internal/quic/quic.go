@@ -388,7 +388,7 @@ func (c *Conn) sendStreamFrame(fr streamFrag) {
 	sp.pn = pn
 	sp.frames = append(sp.frames, fr)
 	c.unacked[pn] = sp
-	sp.timer = c.sched.AfterArgSite(c.rto, retransmitFn, retransmitArg{c, sp, pn}, c.rtoSite)
+	sp.timer = c.sched.AtArg(c.sched.Now().Add(c.rto), c.rtoSite, retransmitFn, retransmitArg{c, sp, pn})
 	c.sendRaw(pkt, 0)
 }
 
@@ -714,7 +714,7 @@ func (c *Conn) queueAck(pn uint64) {
 	}
 	if !c.ackPending {
 		c.ackPending = true
-		c.ackTimer = c.sched.AfterArgSite(25*simtime.Millisecond, ackTimerFn, c, c.ackSite)
+		c.ackTimer = c.sched.AtArg(c.sched.Now().Add(25*simtime.Millisecond), c.ackSite, ackTimerFn, c)
 	}
 }
 

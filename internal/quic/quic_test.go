@@ -140,7 +140,7 @@ func TestLossRecovery(t *testing.T) {
 	server.OnMessage(func(m Message) { delivered++ })
 	for i := 0; i < 50; i++ {
 		i := i
-		s.At(simtime.Time(i*10*int(simtime.Millisecond)), func() {
+		s.At(simtime.Time(i*10*int(simtime.Millisecond)), 0, func() {
 			client.SendMessage(bytes.Repeat([]byte{byte(i)}, 3000)) // 3 packets
 		})
 	}
@@ -159,7 +159,7 @@ func TestNoRetransmissionsOnCleanPath(t *testing.T) {
 	server.OnMessage(func(Message) {})
 	for i := 0; i < 20; i++ {
 		i := i
-		s.At(simtime.Time(i*20*int(simtime.Millisecond)), func() {
+		s.At(simtime.Time(i*20*int(simtime.Millisecond)), 0, func() {
 			client.SendMessage(make([]byte, 500))
 		})
 	}

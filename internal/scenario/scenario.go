@@ -283,7 +283,7 @@ func (s *Schedule) Bind(sched *simtime.Scheduler, sh *netem.Shaper) error {
 	var chain *netem.GilbertElliott
 	for _, a := range acts {
 		a := a
-		sched.AtSite(base.Add(a.At), func() {
+		sched.At(base.Add(a.At), site, func() {
 			sh.ExtraDelayMs = a.Set.ExtraDelayMs
 			sh.RateBps = a.Set.RateBps
 			sh.LossProb = a.Set.LossProb
@@ -294,7 +294,7 @@ func (s *Schedule) Bind(sched *simtime.Scheduler, sh *netem.Shaper) error {
 				chain = a.Set.Burst.chain()
 			}
 			sh.Burst = chain
-		}, site)
+		})
 	}
 	return nil
 }

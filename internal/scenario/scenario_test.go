@@ -24,7 +24,7 @@ func TestStepScheduleDrivesShaper(t *testing.T) {
 	var times []simtime.Time
 	l.SetHandler(func(now simtime.Time, f netem.Frame) { times = append(times, now) })
 	send := func(at int) {
-		sched.At(simtime.Time(ms(at)), func() { l.Send(netem.Frame{Size: 10}) })
+		sched.At(simtime.Time(ms(at)), 0, func() { l.Send(netem.Frame{Size: 10}) })
 	}
 	send(50)  // before the step: 5 ms path
 	send(200) // shaped: 505 ms path
@@ -198,7 +198,7 @@ func TestRampKeepsBurstChainState(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := netem.NewLink(sched, simrand.New(1), netem.Config{})
-	sched.At(simtime.Time(ms(50)), func() {
+	sched.At(simtime.Time(ms(50)), 0, func() {
 		// One send forces the good->bad transition (GoodToBad = 1).
 		lsh := l.Shaper()
 		*lsh = sh
@@ -208,7 +208,7 @@ func TestRampKeepsBurstChainState(t *testing.T) {
 		}
 	})
 	var at150 *netem.GilbertElliott
-	sched.At(simtime.Time(ms(150)), func() { at150 = sh.Burst })
+	sched.At(simtime.Time(ms(150)), 0, func() { at150 = sh.Burst })
 	sched.Run()
 	if at150 == nil || !at150.InBadState() {
 		t.Error("ramp sample at 100ms restarted the burst chain")
@@ -324,11 +324,19 @@ func TestParseCSVErrors(t *testing.T) {
 		"NaN time":        "time_s,delay_ms\nNaN,5\n",
 		"Inf rate":        "time_s,rate_kbps\n0,+Inf\n",
 		"both rate units": "time_s,rate_kbps,rate_bps\n0,1000,1000000\n",
+		"time overflow":   "time_s,loss\n1e11,0.1\n",
+		"time underflow":  "time_s,loss\n-1e11,0.1\n",
 	}
 	for name, src := range cases {
 		if _, err := ParseCSV(strings.NewReader(src)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+	// An out-of-range offset is reported on its own line, not as a
+	// platform-dependent negative offset.
+	_, err := ParseCSV(strings.NewReader("time_s,loss\n0,0\n1e11,0.1\n"))
+	if err == nil || !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), "time_s") {
+		t.Errorf("time_s overflow: error %v, want one naming line 3 and time_s", err)
 	}
 }
 

@@ -113,7 +113,13 @@ func ParseCSV(r io.Reader) (*Schedule, error) {
 		} else if ok {
 			imp.LossProb = v
 		}
-		s.StepAt(simtime.Duration(ts*float64(simtime.Second)), imp)
+		// The nanosecond offset must fit an int64: Go leaves an
+		// out-of-range float-to-int conversion to the platform.
+		ns := ts * float64(simtime.Second)
+		if !(math.Abs(ns) < math.MaxInt64) {
+			return nil, fmt.Errorf("scenario: trace line %d: time_s %g out of range", line, ts)
+		}
+		s.StepAt(simtime.Duration(ns), imp)
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err

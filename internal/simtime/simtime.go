@@ -3,6 +3,12 @@
 // (network links, codecs, render loops) advances on this clock rather than
 // the wall clock, so experiments are exactly reproducible from a seed.
 //
+// The scheduler has three entry points: At (a closure at an absolute
+// time), AtArg (a function plus argument) and NewTicker (a periodic
+// callback). Each takes the SiteID of its scheduling site, interned once
+// with Site, so an installed Probe can attribute every event it sees.
+// Relative delays are written At(s.Now().Add(d), ...).
+//
 // The scheduler is built for an allocation-free steady state: event nodes
 // are pooled and recycled after they fire, hot callers can schedule a
 // package-level function plus argument (AtArg) instead of a fresh closure,
@@ -38,10 +44,10 @@ const Never = Time(math.MaxInt64)
 
 // SiteID names a scheduling site: a stable label ("netem.deliver",
 // "vca/recovery.scan") interned on one scheduler via Site. Site 0 is the
-// unlabeled site; events scheduled through the unlabeled variants (At,
-// After, ...) carry it. IDs are scheduler-local: the same name may intern
-// to different IDs on different schedulers, so cross-run aggregation must
-// key on SiteName, never on the raw ID.
+// empty name, the unlabeled site; production callers always pass an
+// interned name. IDs are scheduler-local: the same name may intern to
+// different IDs on different schedulers, so cross-run aggregation must key
+// on SiteName, never on the raw ID.
 type SiteID uint32
 
 // Probe observes event execution. EventStart fires after the clock has
@@ -201,7 +207,7 @@ func (s *Scheduler) SiteName(id SiteID) string {
 // the implicit unlabeled site once anything has been interned).
 func (s *Scheduler) NumSites() int { return len(s.siteNames) }
 
-func (s *Scheduler) alloc(at Time) *event {
+func (s *Scheduler) alloc(at Time, site SiteID) *event {
 	if at < s.now {
 		panic(fmt.Sprintf("simtime: scheduling at %v which is before now %v", at, s.now))
 	}
@@ -214,6 +220,7 @@ func (s *Scheduler) alloc(at Time) *event {
 		e = &event{}
 	}
 	e.at = at
+	e.site = site
 	e.seq = s.seq
 	s.seq++
 	heap.Push(&s.queue, e)
@@ -232,59 +239,26 @@ func (s *Scheduler) recycle(e *event) {
 	s.free = append(s.free, e)
 }
 
-// At schedules fn to run at the absolute virtual time at. Scheduling in the
-// past panics: that is always a logic error in a discrete-event simulation.
-func (s *Scheduler) At(at Time, fn func()) Handle {
-	e := s.alloc(at)
+// At schedules fn to run at the absolute virtual time at, attributed to
+// site: the installed Probe (if any) charges the event's execution to it.
+// Scheduling in the past panics: that is always a logic error in a
+// discrete-event simulation. To schedule d from now, pass s.Now().Add(d).
+func (s *Scheduler) At(at Time, site SiteID, fn func()) Handle {
+	e := s.alloc(at, site)
 	e.run = fn
 	return Handle{e: e, gen: e.gen}
 }
 
-// AtArg schedules fn(arg) at the absolute virtual time at. Unlike At, the
-// hot path allocates nothing when fn is a package-level function and arg is
-// a pointer (pointers box into an interface without allocating), which makes
-// it the scheduling primitive for per-packet work.
-func (s *Scheduler) AtArg(at Time, fn func(any), arg any) Handle {
-	e := s.alloc(at)
+// AtArg schedules fn(arg) at the absolute virtual time at, attributed to
+// site. Unlike At, the hot path allocates nothing when fn is a
+// package-level function and arg is a pointer (pointers box into an
+// interface without allocating), which makes it the scheduling primitive
+// for per-packet work.
+func (s *Scheduler) AtArg(at Time, site SiteID, fn func(any), arg any) Handle {
+	e := s.alloc(at, site)
 	e.runArg = fn
 	e.arg = arg
 	return Handle{e: e, gen: e.gen}
-}
-
-// After schedules fn to run d after the current time.
-func (s *Scheduler) After(d Duration, fn func()) Handle { return s.At(s.now.Add(d), fn) }
-
-// AfterArg schedules fn(arg) to run d after the current time.
-func (s *Scheduler) AfterArg(d Duration, fn func(any), arg any) Handle {
-	return s.AtArg(s.now.Add(d), fn, arg)
-}
-
-// AtSite is At with a scheduling-site label: the installed Probe (if any)
-// attributes the event's execution to site. With no probe it is exactly At.
-func (s *Scheduler) AtSite(at Time, fn func(), site SiteID) Handle {
-	e := s.alloc(at)
-	e.run = fn
-	e.site = site
-	return Handle{e: e, gen: e.gen}
-}
-
-// AtArgSite is AtArg with a scheduling-site label.
-func (s *Scheduler) AtArgSite(at Time, fn func(any), arg any, site SiteID) Handle {
-	e := s.alloc(at)
-	e.runArg = fn
-	e.arg = arg
-	e.site = site
-	return Handle{e: e, gen: e.gen}
-}
-
-// AfterSite is After with a scheduling-site label.
-func (s *Scheduler) AfterSite(d Duration, fn func(), site SiteID) Handle {
-	return s.AtSite(s.now.Add(d), fn, site)
-}
-
-// AfterArgSite is AfterArg with a scheduling-site label.
-func (s *Scheduler) AfterArgSite(d Duration, fn func(any), arg any, site SiteID) Handle {
-	return s.AtArgSite(s.now.Add(d), fn, arg, site)
 }
 
 // Step executes the single next event, advancing the clock to its timestamp.
@@ -380,15 +354,10 @@ type Ticker struct {
 	stopped  bool
 }
 
-// NewTicker schedules fn to run every interval on s. fn receives the virtual
-// time of each tick.
-func NewTicker(s *Scheduler, interval Duration, fn func(Time)) *Ticker {
-	return NewTickerSite(s, interval, fn, 0)
-}
-
-// NewTickerSite is NewTicker with a scheduling-site label: every tick of
-// the returned Ticker is attributed to site by the installed Probe.
-func NewTickerSite(s *Scheduler, interval Duration, fn func(Time), site SiteID) *Ticker {
+// NewTicker schedules fn to run every interval on s, starting one interval
+// from now; every tick is attributed to site. fn receives the virtual time
+// of each tick.
+func NewTicker(s *Scheduler, interval Duration, site SiteID, fn func(Time)) *Ticker {
 	if interval <= 0 {
 		panic("simtime: non-positive ticker interval")
 	}
@@ -399,10 +368,10 @@ func NewTickerSite(s *Scheduler, interval Duration, fn func(Time), site SiteID) 
 		}
 		t.fn(t.s.now)
 		if !t.stopped {
-			t.h = t.s.AtSite(t.s.now.Add(t.interval), t.run, t.site)
+			t.h = t.s.At(t.s.now.Add(t.interval), t.site, t.run)
 		}
 	}
-	t.h = s.AtSite(s.now.Add(interval), t.run, t.site)
+	t.h = s.At(s.now.Add(interval), site, t.run)
 	return t
 }
 

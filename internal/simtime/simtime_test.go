@@ -8,9 +8,9 @@ import (
 func TestSchedulerOrdering(t *testing.T) {
 	s := NewScheduler()
 	var got []int
-	s.At(30, func() { got = append(got, 3) })
-	s.At(10, func() { got = append(got, 1) })
-	s.At(20, func() { got = append(got, 2) })
+	s.At(30, 0, func() { got = append(got, 3) })
+	s.At(10, 0, func() { got = append(got, 1) })
+	s.At(20, 0, func() { got = append(got, 2) })
 	s.Run()
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -28,7 +28,7 @@ func TestSchedulerFIFOTieBreak(t *testing.T) {
 	var got []int
 	for i := 0; i < 50; i++ {
 		i := i
-		s.At(100, func() { got = append(got, i) })
+		s.At(100, 0, func() { got = append(got, i) })
 	}
 	s.Run()
 	for i, v := range got {
@@ -41,8 +41,8 @@ func TestSchedulerFIFOTieBreak(t *testing.T) {
 func TestSchedulerNestedScheduling(t *testing.T) {
 	s := NewScheduler()
 	var fired []Time
-	s.At(10, func() {
-		s.After(5, func() { fired = append(fired, s.Now()) })
+	s.At(10, 0, func() {
+		s.At(s.Now().Add(5), 0, func() { fired = append(fired, s.Now()) })
 	})
 	s.Run()
 	if len(fired) != 1 || fired[0] != 15 {
@@ -52,20 +52,20 @@ func TestSchedulerNestedScheduling(t *testing.T) {
 
 func TestSchedulerPastPanics(t *testing.T) {
 	s := NewScheduler()
-	s.At(100, func() {})
+	s.At(100, 0, func() {})
 	s.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	s.At(50, func() {})
+	s.At(50, 0, func() {})
 }
 
 func TestEventCancel(t *testing.T) {
 	s := NewScheduler()
 	fired := false
-	e := s.At(10, func() { fired = true })
+	e := s.At(10, 0, func() { fired = true })
 	e.Cancel()
 	s.Run()
 	if fired {
@@ -81,7 +81,7 @@ func TestRunUntilStopsAndAdvancesClock(t *testing.T) {
 	var fired []Time
 	for _, at := range []Time{5, 15, 25} {
 		at := at
-		s.At(at, func() { fired = append(fired, at) })
+		s.At(at, 0, func() { fired = append(fired, at) })
 	}
 	s.RunUntil(20)
 	if len(fired) != 2 {
@@ -110,7 +110,7 @@ func TestRunFor(t *testing.T) {
 func TestTicker(t *testing.T) {
 	s := NewScheduler()
 	var ticks []Time
-	tk := NewTicker(s, 10*Millisecond, func(now Time) { ticks = append(ticks, now) })
+	tk := NewTicker(s, 10*Millisecond, 0, func(now Time) { ticks = append(ticks, now) })
 	s.RunFor(55 * Millisecond)
 	tk.Stop()
 	s.RunFor(100 * Millisecond)
@@ -129,7 +129,7 @@ func TestTickerStopFromCallback(t *testing.T) {
 	s := NewScheduler()
 	n := 0
 	var tk *Ticker
-	tk = NewTicker(s, Millisecond, func(Time) {
+	tk = NewTicker(s, Millisecond, 0, func(Time) {
 		n++
 		if n == 3 {
 			tk.Stop()
@@ -163,14 +163,14 @@ func TestNonPositiveTickerPanics(t *testing.T) {
 			t.Fatal("zero interval ticker did not panic")
 		}
 	}()
-	NewTicker(NewScheduler(), 0, func(Time) {})
+	NewTicker(NewScheduler(), 0, 0, func(Time) {})
 }
 
 func BenchmarkSchedulerChurn(b *testing.B) {
 	s := NewScheduler()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s.After(Duration(i%100)*Microsecond, func() {})
+		s.At(s.Now().Add(Duration(i%100)*Microsecond), 0, func() {})
 		if s.Pending() > 1000 {
 			for s.Pending() > 0 {
 				s.Step()

@@ -66,13 +66,13 @@ func TestProbeAttribution(t *testing.T) {
 	p := &recordingProbe{}
 	s.SetProbe(p)
 
-	s.AtSite(10, func() {
+	s.At(10, site, func() {
 		// Scheduling from inside a probed callback must not re-enter the
 		// probe until this callback has returned.
-		s.AfterSite(5, func() {}, site)
-	}, site)
-	s.At(20, func() {})
-	s.AfterArgSite(30, func(any) {}, nil, site)
+		s.At(s.Now().Add(5), site, func() {})
+	})
+	s.At(20, 0, func() {})
+	s.AtArg(30, site, func(any) {}, nil)
 	s.Run()
 
 	wantStarts := []SiteID{site, site, 0, site}
@@ -108,7 +108,7 @@ func TestTickerSiteAttribution(t *testing.T) {
 	site := s.Site("test.tick")
 	p := &recordingProbe{}
 	s.SetProbe(p)
-	tk := NewTickerSite(s, 10*time.Nanosecond, func(Time) {}, site)
+	tk := NewTicker(s, 10*time.Nanosecond, site, func(Time) {})
 	s.RunUntil(35)
 	tk.Stop()
 	if len(p.starts) != 3 {
@@ -130,10 +130,10 @@ func TestNilProbeDispatchAllocs(t *testing.T) {
 	site := s.Site("test.hot")
 	var arg struct{ n int }
 	// Warm the node pool and the heap's backing array.
-	s.AtArgSite(s.Now().Add(1), nopArg, &arg, site)
+	s.AtArg(s.Now().Add(1), site, nopArg, &arg)
 	s.Run()
 	allocs := testing.AllocsPerRun(1000, func() {
-		s.AtArgSite(s.Now().Add(1), nopArg, &arg, site)
+		s.AtArg(s.Now().Add(1), site, nopArg, &arg)
 		s.Step()
 	})
 	if allocs != 0 {
@@ -149,7 +149,7 @@ func TestTickerStopDuringFire(t *testing.T) {
 	s := NewScheduler()
 	fires := 0
 	var tk *Ticker
-	tk = NewTicker(s, 10*time.Nanosecond, func(Time) {
+	tk = NewTicker(s, 10*time.Nanosecond, 0, func(Time) {
 		fires++
 		if fires == 2 {
 			tk.Stop()
@@ -171,10 +171,10 @@ func TestTickerReentrantNew(t *testing.T) {
 	s := NewScheduler()
 	var parentTicks, childTicks []Time
 	var child *Ticker
-	parent := NewTicker(s, 10*time.Nanosecond, func(now Time) {
+	parent := NewTicker(s, 10*time.Nanosecond, 0, func(now Time) {
 		parentTicks = append(parentTicks, now)
 		if child == nil {
-			child = NewTicker(s, 4*time.Nanosecond, func(now Time) {
+			child = NewTicker(s, 4*time.Nanosecond, 0, func(now Time) {
 				childTicks = append(childTicks, now)
 			})
 		}
@@ -207,13 +207,13 @@ func TestTickerReentrantNew(t *testing.T) {
 func TestTickerStopStop(t *testing.T) {
 	s := NewScheduler()
 	fires := 0
-	tk := NewTicker(s, 10*time.Nanosecond, func(Time) { fires++ })
+	tk := NewTicker(s, 10*time.Nanosecond, 0, func(Time) { fires++ })
 	s.RunUntil(10)
 	tk.Stop()
 	tk.Stop() // second Stop: no-op, must not cancel a recycled node
 	// Schedule unrelated work so the queue isn't empty; the ticker must not
 	// resurrect.
-	s.At(40, func() {})
+	s.At(40, 0, func() {})
 	s.RunUntil(100)
 	if fires != 1 {
 		t.Errorf("ticker fired %d times after double Stop, want 1", fires)

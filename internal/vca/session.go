@@ -18,7 +18,6 @@ import (
 	"telepresence/internal/stats"
 	"telepresence/internal/telemetry"
 	"telepresence/internal/video"
-	"telepresence/internal/vprof"
 )
 
 // SessionConfig describes one telepresence session to simulate.
@@ -76,23 +75,15 @@ type SessionConfig struct {
 	// cover the NACK deadline plus two scan intervals, so a NACK'd frame
 	// is never garbage-collected before its retry budget expires.
 	FrameTimeout simtime.Duration
-	// Telemetry, when non-nil, attaches the observability subsystem
-	// (internal/telemetry): a typed virtual-time event trace and/or a
-	// sampled metrics timeseries. Nil — the default — emits no events,
-	// starts no tickers, draws no randomness, and adds zero allocations to
-	// the hot paths, so sessions are byte-identical to builds without the
-	// subsystem. Telemetry observes but never steers: even when enabled,
-	// every experiment row stays identical.
+	// Telemetry, when non-nil, attaches the session's observers: a typed
+	// virtual-time event trace, a sampled metrics timeseries and the
+	// virtual-time profiler, any of them optional. It is the session's one
+	// observer attachment. Nil — the default — emits no events, starts no
+	// tickers, leaves the scheduler's probe hook unset, draws no randomness
+	// and adds zero allocations to the hot paths, so sessions are
+	// byte-identical to builds without observers. Observers never steer:
+	// even when enabled, every experiment row stays identical.
 	Telemetry *TelemetryConfig
-	// Prof, when non-nil, attaches the virtual-time profiler
-	// (internal/vprof) to the session's scheduler before any subsystem
-	// schedules its first event. Nil — the default — leaves the
-	// scheduler's probe hook unset, which costs zero allocations on the
-	// dispatch path, so sessions are byte-identical to builds without the
-	// profiler. Like Telemetry, the profiler observes but never steers:
-	// its deterministic counters are identical at any worker count, and
-	// its wall-clock CPU attribution never reaches golden outputs.
-	Prof *vprof.Profiler
 }
 
 // DefaultFrameTimeout is the default depacketizer incomplete-frame timeout:
@@ -387,11 +378,12 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 		sched: simtime.NewScheduler(),
 		rng:   simrand.New(cfg.Seed),
 	}
-	if cfg.Prof != nil {
+	if tc := cfg.Telemetry; tc != nil && tc.Prof != nil {
 		// Attach before any subsystem schedules, so the profiler observes
-		// the whole run. Profilers observe but never steer: event order,
-		// rows, and traces are byte-identical with or without one.
-		cfg.Prof.Attach(s.sched)
+		// the whole run; the tracer and metrics wire in after the media
+		// path (setupTelemetry). Profilers observe but never steer: event
+		// order, rows, and traces are byte-identical with or without one.
+		tc.Prof.Attach(s.sched)
 	}
 	s.relaySite = s.sched.Site("vca/sfu.relay")
 	s.recPlan = recPlan
@@ -823,7 +815,7 @@ func (s *Session) wireSpatial() error {
 		})
 		enc := semantic.NewEncoder(s.cfg.SemanticMode)
 		var stamped []byte
-		simtime.NewTickerSite(s.sched, interval, func(now simtime.Time) {
+		simtime.NewTicker(s.sched, interval, s.sched.Site("vca/quic.frame"), func(now simtime.Time) {
 			f := gen.Next() // motion advances even for thinned frames
 			if rc != nil {
 				keep := 1.0
@@ -863,12 +855,12 @@ func (s *Session) wireSpatial() error {
 				s.tr.FrameSent(now, i, len(stamped))
 			}
 			s.quicUp[i].SendMessage(stamped)
-		}, s.sched.Site("vca/quic.frame"))
+		})
 		// Audio: 60-byte frames every 20 ms ~ 24 kbps.
 		audioBuf := make([]byte, 60)
-		simtime.NewTickerSite(s.sched, 20*simtime.Millisecond, func(simtime.Time) {
+		simtime.NewTicker(s.sched, 20*simtime.Millisecond, s.sched.Site("vca/quic.audio"), func(simtime.Time) {
 			s.quicUp[i].SendMessage(audioBuf)
-		}, s.sched.Site("vca/quic.audio"))
+		})
 	}
 
 	// Receiver-report tickers: each receiver reports every remote spatial
@@ -879,7 +871,7 @@ func (s *Session) wireSpatial() error {
 		var scratch []byte
 		for j := 0; j < n; j++ {
 			j := j
-			simtime.NewTickerSite(s.sched, rc.interval(), func(now simtime.Time) {
+			simtime.NewTicker(s.sched, rc.interval(), s.sched.Site("vca/ratecontrol.report"), func(now simtime.Time) {
 				for i := 0; i < n; i++ {
 					b := s.builders[i][j]
 					if b == nil || b.Received() == 0 {
@@ -889,7 +881,7 @@ func (s *Session) wireSpatial() error {
 					scratch = rep.Marshal(scratch[:0])
 					s.quicUp[j].SendMessage(scratch) // SendMessage copies
 				}
-			}, s.sched.Site("vca/ratecontrol.report"))
+			})
 		}
 	}
 	return nil
@@ -1186,7 +1178,7 @@ func (s *Session) wireVideo() error {
 				// relay exactly like media: the SFU is payload-agnostic.
 				j := s.getRelayJob()
 				j.from, j.size, j.pkt = i, f.Size, f.Payload
-				s.sched.AfterArgSite(procDelay, relayFn, j, s.relaySite)
+				s.sched.AtArg(s.sched.Now().Add(procDelay), s.relaySite, relayFn, j)
 			})
 			s.down[i].SetHandler(func(now simtime.Time, f netem.Frame) {
 				if s.handleReportFrame(i, f.Payload, now) || s.handleRecoveryFrame(i, f.Payload, now) {
@@ -1211,7 +1203,7 @@ func (s *Session) wireVideo() error {
 	if s.builders != nil {
 		for j := 0; j < n; j++ {
 			j := j
-			simtime.NewTickerSite(s.sched, s.reportInterval(), func(now simtime.Time) {
+			simtime.NewTicker(s.sched, s.reportInterval(), s.sched.Site("vca/ratecontrol.report"), func(now simtime.Time) {
 				for i := 0; i < n; i++ {
 					b := s.builders[i][j]
 					if b == nil || b.Received() == 0 {
@@ -1223,7 +1215,7 @@ func (s *Session) wireVideo() error {
 					wire := rep.Marshal(make([]byte, 0, rtp.ReportLen))
 					s.up[j].Send(netem.Frame{Size: len(wire) + 28, Payload: wire})
 				}
-			}, s.sched.Site("vca/ratecontrol.report"))
+			})
 		}
 	}
 
@@ -1234,7 +1226,7 @@ func (s *Session) wireVideo() error {
 	if s.recRecv != nil {
 		for j := 0; j < n; j++ {
 			j := j
-			simtime.NewTickerSite(s.sched, s.cfg.Recovery.interval(), func(now simtime.Time) {
+			simtime.NewTicker(s.sched, s.cfg.Recovery.interval(), s.sched.Site("vca/recovery.scan"), func(now simtime.Time) {
 				nowMs := now.Milliseconds()
 				for i := 0; i < n; i++ {
 					rr := s.recRecv[i][j]
@@ -1262,7 +1254,7 @@ func (s *Session) wireVideo() error {
 						s.up[j].Send(netem.Frame{Size: len(wire) + 28, Payload: wire})
 					}
 				}
-			}, s.sched.Site("vca/recovery.scan"))
+			})
 		}
 	}
 
@@ -1276,7 +1268,7 @@ func (s *Session) wireVideo() error {
 			audio.PT = rtp.PTFaceTimeAudio
 		}
 		var stamped []byte
-		simtime.NewTickerSite(s.sched, interval, func(now simtime.Time) {
+		simtime.NewTicker(s.sched, interval, s.sched.Site("vca/rtp.frame"), func(now simtime.Time) {
 			frame := s.scenes[i].Next()
 			ef, err := s.encoders[i].Encode(frame)
 			if err != nil {
@@ -1307,13 +1299,13 @@ func (s *Session) wireVideo() error {
 					s.up[i].Send(netem.Frame{Size: len(parity) + 28, Payload: parity})
 				}
 			}
-		}, s.sched.Site("vca/rtp.frame"))
+		})
 		audioBuf := make([]byte, 60)
-		simtime.NewTickerSite(s.sched, 20*simtime.Millisecond, func(now simtime.Time) {
+		simtime.NewTicker(s.sched, 20*simtime.Millisecond, s.sched.Site("vca/rtp.audio"), func(now simtime.Time) {
 			for _, pkt := range audio.Packetize(audioBuf, now.Seconds()) {
 				s.up[i].Send(netem.Frame{Size: len(pkt) + 28, Payload: pkt})
 			}
-		}, s.sched.Site("vca/rtp.audio"))
+		})
 	}
 	return nil
 }

@@ -66,6 +66,9 @@ func (d Device) String() string {
 	}
 }
 
+// Devices lists all modeled devices.
+func Devices() []Device { return []Device{VisionPro, MacBook, IPad, IPhone} }
+
 // MediaKind is what a session delivers.
 type MediaKind int
 

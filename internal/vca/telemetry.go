@@ -6,17 +6,19 @@ import (
 	"telepresence/internal/recovery"
 	"telepresence/internal/simtime"
 	"telepresence/internal/telemetry"
+	"telepresence/internal/vprof"
 )
 
-// TelemetryConfig attaches the observability subsystem to a session. Nil —
-// the default — is provably inert: no events, no metrics ticker, no
+// TelemetryConfig attaches a session's observers: the event tracer, the
+// metrics sampler and the virtual-time profiler. Nil — the default — is
+// provably inert: no events, no metrics ticker, no scheduler probe, no
 // allocations on the hot paths, no randomness, and byte-identical golden
 // rows (TestTelemetryOffIsInert).
 //
-// Telemetry observes but never steers: gauges and events read session state
-// without mutating it, so even an *enabled* tracer leaves every
-// experiment row identical — traces are deterministic functions of the
-// seed, byte-identical at any fleet worker count.
+// Observers never steer: gauges, events and probes read session state
+// without mutating it, so even enabled observers leave every experiment
+// row identical. Traces and the profiler's counters are deterministic
+// functions of the seed, byte-identical at any fleet worker count.
 type TelemetryConfig struct {
 	// Trace receives the session's typed event stream as JSONL (see
 	// internal/telemetry's schema). Nil disables event tracing.
@@ -28,6 +30,11 @@ type TelemetryConfig struct {
 	Metrics *telemetry.Metrics
 	// MetricsInterval is the virtual-time sampling period (default 100 ms).
 	MetricsInterval simtime.Duration
+	// Prof, when non-nil, is attached to the session's scheduler before
+	// any subsystem schedules its first event, so it sees every event.
+	// Nil leaves the scheduler's probe hook unset. Its wall-clock CPU
+	// attribution never reaches golden outputs.
+	Prof *vprof.Profiler
 }
 
 // metricsInterval returns the sampling period with the default applied.
@@ -105,7 +112,7 @@ func (s *Session) setupTelemetry() {
 			return float64(total)
 		})
 	}
-	simtime.NewTickerSite(s.sched, tc.metricsInterval(), func(now simtime.Time) {
+	simtime.NewTicker(s.sched, tc.metricsInterval(), s.sched.Site("vca/telemetry.metrics"), func(now simtime.Time) {
 		dt := now.Sub(lastT).Seconds()
 		for i := 0; i < n; i++ {
 			b := s.up[i].Stats().DeliveredB
@@ -116,7 +123,7 @@ func (s *Session) setupTelemetry() {
 		}
 		lastT = now
 		m.Sample(now.Milliseconds())
-	}, s.sched.Site("vca/telemetry.metrics"))
+	})
 }
 
 // recSnap is a snapshot of one recovery receiver's repair counters, taken

@@ -9,6 +9,7 @@ import (
 	"telepresence/internal/geo"
 	"telepresence/internal/simtime"
 	"telepresence/internal/telemetry"
+	"telepresence/internal/vprof"
 )
 
 // telemetrySession is the standard traced session: Zoom P2P under burst
@@ -22,11 +23,12 @@ func telemetrySession(t *testing.T, tc *TelemetryConfig) (*Session, *Results) {
 	return runWithBurst(t, cfg)
 }
 
-// TestTelemetryOffIsInert pins the zero-cost gate: attaching a tracer and
-// a metrics registry must not change a single session result — telemetry
-// observes but never steers. Combined with the untouched golden suite
-// (Telemetry is nil there), this proves nil telemetry is behaviorally
-// absent and enabled telemetry is read-only.
+// TestTelemetryOffIsInert pins the zero-cost gate of the session's one
+// observer attachment: attaching a tracer, a metrics registry and a
+// profiler must not change a single session result — observers never
+// steer. Combined with the untouched golden suite (Telemetry is nil
+// there), this proves nil telemetry is behaviorally absent and enabled
+// observers are read-only.
 func TestTelemetryOffIsInert(t *testing.T) {
 	_, off := telemetrySession(t, nil)
 
@@ -34,12 +36,22 @@ func TestTelemetryOffIsInert(t *testing.T) {
 	tc := &TelemetryConfig{
 		Trace:   telemetry.NewTracer(&trace),
 		Metrics: telemetry.NewMetrics(&metrics, telemetry.FormatCSV),
+		Prof:    vprof.New(),
 	}
 	_, on := telemetrySession(t, tc)
 
 	if !reflect.DeepEqual(off, on) {
-		t.Errorf("enabled telemetry changed session results:\noff: %+v\non:  %+v",
+		t.Errorf("enabled observers changed session results:\noff: %+v\non:  %+v",
 			off.Users[1], on.Users[1])
+	}
+	if r := tc.Prof.Report(); r.TotalEvents == 0 {
+		t.Error("attached profiler saw no events")
+	} else {
+		for _, site := range r.Sites {
+			if site.Site == vprof.Unlabeled {
+				t.Errorf("%d session events unlabeled", site.Events)
+			}
+		}
 	}
 	if tc.Trace.Events() == 0 {
 		t.Error("enabled tracer saw no events")

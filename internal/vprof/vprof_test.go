@@ -23,10 +23,10 @@ func buildProfile(t *testing.T) (*Profiler, *simtime.Scheduler) {
 	fast := s.Site("netem.deliver")
 	slow := s.Site("vca/recovery.scan")
 	one := s.Site("scenario.apply")
-	simtime.NewTickerSite(s, 10*time.Millisecond, func(simtime.Time) {}, fast)
-	simtime.NewTickerSite(s, 100*time.Millisecond, func(simtime.Time) {}, slow)
-	s.AtSite(simtime.Time(50*time.Millisecond), func() {}, one)
-	s.At(simtime.Time(70*time.Millisecond), func() {}) // unlabeled
+	simtime.NewTicker(s, 10*time.Millisecond, fast, func(simtime.Time) {})
+	simtime.NewTicker(s, 100*time.Millisecond, slow, func(simtime.Time) {})
+	s.At(simtime.Time(50*time.Millisecond), one, func() {})
+	s.At(simtime.Time(70*time.Millisecond), 0, func() {}) // unlabeled
 	s.RunUntil(simtime.Time(1 * time.Second))
 	return p, s
 }
@@ -144,7 +144,7 @@ func TestMerge(t *testing.T) {
 	p3.Attach(s3)
 	// Intern in a different order so IDs differ.
 	other := s3.Site("vca/recovery.scan")
-	simtime.NewTickerSite(s3, 100*time.Millisecond, func(simtime.Time) {}, other)
+	simtime.NewTicker(s3, 100*time.Millisecond, other, func(simtime.Time) {})
 	s3.RunUntil(simtime.Time(1 * time.Second))
 	m2 := Merge(m, p3.Report())
 	for _, s := range m2.Sites {

@@ -128,12 +128,13 @@ var RecoveryKinds = recovery.Kinds
 // timeout, configurable per session via SessionConfig.FrameTimeout.
 const DefaultFrameTimeout = vca.DefaultFrameTimeout
 
-// Telemetry (internal/telemetry): virtual-time session tracing and metrics
-// timeseries (SessionConfig.Telemetry). Nil is provably inert; enabled
-// telemetry observes but never steers, so rows stay byte-identical.
+// Telemetry (internal/telemetry): virtual-time session tracing, metrics
+// timeseries and the profiler, the session's one observer attachment
+// (SessionConfig.Telemetry). Nil is provably inert; enabled observers
+// never steer, so rows stay byte-identical.
 type (
-	// TelemetryConfig attaches a tracer and/or metrics registry to a
-	// session.
+	// TelemetryConfig attaches a tracer, a metrics registry and/or a
+	// profiler to a session.
 	TelemetryConfig = vca.TelemetryConfig
 	// Tracer serializes typed session events as deterministic JSONL.
 	Tracer = telemetry.Tracer
@@ -166,13 +167,13 @@ var (
 )
 
 // Virtual-time profiling (internal/vprof): per-site scheduler attribution
-// (SessionConfig.Prof, Options.ProfDir). A nil profiler is provably inert;
+// (TelemetryConfig.Prof, Options.ProfDir). A nil profiler is provably inert;
 // an attached one observes but never steers, so rows stay byte-identical.
 // Deterministic counters export as byte-stable JSONL; pprof exports
 // additionally carry wall-CPU attribution and open with `go tool pprof`.
 type (
 	// VProfiler attributes scheduler events to named sites
-	// (SessionConfig.Prof).
+	// (TelemetryConfig.Prof).
 	VProfiler = vprof.Profiler
 	// VProfReport is a profile snapshot: per-site counters over a virtual
 	// duration.
@@ -185,7 +186,7 @@ type (
 
 // Virtual-time profiling entry points.
 var (
-	// NewVProfiler returns an idle profiler; attach via SessionConfig.Prof.
+	// NewVProfiler returns an idle profiler; attach via TelemetryConfig.Prof.
 	NewVProfiler = vprof.New
 	// ParseVProfReport reads a deterministic JSONL site report.
 	ParseVProfReport = vprof.ParseReport
@@ -220,10 +221,7 @@ func PlanSession(app App, parts []Participant, initiator int) (Plan, error) {
 	return vca.PlanSession(app, parts, initiator)
 }
 
-// Geography (§4.1).
-type Location = geo.Location
-
-// Vantage points and server locations.
+// Geography (§4.1): vantage points and server locations.
 var (
 	VantagePoints = geo.VantagePoints
 	Seattle       = geo.Seattle
@@ -506,10 +504,8 @@ const (
 	SemanticQuantized = semantic.ModeQuantized
 )
 
-// Durations, re-exported so callers need not import simtime.
-type Duration = simtime.Duration
-
-// Simulated-duration units (schedule offsets, session lengths).
+// Simulated-duration units (schedule offsets, session lengths), re-exported
+// so callers need not import simtime.
 const (
 	// Second is one simulated second.
 	Second = simtime.Second
