@@ -60,12 +60,16 @@ func (n *Nack) Marshal(b []byte) []byte {
 }
 
 // Unmarshal parses a marshaled Nack. The seq list is appended to
-// n.Seqs[:0], so a reused Nack does not allocate.
+// n.Seqs[:0], so a reused Nack does not allocate. A list longer than
+// MaxNackSeqs is malformed: Marshal never writes one.
 func (n *Nack) Unmarshal(b []byte) error {
 	if !IsNack(b) {
 		return fmt.Errorf("%w: not a nack", ErrMalformed)
 	}
 	count := int(b[3])
+	if count > MaxNackSeqs {
+		return fmt.Errorf("%w: nack of %d seqs exceeds %d", ErrMalformed, count, MaxNackSeqs)
+	}
 	if len(b) < nackHeaderLen+2*count {
 		return fmt.Errorf("%w: nack truncated (%d seqs, %d bytes)", ErrMalformed, count, len(b))
 	}

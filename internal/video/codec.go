@@ -5,11 +5,13 @@
 // this kind of stream (§4.2); per-app resolution and target bitrate come
 // from the vca package.
 //
-// Both codec directions run allocation-free in steady state: encoder and
-// decoder double-buffer their reference frames, reuse their coefficient and
-// body scratch, and hold reusable entropy coders. Encode's returned
-// EncodedFrame and Decode's returned Frame are therefore owned by the codec
-// and valid only until the next call — callers that retain them must copy.
+// Both codec directions run allocation-free in steady state: the encoder
+// reconstructs into its one reference frame in place, the decoder
+// double-buffers its reference (a corrupt frame must leave the last good
+// one intact), both reuse their coefficient and body scratch, and both hold
+// reusable entropy coders. Encode's returned EncodedFrame and Decode's
+// returned Frame are therefore owned by the codec and valid only until the
+// next call — callers that retain them must copy.
 package video
 
 import (
@@ -219,8 +221,7 @@ type EncodedFrame struct {
 // its prediction reference so encoder and decoder never drift.
 type Encoder struct {
 	cfg     Config
-	ref     *Frame // last reconstruction
-	spare   *Frame // recycled reconstruction target
+	ref     *Frame // last reconstruction, overwritten in place by Encode
 	n       int    // frames encoded
 	qscale  float64
 	bitDebt float64 // rate-control integrator
@@ -268,6 +269,14 @@ const (
 // Encode compresses f. Frames must match the configured dimensions. The
 // returned EncodedFrame (and its Data) is owned by the encoder and
 // overwritten by the next Encode call; copy what must outlive it.
+//
+// The reconstruction overwrites the reference block by block. Prediction is
+// co-located, so a block reads only its own reference pixels, and it reads
+// each of them before writing it; a skipped block's reconstruction is the
+// reference it already holds. An edge block's out-of-frame positions clamp
+// onto edge pixels that may already be overwritten, but Set discards
+// exactly those positions. Encode cannot fail after its size check, so the
+// reference is never left half-written.
 func (e *Encoder) Encode(f *Frame) (*EncodedFrame, error) {
 	if f.W != e.cfg.W || f.H != e.cfg.H {
 		return nil, fmt.Errorf("video: frame %dx%d vs config %dx%d", f.W, f.H, e.cfg.W, e.cfg.H)
@@ -277,11 +286,10 @@ func (e *Encoder) Encode(f *Frame) (*EncodedFrame, error) {
 
 	bw := (f.W + 7) / 8
 	bh := (f.H + 7) / 8
-	recon := e.spare
-	if recon == nil {
-		recon = NewFrame(f.W, f.H)
+	if e.ref == nil {
+		e.ref = NewFrame(f.W, f.H)
 	}
-	e.spare = nil
+	ref := e.ref
 
 	// Payload: per block, a skip flag byte stream and coefficient stream.
 	body := e.body[:0]
@@ -308,7 +316,7 @@ func (e *Encoder) Encode(f *Frame) (*EncodedFrame, error) {
 					base := oy*w + ox
 					for y := 0; y < 8 && float64(sad)/64 < e.cfg.SkipThreshold; y++ {
 						cur := f.Pix[base+y*w : base+y*w+8 : base+y*w+8]
-						prev := e.ref.Pix[base+y*w : base+y*w+8 : base+y*w+8]
+						prev := ref.Pix[base+y*w : base+y*w+8 : base+y*w+8]
 						for x := 0; x < 8; x++ {
 							d := int(cur[x]) - int(prev[x])
 							m := d >> 63 // branch-free |d|
@@ -318,7 +326,7 @@ func (e *Encoder) Encode(f *Frame) (*EncodedFrame, error) {
 				} else {
 					for y := 0; y < 8; y++ {
 						for x := 0; x < 8; x++ {
-							d := int(f.At(ox+x, oy+y)) - int(e.ref.At(ox+x, oy+y))
+							d := int(f.At(ox+x, oy+y)) - int(ref.At(ox+x, oy+y))
 							if d < 0 {
 								d = -d
 							}
@@ -327,19 +335,7 @@ func (e *Encoder) Encode(f *Frame) (*EncodedFrame, error) {
 					}
 				}
 				if float64(sad)/64 < e.cfg.SkipThreshold {
-					body = append(body, 0) // skip
-					if interior {
-						base := oy*w + ox
-						for y := 0; y < 8; y++ {
-							copy(recon.Pix[base+y*w:base+y*w+8], e.ref.Pix[base+y*w:base+y*w+8])
-						}
-					} else {
-						for y := 0; y < 8; y++ {
-							for x := 0; x < 8; x++ {
-								recon.Set(ox+x, oy+y, e.ref.At(ox+x, oy+y))
-							}
-						}
-					}
+					body = append(body, 0) // skip: the reference is the reconstruction
 					continue
 				}
 				body = append(body, 1) // coded
@@ -354,7 +350,7 @@ func (e *Encoder) Encode(f *Frame) (*EncodedFrame, error) {
 							block[y*8+x] = float64(int(cur[x]) - 128)
 						}
 					} else {
-						prev := e.ref.Pix[base+y*w : base+y*w+8 : base+y*w+8]
+						prev := ref.Pix[base+y*w : base+y*w+8 : base+y*w+8]
 						for x := 0; x < 8; x++ {
 							block[y*8+x] = float64(int(cur[x]) - int(prev[x]))
 						}
@@ -365,7 +361,7 @@ func (e *Encoder) Encode(f *Frame) (*EncodedFrame, error) {
 					for x := 0; x < 8; x++ {
 						v := float64(f.At(ox+x, oy+y))
 						if !key {
-							v -= float64(e.ref.At(ox+x, oy+y))
+							v -= float64(ref.At(ox+x, oy+y))
 						} else {
 							v -= 128
 						}
@@ -393,15 +389,14 @@ func (e *Encoder) Encode(f *Frame) (*EncodedFrame, error) {
 			if interior {
 				base := oy*w + ox
 				for y := 0; y < 8; y++ {
-					dst := recon.Pix[base+y*w : base+y*w+8 : base+y*w+8]
+					dst := ref.Pix[base+y*w : base+y*w+8 : base+y*w+8]
 					if key {
 						for x := 0; x < 8; x++ {
 							dst[x] = clamp255(block[y*8+x] + 128)
 						}
 					} else {
-						prev := e.ref.Pix[base+y*w : base+y*w+8 : base+y*w+8]
 						for x := 0; x < 8; x++ {
-							dst[x] = clamp255(block[y*8+x] + float64(prev[x]))
+							dst[x] = clamp255(block[y*8+x] + float64(dst[x]))
 						}
 					}
 				}
@@ -410,19 +405,17 @@ func (e *Encoder) Encode(f *Frame) (*EncodedFrame, error) {
 					for x := 0; x < 8; x++ {
 						v := block[y*8+x]
 						if !key {
-							v += float64(e.ref.At(ox+x, oy+y))
+							v += float64(ref.At(ox+x, oy+y))
 						} else {
 							v += 128
 						}
-						recon.Set(ox+x, oy+y, clamp255(v))
+						ref.Set(ox+x, oy+y, clamp255(v))
 					}
 				}
 			}
 		}
 	}
 	e.body = body
-	e.spare = e.ref
-	e.ref = recon
 
 	hdr := e.out[:0]
 	if key {

@@ -2,6 +2,8 @@ package video
 
 import (
 	"math"
+	"runtime"
+	"sync"
 
 	"telepresence/internal/simrand"
 )
@@ -11,6 +13,11 @@ import (
 // be delivered), a head ellipse with natural drift, a syllabic mouth, hand
 // blobs while gesturing, and mild camera sensor noise — the content mix that
 // determines videoconferencing bitrates.
+//
+// A scene renders one frame ahead: once Next has returned frame k, an idle
+// renderer goroutine draws frame k+1 into the scene's second render target
+// while the caller encodes frame k. Frame k+1 depends only on the scene's
+// own seeded state, so which goroutine draws it changes no pixel.
 type Scene struct {
 	W, H int
 
@@ -21,11 +28,38 @@ type Scene struct {
 	headS    *simrand.OU
 	handAmp  *simrand.OU
 	bg       []uint8
-	frame    *Frame // reused render target; returned by Next
+	frames   [2]*Frame     // render targets, allocated by the first Next
+	next     int           // index into frames of the frame render draws
+	ahead    bool          // a renderer owns the scene until done delivers
+	done     chan struct{} // capacity 1: a renderer's finished frame
+	noise    float64       // NoiseLevel as of the first Next
 	t        float64
 	fps      float64
-	// NoiseLevel is the camera noise std dev in grey levels.
+	// NoiseLevel is the camera noise std dev in grey levels. Set it before
+	// the first Next; later writes are ignored.
 	NoiseLevel float64
+}
+
+// renderq hands scenes to the renderer pool. It is unbuffered, so a send
+// succeeds only when a renderer is idle; Next never waits on it.
+var (
+	renderOnce sync.Once
+	renderq    chan *Scene
+)
+
+// startRenderers starts one renderer goroutine per CPU. They live for the
+// process: a scene abandoned while its frame renders costs that one render,
+// after which done holds the frame and nothing references the scene.
+func startRenderers() {
+	renderq = make(chan *Scene)
+	for i := 0; i < runtime.GOMAXPROCS(0); i++ {
+		go func() {
+			for s := range renderq {
+				s.render()
+				s.done <- struct{}{}
+			}
+		}()
+	}
 }
 
 // NewScene builds a scene of the given dimensions at fps.
@@ -40,6 +74,7 @@ func NewScene(rng *simrand.Source, w, h int, fps float64) *Scene {
 		handAmp:    simrand.NewOU(rng.Split("ha"), 0.3, 0.4, 0.3),
 		NoiseLevel: 1.2,
 	}
+	renderOnce.Do(startRenderers)
 	// Static background: soft diagonal gradient with some furniture-like
 	// rectangles.
 	s.bg = make([]uint8, w*h)
@@ -62,16 +97,42 @@ func NewScene(rng *simrand.Source, w, h int, fps float64) *Scene {
 	return s
 }
 
-// Next renders the following frame. The returned Frame is the scene's
-// reused render target: it is valid until the next call to Next; Clone it
-// to retain.
+// Next returns the following frame. The returned Frame is one of the
+// scene's two render targets: it is valid until the next call to Next;
+// Clone it to retain. Before returning, Next offers the rendering of the
+// frame after it to an idle renderer goroutine; if none is idle, the next
+// call renders inline. Either way every frame is drawn by render in order,
+// so the sequence is the same as a scene rendered on one goroutine.
 func (s *Scene) Next() *Frame {
+	switch {
+	case s.done == nil: // first call
+		s.noise = s.NoiseLevel
+		s.done = make(chan struct{}, 1)
+		s.frames = [2]*Frame{NewFrame(s.W, s.H), NewFrame(s.W, s.H)}
+		s.render()
+	case s.ahead:
+		<-s.done
+	default:
+		s.render()
+	}
+	f := s.frames[s.next]
+	s.next ^= 1
+	select {
+	case renderq <- s:
+		s.ahead = true
+	default:
+		s.ahead = false
+	}
+	return f
+}
+
+// render draws the following frame into frames[next]. It is the only code
+// that advances the scene's state, and it runs on one goroutine at a time:
+// the caller's (inline) or a renderer's, which the caller waits for.
+func (s *Scene) render() {
 	dt := 1 / s.fps
 	s.t += dt
-	if s.frame == nil {
-		s.frame = NewFrame(s.W, s.H)
-	}
-	f := s.frame
+	f := s.frames[s.next]
 	copy(f.Pix, s.bg)
 
 	cx := float64(s.W)/2 + s.headX.Step(dt)*float64(s.W)/4
@@ -128,16 +189,15 @@ func (s *Scene) Next() *Frame {
 	}
 	// Camera sensor noise, one normal draw per pixel in raster order,
 	// drawn a stack-sized chunk at a time.
-	if s.NoiseLevel > 0 {
+	if s.noise > 0 {
 		var noise [512]float64
 		for pix := f.Pix; len(pix) > 0; {
 			chunk := noise[:min(len(pix), len(noise))]
-			s.noiseRng.FillNormal(chunk, 0, s.NoiseLevel)
+			s.noiseRng.FillNormal(chunk, 0, s.noise)
 			for i, n := range chunk {
 				pix[i] = clamp255(float64(pix[i]) + n)
 			}
 			pix = pix[len(chunk):]
 		}
 	}
-	return f
 }

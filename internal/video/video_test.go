@@ -211,6 +211,63 @@ func TestDecodeCorruptNoPanic(t *testing.T) {
 	}
 }
 
+// TestDecodeCorruptKeepsReference pins why Decode double-buffers: a P-frame
+// that fails partway through its blocks must leave the reference intact, so
+// the intact copy of that frame, decoded next, gives the pixels it gives on a
+// decoder that never saw the corrupt copy.
+func TestDecodeCorruptKeepsReference(t *testing.T) {
+	scene := NewScene(simrand.New(9), 64, 64, 30)
+	enc, _ := NewEncoder(Config{W: 64, H: 64, FPS: 30, Quality: 1, GOP: 30, SkipThreshold: 0})
+	var stream [][]byte
+	for i := 0; i < 3; i++ {
+		ef, err := enc.Encode(scene.Next())
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream = append(stream, append([]byte(nil), ef.Data...))
+	}
+	p := stream[2]
+	if p[0] != frameDelta {
+		t.Fatal("expected P frame")
+	}
+	// Keep the first half of the coefficient stream and pad the rest with a
+	// byte that is neither a skip nor a coded flag: the blocks of the first
+	// half decode, then the frame fails.
+	body, err := entropy.NewDecompressor().Decompress(nil, p[9:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := append([]byte(nil), body[:len(body)/2]...)
+	for len(bad) < len(body) {
+		bad = append(bad, 2)
+	}
+	corrupt := entropy.NewCompressor().Compress(append([]byte(nil), p[:9]...), bad)
+
+	clean, dirty := NewDecoder(), NewDecoder()
+	for _, fr := range stream[:2] {
+		if _, err := clean.Decode(fr); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dirty.Decode(fr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := dirty.Decode(corrupt); err == nil {
+		t.Fatal("corrupt P frame decoded")
+	}
+	want, err := clean.Decode(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := dirty.Decode(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if PSNR(got, want) != math.Inf(1) {
+		t.Errorf("after a corrupt P frame the next frame decodes to other pixels (PSNR %.1f dB)", PSNR(got, want))
+	}
+}
+
 func TestEncodeWrongSize(t *testing.T) {
 	enc, _ := NewEncoder(Config{W: 64, H: 64, FPS: 30, Quality: 1})
 	if _, err := enc.Encode(NewFrame(32, 32)); err == nil {
@@ -463,6 +520,32 @@ func BenchmarkSceneNext(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				scene.Next()
+			}
+		})
+	}
+}
+
+// BenchmarkSceneEncode renders and encodes one frame per iteration, the
+// order a session's sender runs them in, so the render of the next frame
+// overlaps the encode of this one.
+func BenchmarkSceneEncode(b *testing.B) {
+	for _, r := range []struct {
+		name string
+		w, h int
+		bps  float64
+	}{{"360p", 640, 360, 1.4e6}, {"1080p", 1920, 1080, 4.3e6}} {
+		b.Run(r.name, func(b *testing.B) {
+			scene := NewScene(simrand.New(18), r.w, r.h, 30)
+			enc, _ := NewEncoder(DefaultConfig(r.w, r.h, r.bps))
+			if _, err := enc.Encode(scene.Next()); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := enc.Encode(scene.Next()); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
