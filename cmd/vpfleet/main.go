@@ -20,7 +20,7 @@
 // or SIGTERM drains gracefully: in-flight cells finish and journal, the
 // manifest marks the run resumable, and vpfleet exits 3.
 //
-// Exit codes: 0 success; 1 one or more cells failed; 2 usage error
+// Exit codes: 0 success; 1 one or more cells (or claims) failed; 2 usage error
 // (bad flags, unknown experiment or target); 3 interrupted but resumable.
 //
 // The trace subcommand introspects session traces: scenario cells write
@@ -45,6 +45,10 @@
 // ranks hot_sites into its manifest, and `prof top`/`prof merge` rank and
 // combine profile files after the fact.
 //
+// `vpfleet claims <outdir>` checks the rows a run wrote against the
+// paper's numbers (internal/claims), entry by entry, and exits 1 if any
+// entry fails.
+//
 // Run `vpfleet` with no arguments (or any malformed invocation) for the
 // full usage listing — usage() below enumerates every subcommand and the
 // shared flag set in one place.
@@ -63,6 +67,7 @@
 //	vpfleet sweep burstloss -axis loss_bad=0.3,0.6 -vprof prof/
 //	vpfleet prof top prof/merged.vprof.pb.gz
 //	vpfleet prof merge -out merged/ prof/*.vprof.jsonl
+//	vpfleet run fig5 mesh keypoints -seed 3 -out claims/ && vpfleet claims claims/
 package main
 
 import (
@@ -83,6 +88,7 @@ import (
 	"time"
 
 	tp "telepresence"
+	"telepresence/internal/claims"
 	"telepresence/internal/fleetobs"
 )
 
@@ -90,7 +96,7 @@ import (
 // broken run from an interrupted-but-resumable one.
 const (
 	exitOK          = 0
-	exitFailures    = 1 // one or more cells failed after retries
+	exitFailures    = 1 // one or more cells failed after retries, or a claim failed
 	exitUsage       = 2 // bad flags, unknown command/experiment/target
 	exitInterrupted = 3 // gracefully drained; resume with -checkpoint/-resume
 )
@@ -112,6 +118,8 @@ func main() {
 		traceCmd(os.Args[2:])
 	case "prof":
 		profCmd(os.Args[2:])
+	case "claims":
+		claimsCmd(os.Args[2:])
 	default:
 		fmt.Fprintf(os.Stderr, "vpfleet: unknown command %q\n\n", os.Args[1])
 		usage()
@@ -131,6 +139,7 @@ func usage() {
   vpfleet trace schema                         print the trace event schema
   vpfleet prof top [-n N] <profile>...         rank a profile's hottest sites
   vpfleet prof merge [-out DIR] <profile>...   merge profiles into run-level artifacts
+  vpfleet claims <outdir>                      check a run's JSONL rows against the paper's claims
 
 run and sweep share the flags:
   [-seed N] [-full] [-workers N] [-out DIR] [-format jsonl|csv]
@@ -149,7 +158,7 @@ GET /api/runs, /api/runs/{id}, /api/runs/{id}/rows (NDJSON tail),
 /metrics (Prometheus text), /debug/pprof. -monitor-addr attaches the same
 server to a plain run/sweep; -progress renders a live terminal line.
 
-exit codes: 0 ok; 1 cell failures; 2 usage; 3 interrupted (resumable)`)
+exit codes: 0 ok; 1 cell or claim failures; 2 usage; 3 interrupted (resumable)`)
 	os.Exit(exitUsage)
 }
 
@@ -625,6 +634,26 @@ func writeProfArtifact(path string, emit func(io.Writer) error) {
 	}
 	if err := f.Close(); err != nil {
 		fail(err)
+	}
+}
+
+// claimsCmd reports the claims table over a run directory's JSONL rows.
+// A path that is not a directory, or a row file that is not JSONL, is a
+// usage error.
+func claimsCmd(args []string) {
+	if len(args) != 1 {
+		usage()
+	}
+	rows, err := claims.ReadDir(args[0])
+	if err != nil {
+		failUsage(fmt.Errorf("claims: %w", err))
+	}
+	failed, err := claims.Report(os.Stdout, claims.Evaluate(rows))
+	if err != nil {
+		fail(err)
+	}
+	if failed > 0 {
+		os.Exit(exitFailures)
 	}
 }
 

@@ -126,6 +126,61 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
+// TestClaims: `claims` on a run directory passes the entries that read the
+// experiments run and lists the rest as not run; one doctored row fails the
+// entry that reads it (exit 1, entry named); a malformed row file or a
+// path that is not a directory is a usage error.
+func TestClaims(t *testing.T) {
+	dir := t.TempDir()
+	if code, out := runVpfleet(t, "run", "protocols", "servers", "-out", dir); code != 0 {
+		t.Fatalf("run exited %d\n%s", code, out)
+	}
+	code, out := runVpfleet(t, "claims", dir)
+	if code != 0 {
+		t.Fatalf("claims on a clean run exited %d\n%s", code, out)
+	}
+	for _, want := range []string{`(?m)^pass +servers\.geo-max `, `(?m)^pass +protocols\.spatial-quic `, `(?m)^not run +fig5\.apps `, ` 0 fail, `} {
+		if !regexp.MustCompile(want).MatchString(out) {
+			t.Errorf("claims output lacks %q\n%s", want, out)
+		}
+	}
+
+	// Doctor the geo-distributed row (the third) so its worst case exceeds
+	// the initiator-nearest policy's.
+	path := filepath.Join(dir, "servers.jsonl")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	var row map[string]any
+	if err := json.Unmarshal(lines[2], &row); err != nil {
+		t.Fatal(err)
+	}
+	row["MaxOneWayMs"] = 999
+	doctored, err := json.Marshal(row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines[2] = append(doctored, '\n')
+	if err := os.WriteFile(path, bytes.Join(lines, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, out = runVpfleet(t, "claims", dir)
+	if code != 1 || !regexp.MustCompile(`(?m)^FAIL +servers\.geo-max `).MatchString(out) || !strings.Contains(out, " 1 fail, ") {
+		t.Errorf("claims on a doctored row exited %d, want 1 naming servers.geo-max\n%s", code, out)
+	}
+
+	if err := os.WriteFile(path, []byte("not json\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"claims", dir}, {"claims", filepath.Join(dir, "nosuch")}, {"claims"}, {"claims", dir, dir}} {
+		if code, out := runVpfleet(t, args...); code != 2 {
+			t.Errorf("vpfleet %v exited %d, want 2\n%s", args, code, out)
+		}
+	}
+}
+
 // TestChaosHealedBytesMatchClean: a run whose injected faults are healed
 // by retries writes byte-identical rows to a fault-free run.
 func TestChaosHealedBytesMatchClean(t *testing.T) {

@@ -19,7 +19,7 @@ import (
 // ablation.
 type ServerPolicy int
 
-// Policies compared by MultiServerAblation.
+// Policies compared by the servers experiment (Implications 1).
 const (
 	// PolicyInitiator is what every measured VCA does: one server,
 	// closest to the session initiator (§4.1).
@@ -61,8 +61,11 @@ type MultiServerRow struct {
 // multiServerPolicies lists the compared policies in report order.
 var multiServerPolicies = []ServerPolicy{PolicyInitiator, PolicyCentral, PolicyGeoDistributed}
 
-// multiServerPolicy evaluates one server-allocation policy over all ordered
-// vantage pairs; policies are independent (and deterministic) work units.
+// multiServerPolicy quantifies Implications 1 for one server-allocation
+// policy: client-to-client one-way latency for every ordered pair of the
+// nine vantage points, using FaceTime's fleet. The geo-distributed backbone
+// uses a 1.1 route inflation (dedicated fiber) versus the public
+// Internet's 1.8. Policies are independent (and deterministic) work units.
 func multiServerPolicy(opts Options, policy ServerPolicy) (MultiServerRow, error) {
 	if _, err := opts.Normalize(); err != nil {
 		return MultiServerRow{}, err
@@ -112,23 +115,6 @@ func multiServerPolicy(opts Options, policy ServerPolicy) (MultiServerRow, error
 	row.MeanOneWayMs = sum / float64(n)
 	row.FracUnder100 = float64(under) / float64(n)
 	return row, nil
-}
-
-// MultiServerAblation quantifies Implications 1: it computes client-to-
-// client one-way latency for every ordered pair of the nine vantage points
-// under each server policy, using FaceTime's fleet. The geo-distributed
-// backbone uses a 1.1 route inflation (dedicated fiber) versus the public
-// Internet's 1.8.
-func MultiServerAblation(opts Options) ([]MultiServerRow, error) {
-	out := make([]MultiServerRow, 0, len(multiServerPolicies))
-	for _, p := range multiServerPolicies {
-		row, err := multiServerPolicy(opts, p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, row)
-	}
-	return out, nil
 }
 
 // ----------------------------------------------------- Implications 3
@@ -257,8 +243,10 @@ type QoESweepRow struct {
 // qoeApps are the sessions the passive sweep fingerprints.
 var qoeApps = []vca.App{vca.FaceTime, vca.Zoom}
 
-// qoeApp fingerprints one app's session; each app seeds its own session and
-// is an independent work unit.
+// qoeApp runs a two-user session of one app and infers frame rate and
+// frame size from the encrypted packet stream alone, validating the
+// paper's suggested passive-measurement direction. Each app seeds its own
+// session and is an independent work unit.
 func qoeApp(opts Options, i int) (QoESweepRow, error) {
 	opts, err := opts.Normalize()
 	if err != nil {
@@ -289,21 +277,6 @@ func qoeApp(opts Options, i int) (QoESweepRow, error) {
 		InferredFPS:    est.fps,
 		MeanFrameBytes: est.frameBytes,
 	}, nil
-}
-
-// PassiveQoESweep runs a two-user session per app and infers frame rate and
-// frame size from the encrypted packet stream alone, validating the
-// paper's suggested passive-measurement direction.
-func PassiveQoESweep(opts Options) ([]QoESweepRow, error) {
-	var out []QoESweepRow
-	for i := range qoeApps {
-		row, err := qoeApp(opts, i)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, row)
-	}
-	return out, nil
 }
 
 type qoeEstimate struct {

@@ -1,299 +1,10 @@
 package core
 
 import (
-	"math"
 	"testing"
 
 	"telepresence/internal/simtime"
-	"telepresence/internal/vca"
 )
-
-func TestFig4RowsAndFindings(t *testing.T) {
-	rows, err := Fig4(Quick(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 10 {
-		t.Fatalf("%d series, want 10", len(rows))
-	}
-	byLabel := map[string]Fig4Row{}
-	for _, r := range rows {
-		byLabel[r.Label] = r
-		if r.Sample.N() == 0 {
-			t.Errorf("series %s empty", r.Label)
-		}
-	}
-	// Headline: RTT can exceed 100 ms even inside the US.
-	worst := 0.0
-	for _, r := range rows {
-		if m := r.Sample.Max(); m > worst {
-			worst = m
-		}
-	}
-	if worst < 100 {
-		t.Errorf("worst RTT %.1f ms, want >100 (paper Fig.4)", worst)
-	}
-}
-
-func TestAnycastAuditAllUnicast(t *testing.T) {
-	verdicts, err := AnycastAudit(Quick(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range verdicts {
-		if v.Anycast {
-			t.Errorf("server %v flagged anycast: %s", v.Server, v.Evidence)
-		}
-	}
-}
-
-func TestProtocolMatrix(t *testing.T) {
-	cases := ProtocolMatrix()
-	if len(cases) != 8 {
-		t.Fatalf("%d cases, want 8", len(cases))
-	}
-	spatial := 0
-	for _, c := range cases {
-		if c.Media == vca.MediaSpatialPersona {
-			spatial++
-			if c.Transport != vca.TransportQUIC {
-				t.Errorf("%s: spatial persona over %v", c.Desc, c.Transport)
-			}
-			if c.P2P {
-				t.Errorf("%s: spatial persona must relay via server", c.Desc)
-			}
-		} else if c.Transport != vca.TransportRTP {
-			t.Errorf("%s: 2D persona over %v, want RTP", c.Desc, c.Transport)
-		}
-	}
-	if spatial != 1 {
-		t.Errorf("%d spatial cases, want exactly 1 (FaceTime all-VP)", spatial)
-	}
-}
-
-func TestFig5Ordering(t *testing.T) {
-	rows, err := Fig5(Quick(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 5 {
-		t.Fatalf("%d rows, want 5", len(rows))
-	}
-	m := map[string]float64{}
-	for _, r := range rows {
-		m[r.Label] = r.Box.Mean
-	}
-	// The paper's central counterintuitive result: the immersive spatial
-	// persona needs LESS bandwidth than every 2D persona.
-	for _, other := range []string{"F*", "Z", "W", "T"} {
-		if m["F"] >= m[other] {
-			t.Errorf("spatial F (%.2f Mbps) not below %s (%.2f Mbps)", m["F"], other, m[other])
-		}
-	}
-	// Webex is the hungriest; Zoom the lightest 2D persona.
-	if m["W"] <= m["T"] || m["W"] <= m["Z"] || m["W"] <= m["F*"] {
-		t.Errorf("Webex (%.2f) should dominate 2D personas: %v", m["W"], m)
-	}
-	if m["Z"] >= m["T"] {
-		t.Errorf("Zoom (%.2f) should be below Teams (%.2f)", m["Z"], m["T"])
-	}
-	// Absolute bands (generous): F ~0.7, W >3.5.
-	if m["F"] < 0.4 || m["F"] > 1.0 {
-		t.Errorf("F = %.2f Mbps, want ~0.7", m["F"])
-	}
-	if m["W"] < 3.0 {
-		t.Errorf("W = %.2f Mbps, want >3 (paper: >4)", m["W"])
-	}
-}
-
-func TestMeshVsKeypointGap(t *testing.T) {
-	ms, err := MeshStreaming(Quick(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	kp, err := KeypointStreaming(Quick(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms.Triangles) != 10 {
-		t.Fatalf("%d heads, want 10", len(ms.Triangles))
-	}
-	for _, tr := range ms.Triangles {
-		if tr < 69000 || tr > 91000 {
-			t.Errorf("head with %d triangles outside 70-90K", tr)
-		}
-	}
-	if kp.Keypoints != 74 {
-		t.Errorf("keypoints = %d, want 74", kp.Keypoints)
-	}
-	meshMbps, kpMbps := ms.MbpsSample.Mean(), kp.MbpsSample.Mean()
-	// Paper: 108.4±16.7 vs 0.64±0.02 — two orders of magnitude.
-	if meshMbps/kpMbps < 50 {
-		t.Errorf("mesh/keypoint ratio %.0f, want >50 (paper ~170x)", meshMbps/kpMbps)
-	}
-	if kpMbps < 0.5 || kpMbps > 0.8 {
-		t.Errorf("keypoint stream %.2f Mbps, want 0.64±0.15", kpMbps)
-	}
-	if kp.MbpsSample.Std() > 0.05 {
-		t.Errorf("keypoint stream std %.3f, want tight (paper ±0.02)", kp.MbpsSample.Std())
-	}
-}
-
-func TestDisplayLatencyInvariance(t *testing.T) {
-	rows, err := DisplayLatency(Quick(6), []float64{0, 100, 500, 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("%d rows", len(rows))
-	}
-	for _, r := range rows {
-		// Semantic: gap stays under 16 ms regardless of injected delay
-		// (the paper's measured bound).
-		if r.SemanticDiffMs > 16 {
-			t.Errorf("delay %v ms: semantic gap %.1f ms, want <16", r.InjectedDelayMs, r.SemanticDiffMs)
-		}
-		// Pre-rendered: gap tracks the round trip.
-		if r.PrerenderedDiffMs < 2*r.InjectedDelayMs {
-			t.Errorf("delay %v ms: prerendered gap %.1f ms should exceed the RTT %v",
-				r.InjectedDelayMs, r.PrerenderedDiffMs, 2*r.InjectedDelayMs)
-		}
-	}
-	// The distinguishing signature: prerendered grows with delay,
-	// semantic does not.
-	if !(rows[3].PrerenderedDiffMs > rows[0].PrerenderedDiffMs+1500) {
-		t.Errorf("prerendered gap did not track delay: %v vs %v",
-			rows[3].PrerenderedDiffMs, rows[0].PrerenderedDiffMs)
-	}
-	if math.Abs(rows[3].SemanticDiffMs-rows[0].SemanticDiffMs) > 16 {
-		t.Errorf("semantic gap varies with delay: %v vs %v",
-			rows[0].SemanticDiffMs, rows[3].SemanticDiffMs)
-	}
-}
-
-func TestFig6InvariantBandwidth(t *testing.T) {
-	rows, err := Fig6(Quick(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("%d rows, want 4", len(rows))
-	}
-	base := rows[0]
-	if base.Mode != "BL" || base.Triangles != 78030 {
-		t.Errorf("baseline row wrong: %+v", base)
-	}
-	for _, r := range rows[1:] {
-		// GPU drops with every optimization...
-		if r.GPUMs >= base.GPUMs {
-			t.Errorf("%s: GPU %.2f not below baseline %.2f", r.Mode, r.GPUMs, base.GPUMs)
-		}
-		// ...but CPU and bandwidth do not change (§4.4).
-		if r.CPUMs != base.CPUMs {
-			t.Errorf("%s: CPU %.2f != baseline %.2f", r.Mode, r.CPUMs, base.CPUMs)
-		}
-		if math.Abs(r.UplinkMbps-base.UplinkMbps) > 0.08 {
-			t.Errorf("%s: uplink %.3f deviates from baseline %.3f (optimizations must not affect delivery)",
-				r.Mode, r.UplinkMbps, base.UplinkMbps)
-		}
-	}
-}
-
-func TestFig7Shape(t *testing.T) {
-	opts := Quick(8)
-	opts.SessionDuration = 5 * simtime.Second
-	rows, err := Fig7(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 { // 2..5 users
-		t.Fatalf("%d rows, want 4", len(rows))
-	}
-	for i := 1; i < len(rows); i++ {
-		// Triangles, GPU, CPU and downlink all rise with user count
-		// (triangles may plateau within a few percent at five users when
-		// edge personas leave the viewport, as in the paper's Fig. 7a).
-		if rows[i].TriMean < rows[i-1].TriMean*0.96 {
-			t.Errorf("triangles decreasing: %v -> %v", rows[i-1].TriMean, rows[i].TriMean)
-		}
-		if rows[i].GPUMean <= rows[i-1].GPUMean {
-			t.Errorf("GPU not increasing: %v -> %v", rows[i-1].GPUMean, rows[i].GPUMean)
-		}
-		if rows[i].CPUMean <= rows[i-1].CPUMean {
-			t.Errorf("CPU not increasing: %v -> %v", rows[i-1].CPUMean, rows[i].CPUMean)
-		}
-		if rows[i].DownMbps <= rows[i-1].DownMbps {
-			t.Errorf("downlink not increasing: %v -> %v", rows[i-1].DownMbps, rows[i].DownMbps)
-		}
-	}
-	// Downlink linearity (Fig.7c): per-remote-user rate roughly constant.
-	perUser2 := rows[0].DownMbps / 1
-	perUser5 := rows[3].DownMbps / 4
-	if math.Abs(perUser5-perUser2)/perUser2 > 0.3 {
-		t.Errorf("downlink not linear: %.2f Mbps/user at 2 vs %.2f at 5", perUser2, perUser5)
-	}
-	// GPU at 5 users approaches the 11.1 ms deadline: p95 > 9 ms (paper).
-	if rows[3].GPUP95 < 8.3 {
-		t.Errorf("GPU p95 at 5 users = %.2f ms, want >8.3 (paper: >9)", rows[3].GPUP95)
-	}
-	// 2-user anchors (paper: GPU 5.65±0.69, CPU 5.67±0.69).
-	if math.Abs(rows[0].GPUMean-5.65) > 1.0 {
-		t.Errorf("2-user GPU = %.2f ms, want 5.65±1", rows[0].GPUMean)
-	}
-	if math.Abs(rows[0].CPUMean-5.67) > 1.0 {
-		t.Errorf("2-user CPU = %.2f ms, want 5.67±1", rows[0].CPUMean)
-	}
-	// Foveation keeps the 5th percentile of triangles nearly flat from 3
-	// to 5 users (paper Fig.7a).
-	if rows[3].TriP5 > rows[1].TriP5*1.6 {
-		t.Errorf("5th-percentile triangles grew too much: %v (3 users) -> %v (5 users)",
-			rows[1].TriP5, rows[3].TriP5)
-	}
-}
-
-func TestRateAdaptationSweep(t *testing.T) {
-	rows, err := RateAdaptation(Quick(9), []float64{0, 2.0, 0.7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	uncapped, generous, tight := rows[0], rows[1], rows[2]
-	if uncapped.UnavailableFrac > 0.1 {
-		t.Errorf("uncapped session unavailable %.0f%%", uncapped.UnavailableFrac*100)
-	}
-	if generous.UnavailableFrac > 0.1 {
-		t.Errorf("2 Mbps cap unavailable %.0f%%", generous.UnavailableFrac*100)
-	}
-	if tight.UnavailableFrac < 0.3 {
-		t.Errorf("0.7 Mbps cap: persona %.0f%% unavailable, want >30%% (paper: unusable)",
-			tight.UnavailableFrac*100)
-	}
-	if tight.MeanLatencyMs <= generous.MeanLatencyMs {
-		t.Error("capped session should show inflated frame latency")
-	}
-}
-
-func TestRemoteRenderAblation(t *testing.T) {
-	opts := Quick(10)
-	opts.SessionDuration = 4 * simtime.Second
-	rows, err := RemoteRenderAblation(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fan-out grows with users; remote rendering stays flat.
-	first, last := rows[0], rows[len(rows)-1]
-	if last.FanoutMbps <= first.FanoutMbps*1.5 {
-		t.Errorf("fan-out did not grow: %.2f -> %.2f", first.FanoutMbps, last.FanoutMbps)
-	}
-	ratio := last.RemoteRenderMbps / first.RemoteRenderMbps
-	if ratio > 1.3 || ratio < 0.7 {
-		t.Errorf("remote render not flat: %.2f -> %.2f", first.RemoteRenderMbps, last.RemoteRenderMbps)
-	}
-	// At five users fan-out exceeds the remote-render stream.
-	if last.FanoutMbps <= last.RemoteRenderMbps {
-		t.Errorf("at 5 users fan-out (%.2f) should exceed remote render (%.2f)",
-			last.FanoutMbps, last.RemoteRenderMbps)
-	}
-}
 
 func TestOptionsNormalization(t *testing.T) {
 	o, err := Options{}.Normalize()
@@ -320,23 +31,33 @@ func TestOptionsRejectNegatives(t *testing.T) {
 	if err := (Options{Reps: -1}).Validate(); err == nil {
 		t.Error("Validate passed negative Reps")
 	}
-	// Every runner propagates the error instead of running.
+	// Every unit propagates the error instead of running.
 	bad := Options{Seed: 1, Reps: -3}
-	if _, err := Fig5(bad); err == nil {
-		t.Error("Fig5 ignored invalid options")
+	for _, e := range Experiments() {
+		if _, err := e.Run(bad, 0); err == nil {
+			t.Errorf("experiment %s ignored invalid options", e.Name)
+		}
 	}
-	if _, err := Fig4(bad); err == nil {
-		t.Error("Fig4 ignored invalid options")
+	for _, tgt := range SweepTargets() {
+		if _, err := tgt.Run(bad, tgt.DefaultParams()); err == nil {
+			t.Errorf("sweep target %s ignored invalid options", tgt.Name)
+		}
+	}
+	// So do the aggregate runners, a sweep over no caps included.
+	if _, err := MeshStreaming(bad); err == nil {
+		t.Error("MeshStreaming ignored invalid options")
 	}
 	if _, err := KeypointStreaming(bad); err == nil {
 		t.Error("KeypointStreaming ignored invalid options")
 	}
+	if _, err := Fig7(bad); err == nil {
+		t.Error("Fig7 ignored invalid options")
+	}
+	if _, err := RemoteRenderAblation(bad); err == nil {
+		t.Error("RemoteRenderAblation ignored invalid options")
+	}
 	if _, err := ViewportDeliveryAblation(bad); err == nil {
 		t.Error("ViewportDeliveryAblation ignored invalid options")
-	}
-	// Sweep runners must reject invalid options even with an empty sweep.
-	if _, err := DisplayLatency(bad, nil); err == nil {
-		t.Error("DisplayLatency ignored invalid options on empty sweep")
 	}
 	if _, err := RateAdaptation(bad, nil); err == nil {
 		t.Error("RateAdaptation ignored invalid options on empty sweep")

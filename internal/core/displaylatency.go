@@ -33,30 +33,15 @@ func frameAlign(t simtime.Time) simtime.Time {
 // paper's 0-1000 ms injection range.
 func DefaultInjectedDelaysMs() []float64 { return []float64{0, 100, 250, 500, 1000} }
 
-// DisplayLatency reproduces the §4.3 experiment. U1 watches U2's persona
-// over a link with injected one-way delay; at a fixed instant U1 flips the
-// viewport to reveal a new side of the persona. Real-world passthrough
-// renders on the next 90 FPS refresh. The semantic pipeline re-poses the
-// locally reconstructed mesh, so it also hits the next refresh; the
-// pre-rendered-video pipeline must request the new view from the sender.
-func DisplayLatency(opts Options, injectedMs []float64) ([]DisplayLatencyRow, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	var out []DisplayLatencyRow
-	for _, inj := range injectedMs {
-		row, err := displayLatencyCase(opts, inj)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, row)
-	}
-	return out, nil
-}
-
-// displayLatencyCase measures one injected-delay point. Every point builds
-// its own scheduler and derives all randomness from opts.Seed, so points
-// are independent work units.
+// displayLatencyCase reproduces the §4.3 experiment at one injected
+// delay. U1 watches U2's persona over a link with injected one-way delay;
+// at a fixed instant U1 flips the viewport to reveal a new side of the
+// persona. Real-world passthrough renders on the next 90 FPS refresh. The
+// semantic pipeline re-poses the locally reconstructed mesh, so it also
+// hits the next refresh; the pre-rendered-video pipeline must request the
+// new view from the sender. Every point builds its own scheduler and
+// derives all randomness from opts.Seed, so points are independent work
+// units.
 func displayLatencyCase(opts Options, inj float64) (DisplayLatencyRow, error) {
 	opts, err := opts.Normalize()
 	if err != nil {

@@ -1,7 +1,7 @@
 // Package core assembles the substrates into the paper's experiments: one
-// runner per figure and per §4.3 analysis, each returning the rows the
-// paper plots. The bench harness (bench_test.go) and cmd/vpbench print
-// these next to the paper's numbers.
+// registry experiment per figure and per §4.3 analysis, each emitting the
+// rows the paper plots. internal/claims checks those rows against the
+// paper's numbers (`vpfleet claims`).
 package core
 
 import (
@@ -123,39 +123,8 @@ func fig4Rep(opts Options, rep int) ([]Fig4Row, error) {
 	return out, nil
 }
 
-// Fig4 measures RTTs from the nine vantage points to every provider server,
-// merging opts.Reps independent repetitions.
-func Fig4(opts Options) ([]Fig4Row, error) {
-	opts, err := opts.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	agg := map[string]*stats.Sample{}
-	var labels []string
-	for rep := 0; rep < opts.Reps; rep++ {
-		rows, err := fig4Rep(opts, rep)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range rows {
-			s, ok := agg[r.Label]
-			if !ok {
-				s = &stats.Sample{}
-				agg[r.Label] = s
-				labels = append(labels, r.Label)
-			}
-			s.Add(r.Sample.Values()...)
-		}
-	}
-	sort.Strings(labels)
-	out := make([]Fig4Row, 0, len(labels))
-	for _, l := range labels {
-		out = append(out, Fig4Row{Label: l, Sample: agg[l]})
-	}
-	return out, nil
-}
-
-// anycastApp audits one provider's servers; rep indexes into vca.Apps().
+// anycastApp runs the §4.1 anycast check against one provider's servers;
+// rep indexes into vca.Apps().
 func anycastApp(opts Options, rep int) ([]vca.AnycastVerdict, error) {
 	opts, err := opts.Normalize()
 	if err != nil {
@@ -168,19 +137,6 @@ func anycastApp(opts Options, rep int) ([]vca.AnycastVerdict, error) {
 		rng := simrand.Child(opts.Seed, "anycast/"+app.String()+srv.Name)
 		m := probe.MinRTTMatrix(app, srv, rng, 5*opts.Reps)
 		out = append(out, vca.DetectAnycast(srv, m))
-	}
-	return out, nil
-}
-
-// AnycastAudit runs the §4.1 anycast check against every provider server.
-func AnycastAudit(opts Options) ([]vca.AnycastVerdict, error) {
-	var out []vca.AnycastVerdict
-	for i := range vca.Apps() {
-		rows, err := anycastApp(opts, i)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rows...)
 	}
 	return out, nil
 }
@@ -254,8 +210,10 @@ var fig5Cases = []struct {
 	{"T", vca.Teams, vca.VisionPro},
 }
 
-// fig5Case runs all repetitions of one app/peer mix. Each case draws from
-// its own seed range, so cases are independent work units.
+// fig5Case measures two-user uplink throughput for one app/peer mix:
+// FaceTime spatial (F), FaceTime 2D persona (F*, Vision Pro with a MacBook
+// peer), Zoom, Webex or Teams. It runs all repetitions of the mix; each
+// case draws from its own seed range, so cases are independent work units.
 func fig5Case(opts Options, ci int) (Fig5Row, error) {
 	opts, err := opts.Normalize()
 	if err != nil {
@@ -278,20 +236,6 @@ func fig5Case(opts Options, ci int) (Fig5Row, error) {
 		agg.Add(res.Users[0].Uplink.Values()...)
 	}
 	return Fig5Row{Label: c.label, Box: agg.BoxStats()}, nil
-}
-
-// Fig5 measures two-user throughput for FaceTime spatial (F), FaceTime 2D
-// persona (F*, Vision Pro with a MacBook peer), Zoom, Webex and Teams.
-func Fig5(opts Options) ([]Fig5Row, error) {
-	out := make([]Fig5Row, 0, len(fig5Cases))
-	for ci := range fig5Cases {
-		row, err := fig5Case(opts, ci)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, row)
-	}
-	return out, nil
 }
 
 // ------------------------------------------------------- §4.3 estimations
@@ -419,8 +363,7 @@ type RateAdaptationRow struct {
 	MeanLatencyMs float64
 }
 
-// DefaultRateCaps is the registry's bandwidth-cap sweep (Mbps; 0 = no cap),
-// the caps cmd/vpbench prints.
+// DefaultRateCaps is the registry's bandwidth-cap sweep (Mbps; 0 = no cap).
 func DefaultRateCaps() []float64 { return []float64{0, 2.0, 1.0, 0.7} }
 
 // rateCase runs one capped session; i seeds the session so each cap is an
@@ -461,13 +404,5 @@ func RateAdaptation(opts Options, capsMbps []float64) ([]RateAdaptationRow, erro
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	var out []RateAdaptationRow
-	for i, capMbps := range capsMbps {
-		row, err := rateCase(opts, i, capMbps)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, row)
-	}
-	return out, nil
+	return collect(len(capsMbps), func(i int) (RateAdaptationRow, error) { return rateCase(opts, i, capsMbps[i]) })
 }

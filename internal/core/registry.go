@@ -272,6 +272,20 @@ func rowSlice[T any](rs []T, err error) ([]Row, error) {
 	return out, nil
 }
 
+// collect runs units 0..n-1 in order and gathers their rows: the loop
+// behind the aggregate runners kept for library use.
+func collect[T any](n int, unit func(i int) (T, error)) ([]T, error) {
+	out := make([]T, 0, n)
+	for i := 0; i < n; i++ {
+		row, err := unit(i)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, row)
+	}
+	return out, nil
+}
+
 // optReps normalizes and returns opts.Reps; registration-time helper for
 // experiments whose unit count is the repetition count.
 func optReps(opts Options) int {
@@ -284,8 +298,9 @@ func optReps(opts Options) int {
 
 func fixed(n int) func(Options) int { return func(Options) int { return n } }
 
-// init self-registers every experiment in internal/core. Names match the
-// -only keys of cmd/vpbench; see DESIGN.md for the full index.
+// init self-registers every experiment in internal/core under the name
+// vpfleet and internal/claims address it by; see DESIGN.md for the full
+// index.
 func init() {
 	Register(Experiment{
 		Name: "fig4", Desc: "Figure 4: RTT CDFs, nine vantage points to every provider server",

@@ -36,9 +36,11 @@ var fig6Scenarios = []struct {
 	{"D", mesh.Vec3{Z: 3.5}},
 }
 
-// fig6Case evaluates one scenario: rendering cost for the persona placement
-// plus one spatial session for the (invariant) uplink bandwidth. The sender
-// knows nothing about the receiver's optimizations, so uplink is invariant.
+// fig6Case evaluates one §4.4 scenario (baseline half-meter stare,
+// viewport-culled, foveated-peripheral or distance-reduced): rendered
+// triangles and GPU/CPU per-frame cost for the persona placement, plus one
+// spatial session for the uplink bandwidth. The sender knows nothing about
+// the receiver's optimizations, so uplink is invariant.
 func fig6Case(opts Options, i int) (Fig6Row, error) {
 	opts, err := opts.Normalize()
 	if err != nil {
@@ -69,22 +71,6 @@ func fig6Case(opts Options, i int) (Fig6Row, error) {
 		CPUMs:      fc.CPUMs,
 		UplinkMbps: res.Users[1].Uplink.Mean(),
 	}, nil
-}
-
-// Fig6 evaluates the four §4.4 scenarios: baseline (half-meter stare),
-// viewport-culled, foveated-peripheral, and distance-reduced, reporting
-// rendered triangles, GPU/CPU per-frame cost, and the (unchanged) semantic
-// uplink bandwidth.
-func Fig6(opts Options) ([]Fig6Row, error) {
-	var rows []Fig6Row
-	for i := range fig6Scenarios {
-		row, err := fig6Case(opts, i)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
 }
 
 // Fig7Row is one user-count column of Figure 7.
@@ -154,15 +140,7 @@ func fig7Users(opts Options, n int) (Fig7Row, error) {
 // session. Throughput comes from the session simulation; rendering load
 // comes from a seated-meeting scene replayed at 90 FPS with wandering gaze.
 func Fig7(opts Options) ([]Fig7Row, error) {
-	var rows []Fig7Row
-	for n := 2; n <= vca.MaxSpatialUsers; n++ {
-		row, err := fig7Users(opts, n)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+	return collect(vca.MaxSpatialUsers-1, func(i int) (Fig7Row, error) { return fig7Users(opts, i+2) })
 }
 
 type renderLoopResult struct {
@@ -292,13 +270,5 @@ func remoteRenderUsers(opts Options, n int) (RemoteRenderRow, error) {
 // RemoteRenderAblation implements the paper's proposed fix for the
 // scalability bottleneck and quantifies it.
 func RemoteRenderAblation(opts Options) ([]RemoteRenderRow, error) {
-	var out []RemoteRenderRow
-	for n := 2; n <= vca.MaxSpatialUsers; n++ {
-		row, err := remoteRenderUsers(opts, n)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, row)
-	}
-	return out, nil
+	return collect(vca.MaxSpatialUsers-1, func(i int) (RemoteRenderRow, error) { return remoteRenderUsers(opts, i+2) })
 }

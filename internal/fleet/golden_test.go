@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"telepresence/internal/claims"
 	"telepresence/internal/core"
 )
 
@@ -184,4 +185,25 @@ func TestGoldenSuite(t *testing.T) {
 		}
 	}
 	t.Fatalf("suite output length differs from golden: want %d lines, got %d", len(wl), len(gl))
+}
+
+// TestPaperClaimsGolden evaluates the whole claims table over the golden
+// suite: the rows TestGoldenSuite pins to the code's output must meet every
+// paper claim, and no entry may go unevaluated.
+func TestPaperClaimsGolden(t *testing.T) {
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := claims.Rows{}
+	for name, section := range goldenSections(t, data) {
+		if rows[name], err = claims.Parse(bytes.NewReader(section)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	for _, r := range claims.Evaluate(rows) {
+		if r.Status != claims.Pass {
+			t.Errorf("%v", r)
+		}
+	}
 }

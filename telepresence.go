@@ -2,14 +2,15 @@
 // simulation framework reproducing "A First Look at Immersive Telepresence
 // on Apple Vision Pro" (IMC 2024).
 //
-// The package exposes three layers:
+// The package exposes four layers:
 //
 //   - Sessions: build and run simulated telepresence calls on any of the
 //     four modeled applications (FaceTime, Zoom, Webex, Teams), with
 //     tc-style impairments, packet captures and per-user statistics.
-//   - Experiments: one runner per figure/analysis in the paper (Fig4,
-//     Fig5, Fig6, Fig7, MeshStreaming, KeypointStreaming, DisplayLatency,
-//     RateAdaptation, AnycastAudit, ProtocolMatrix, RemoteRenderAblation).
+//   - Experiments: one registry experiment per figure/analysis in the
+//     paper, run through the fleet below, plus direct runners for library
+//     use (Fig7, MeshStreaming, KeypointStreaming, RateAdaptation,
+//     RemoteRenderAblation).
 //   - Fleet: a registry of every experiment plus a deterministic parallel
 //     scheduler. Every run is one grid of units: FleetRunStream runs
 //     registry experiments (units are repetitions) and FleetRunSweepStream
@@ -274,11 +275,8 @@ const (
 	PolicyGeoDistributed = core.PolicyGeoDistributed
 )
 
-// Default sweeps used by the registry's latency, rate and scenario
-// experiments.
+// Default sweeps used by the registry's scenario experiments.
 var (
-	DefaultInjectedDelaysMs     = core.DefaultInjectedDelaysMs
-	DefaultRateCaps             = core.DefaultRateCaps
 	DefaultHandoverDelaysMs     = core.DefaultHandoverDelaysMs
 	DefaultCongestionFloorsMbps = core.DefaultCongestionFloorsMbps
 	DefaultCCRateCaps           = core.DefaultCCRateCaps
@@ -295,21 +293,11 @@ func Full(seed int64) Options { return core.Full(seed) }
 
 // Experiment runners; see DESIGN.md for the per-experiment index.
 var (
-	Fig4                 = core.Fig4
-	Fig5                 = core.Fig5
-	Fig6                 = core.Fig6
 	Fig7                 = core.Fig7
-	ProtocolMatrix       = core.ProtocolMatrix
 	MeshStreaming        = core.MeshStreaming
 	KeypointStreaming    = core.KeypointStreaming
-	DisplayLatency       = core.DisplayLatency
 	RateAdaptation       = core.RateAdaptation
-	AnycastAudit         = core.AnycastAudit
 	RemoteRenderAblation = core.RemoteRenderAblation
-	// Extensions implementing the paper's Implications proposals.
-	MultiServerAblation      = core.MultiServerAblation
-	ViewportDeliveryAblation = core.ViewportDeliveryAblation
-	PassiveQoESweep          = core.PassiveQoESweep
 )
 
 // Fleet orchestration: the experiment registry and the deterministic
