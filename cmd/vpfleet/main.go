@@ -47,7 +47,9 @@
 //
 // `vpfleet claims <outdir>` checks the rows a run wrote against the
 // paper's numbers (internal/claims), entry by entry, and exits 1 if any
-// entry fails.
+// entry fails. `vpfleet claims -diff <old> <new>` evaluates two run
+// directories side by side, lists the experiments whose rows differ, and
+// exits 1 if any entry's pass/fail changed.
 //
 // Run `vpfleet` with no arguments (or any malformed invocation) for the
 // full usage listing — usage() below enumerates every subcommand and the
@@ -140,6 +142,7 @@ func usage() {
   vpfleet prof top [-n N] <profile>...         rank a profile's hottest sites
   vpfleet prof merge [-out DIR] <profile>...   merge profiles into run-level artifacts
   vpfleet claims <outdir>                      check a run's JSONL rows against the paper's claims
+  vpfleet claims -diff <old> <new>             compare two runs' claims and changed rows
 
 run and sweep share the flags:
   [-seed N] [-full] [-workers N] [-out DIR] [-format jsonl|csv]
@@ -637,18 +640,32 @@ func writeProfArtifact(path string, emit func(io.Writer) error) {
 	}
 }
 
-// claimsCmd reports the claims table over a run directory's JSONL rows.
-// A path that is not a directory, or a row file that is not JSONL, is a
-// usage error.
+// claimsCmd reports the claims table over a run directory's JSONL rows,
+// or with -diff compares two run directories. A path that is not a
+// directory, or a row file that is not JSONL, is a usage error.
 func claimsCmd(args []string) {
-	if len(args) != 1 {
+	diff := len(args) > 0 && args[0] == "-diff"
+	if diff {
+		args = args[1:]
+	}
+	if len(args) != 1 && !(diff && len(args) == 2) {
 		usage()
 	}
-	rows, err := claims.ReadDir(args[0])
-	if err != nil {
-		failUsage(fmt.Errorf("claims: %w", err))
+	var rows []claims.Rows
+	for _, dir := range args {
+		r, err := claims.ReadDir(dir)
+		if err != nil {
+			failUsage(fmt.Errorf("claims: %w", err))
+		}
+		rows = append(rows, r)
 	}
-	failed, err := claims.Report(os.Stdout, claims.Evaluate(rows))
+	var failed int
+	var err error
+	if diff {
+		failed, err = claims.ReportDiff(os.Stdout, rows[0], rows[1])
+	} else {
+		failed, err = claims.Report(os.Stdout, claims.Evaluate(rows[0]))
+	}
 	if err != nil {
 		fail(err)
 	}

@@ -145,8 +145,27 @@ func TestClaims(t *testing.T) {
 		}
 	}
 
-	// Doctor the geo-distributed row (the third) so its worst case exceeds
-	// the initiator-nearest policy's.
+	path := doctorGeoMax(t, dir)
+	code, out = runVpfleet(t, "claims", dir)
+	if code != 1 || !regexp.MustCompile(`(?m)^FAIL +servers\.geo-max `).MatchString(out) || !strings.Contains(out, " 1 fail, ") {
+		t.Errorf("claims on a doctored row exited %d, want 1 naming servers.geo-max\n%s", code, out)
+	}
+
+	if err := os.WriteFile(path, []byte("not json\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"claims", dir}, {"claims", filepath.Join(dir, "nosuch")}, {"claims"}, {"claims", dir, dir}} {
+		if code, out := runVpfleet(t, args...); code != 2 {
+			t.Errorf("vpfleet %v exited %d, want 2\n%s", args, code, out)
+		}
+	}
+}
+
+// doctorGeoMax rewrites the geo-distributed row (the third) of dir's
+// servers.jsonl so its worst case exceeds the initiator-nearest policy's,
+// which fails the servers.geo-max entry. It returns the file's path.
+func doctorGeoMax(t *testing.T, dir string) string {
+	t.Helper()
 	path := filepath.Join(dir, "servers.jsonl")
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -166,15 +185,36 @@ func TestClaims(t *testing.T) {
 	if err := os.WriteFile(path, bytes.Join(lines, nil), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	code, out = runVpfleet(t, "claims", dir)
-	if code != 1 || !regexp.MustCompile(`(?m)^FAIL +servers\.geo-max `).MatchString(out) || !strings.Contains(out, " 1 fail, ") {
-		t.Errorf("claims on a doctored row exited %d, want 1 naming servers.geo-max\n%s", code, out)
-	}
+	return path
+}
 
-	if err := os.WriteFile(path, []byte("not json\n"), 0o644); err != nil {
-		t.Fatal(err)
+// TestClaimsDiff: `claims -diff` on two identical run directories reports
+// no change and exits 0; after one doctored row it names the entry whose
+// status flipped and the section with one changed row, and exits 1.
+func TestClaimsDiff(t *testing.T) {
+	before, after := t.TempDir(), t.TempDir()
+	for _, dir := range []string{before, after} {
+		if code, out := runVpfleet(t, "run", "servers", "-out", dir); code != 0 {
+			t.Fatalf("run exited %d\n%s", code, out)
+		}
 	}
-	for _, args := range [][]string{{"claims", dir}, {"claims", filepath.Join(dir, "nosuch")}, {"claims"}, {"claims", dir, dir}} {
+	code, out := runVpfleet(t, "claims", "-diff", before, after)
+	if code != 0 || !strings.Contains(out, "0 changed status, 0 values moved; 0 sections changed") ||
+		strings.Contains(out, "rows changed") {
+		t.Errorf("claims -diff on identical runs exited %d\n%s", code, out)
+	}
+	doctorGeoMax(t, after)
+	code, out = runVpfleet(t, "claims", "-diff", before, after)
+	for _, want := range []string{`(?m)^pass -> FAIL +servers\.geo-max `, `(?m)^servers +1 +3 +3$`,
+		`1 changed status, 1 values moved; 1 sections changed`} {
+		if !regexp.MustCompile(want).MatchString(out) {
+			t.Errorf("claims -diff output lacks %q\n%s", want, out)
+		}
+	}
+	if code != 1 {
+		t.Errorf("claims -diff with a flipped entry exited %d, want 1", code)
+	}
+	for _, args := range [][]string{{"claims", "-diff", before}, {"claims", "-diff", before, after, after}, {"claims", before, after}} {
 		if code, out := runVpfleet(t, args...); code != 2 {
 			t.Errorf("vpfleet %v exited %d, want 2\n%s", args, code, out)
 		}

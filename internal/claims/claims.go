@@ -15,6 +15,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"text/tabwriter"
 
 	"telepresence/internal/core"
@@ -90,10 +91,7 @@ type Result struct {
 // value, band, margin, the paper's section and printed value, and for a
 // failure what the measure reads and any read error.
 func (r Result) String() string {
-	value, margin, tail := "-", "-", ""
-	if r.Err == nil {
-		value, margin = fmt.Sprintf("%.5g", r.Value), fmt.Sprintf("%+.5g", r.Margin)
-	}
+	tail := ""
 	if r.Status == Fail {
 		tail = "\t" + r.Entry.Claim
 		if r.Err != nil {
@@ -101,7 +99,7 @@ func (r Result) String() string {
 		}
 	}
 	return fmt.Sprintf("%s\t%s\t%s\t%v\t%s\t%s\t%s%s",
-		r.Status, r.Entry.ID, value, r.Entry.Band, margin, r.Entry.Source, r.Entry.Paper, tail)
+		r.Status, r.Entry.ID, r.valueText(), r.Entry.Band, r.marginText(), r.Entry.Source, r.Entry.Paper, tail)
 }
 
 // Evaluate checks every entry of Table against rows.
@@ -190,4 +188,103 @@ func ReadDir(dir string) (Rows, error) {
 		}
 	}
 	return out, nil
+}
+
+// section counts the rows of one experiment that differ between two sets
+// of rows: rows at the same position that decode differently, plus rows
+// only one set has.
+type section struct {
+	Name          string
+	Changed       int
+	OldRows, Rows int
+}
+
+// changedSections lists, by name, the experiments whose rows differ
+// between from and to, including an experiment only one of them ran.
+func changedSections(from, to Rows) []section {
+	var out []section
+	for _, e := range core.Experiments() {
+		a, b := from[e.Name], to[e.Name]
+		s := section{Name: e.Name, OldRows: len(a), Rows: len(b)}
+		s.Changed = max(len(a), len(b)) - min(len(a), len(b))
+		for i := range min(len(a), len(b)) {
+			if !reflect.DeepEqual(a[i], b[i]) {
+				s.Changed++
+			}
+		}
+		if s.Changed > 0 {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// ReportDiff evaluates the table over the rows of an old run (from) and a
+// new one (to) and writes, per entry, its status (as "old -> new" when it
+// changed), its value in each, the value's relative change and its margin
+// in each; then the changed sections and a tally. It returns how many
+// entries changed status.
+func ReportDiff(w io.Writer, from, to Rows) (flipped int, err error) {
+	before, after := Evaluate(from), Evaluate(to)
+	moved := 0
+	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
+	fmt.Fprintln(tw, "status\tentry\told value\tnew value\tchange\told margin\tnew margin")
+	for i, a := range after {
+		b := before[i]
+		status := string(a.Status)
+		if b.Status != a.Status {
+			status = fmt.Sprintf("%s -> %s", b.Status, a.Status)
+			flipped++
+		}
+		change := "-"
+		if b.Err == nil && a.Err == nil {
+			change = relChange(b.Value, a.Value)
+			if a.Value != b.Value {
+				moved++
+			}
+		}
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\t%s\n", status, a.Entry.ID,
+			b.valueText(), a.valueText(), change, b.marginText(), a.marginText())
+	}
+	if err := tw.Flush(); err != nil {
+		return flipped, err
+	}
+	sections := changedSections(from, to)
+	if len(sections) > 0 {
+		fmt.Fprintln(tw, "\nsection\trows changed\trows\told rows")
+		for _, s := range sections {
+			fmt.Fprintf(tw, "%s\t%d\t%d\t%d\n", s.Name, s.Changed, s.Rows, s.OldRows)
+		}
+		if err := tw.Flush(); err != nil {
+			return flipped, err
+		}
+	}
+	_, err = fmt.Fprintf(w, "\n%d entries: %d changed status, %d values moved; %d sections changed\n",
+		len(after), flipped, moved, len(sections))
+	return flipped, err
+}
+
+// relChange formats the change from a to b, relative to a unless a is 0.
+func relChange(a, b float64) string {
+	switch {
+	case a == b:
+		return "0"
+	case a == 0:
+		return fmt.Sprintf("%+.3g", b-a)
+	}
+	return fmt.Sprintf("%+.3g%%", 100*(b-a)/math.Abs(a))
+}
+
+func (r Result) valueText() string {
+	if r.Err != nil {
+		return "-"
+	}
+	return fmt.Sprintf("%.5g", r.Value)
+}
+
+func (r Result) marginText() string {
+	if r.Err != nil {
+		return "-"
+	}
+	return fmt.Sprintf("%+.5g", r.Margin)
 }

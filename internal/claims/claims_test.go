@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -189,5 +190,26 @@ func TestReadDir(t *testing.T) {
 	}
 	if _, err := ReadDir(filepath.Join(dir, "fig5.jsonl")); err == nil {
 		t.Error("ReadDir accepted a file as a run directory")
+	}
+}
+
+// TestChangedSections: changedSections counts a changed row, a dropped
+// row and a section only one set has, and nothing in sections that match.
+func TestChangedSections(t *testing.T) {
+	old, cur := goldenRows(t), goldenRows(t)
+	cur["fig5"][1]["Mbps"] = -1.0
+	cur["mesh"] = cur["mesh"][1:]
+	delete(cur, "keypoints")
+	got := changedSections(old, cur)
+	want := []section{
+		{Name: "fig5", Changed: 1, OldRows: len(old["fig5"]), Rows: len(old["fig5"])},
+		{Name: "keypoints", Changed: len(old["keypoints"]), OldRows: len(old["keypoints"])},
+		{Name: "mesh", Changed: len(old["mesh"]), OldRows: len(old["mesh"]), Rows: len(old["mesh"]) - 1},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("changedSections = %+v, want %+v", got, want)
+	}
+	if got := changedSections(old, goldenRows(t)); len(got) != 0 {
+		t.Errorf("identical rows: changedSections = %+v", got)
 	}
 }

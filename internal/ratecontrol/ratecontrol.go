@@ -112,6 +112,9 @@ type Config struct {
 	TrendWindow int
 	// BackoffGapMs is the minimum spacing between consecutive backoffs,
 	// letting one rate cut take effect before the next (default 300 ms).
+	// It is counted in receiver time, as the IntervalMs the reports since
+	// the last cut cover, so reverse-path jitter cannot stretch it by a
+	// whole report interval.
 	BackoffGapMs float64
 }
 
@@ -162,6 +165,30 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// backoffGap rate-limits a controller's backoffs to one per
+// Config.BackoffGapMs of report coverage. Measured between report
+// arrivals, the gap would hinge on jitter: with 100 ms reports a cut
+// three reports later arrives 300 ms after the last one give or take a
+// fraction of a millisecond, and the slightly early arrival waited a
+// fourth report.
+type backoffGap struct {
+	sinceMs float64 // IntervalMs covered by the reports since the last cut
+	cut     bool    // a cut has happened
+}
+
+// observe counts one report's interval.
+func (g *backoffGap) observe(rep rtp.ReceiverReport) { g.sinceMs += rep.IntervalMs }
+
+// ready reports whether a backoff is allowed now. IntervalMs values are
+// differences of float millisecond clocks, so three 100 ms intervals may
+// sum to a hair under 300; the tolerance absorbs that.
+func (g *backoffGap) ready(gapMs float64) bool {
+	return !g.cut || g.sinceMs >= gapMs-1e-6
+}
+
+// reset starts the gap at a backoff.
+func (g *backoffGap) reset() { g.sinceMs, g.cut = 0, true }
 
 func (c Config) clamp(bps float64) float64 {
 	if bps < c.MinBps {
@@ -239,13 +266,12 @@ func (f *Fixed) LastReason() string { return ReasonOpenLoop }
 // standing queue a drop-tail buffer can hold — the contrast the ccrate and
 // ccramp experiments quantify against the delay-gradient controller.
 type LossAIMD struct {
-	cfg       Config
-	target    float64
-	lastMs    float64
-	haveLast  bool
-	lastCutMs float64
-	haveCut   bool
-	reason    string
+	cfg      Config
+	target   float64
+	lastMs   float64
+	haveLast bool
+	gap      backoffGap
+	reason   string
 }
 
 // OnFeedback applies one AIMD step.
@@ -256,15 +282,15 @@ func (l *LossAIMD) OnFeedback(fb Feedback) {
 	}
 	l.lastMs = fb.AtMs
 	l.haveLast = true
+	l.gap.observe(fb.Report)
 
 	l.reason = ReasonHold
 	loss := fb.Report.FractionLost
 	switch {
 	case loss > l.cfg.LossBackoff:
-		if !l.haveCut || fb.AtMs-l.lastCutMs >= l.cfg.BackoffGapMs {
+		if l.gap.ready(l.cfg.BackoffGapMs) {
 			l.target = l.cfg.clamp(l.target * (1 - 0.5*loss))
-			l.lastCutMs = fb.AtMs
-			l.haveCut = true
+			l.gap.reset()
 			l.reason = ReasonBackoffLoss
 		}
 	case loss < l.cfg.LossIncrease:
@@ -312,12 +338,11 @@ type DelayGradient struct {
 	baselineMs   float64
 	haveBaseline bool
 
-	lastMs    float64
-	haveLast  bool
-	lastCutMs float64
-	haveCut   bool
-	starved   int // consecutive reports with zero receive rate
-	reason    string
+	lastMs   float64
+	haveLast bool
+	gap      backoffGap
+	starved  int // consecutive reports with zero receive rate
+	reason   string
 }
 
 // NewDelayGradient returns a delay-gradient controller with cfg's bounds.
@@ -334,6 +359,7 @@ func (d *DelayGradient) OnFeedback(fb Feedback) {
 	}
 	d.lastMs = fb.AtMs
 	d.haveLast = true
+	d.gap.observe(fb.Report)
 
 	rep := fb.Report
 	d.reason = ReasonHold
@@ -342,7 +368,7 @@ func (d *DelayGradient) OnFeedback(fb Feedback) {
 		// artifact; two in a row mean the path is starved (everything is
 		// queued or lost) and the only safe move is down.
 		d.starved++
-		if d.starved >= 2 && d.cut(fb.AtMs, d.target*0.5) {
+		if d.starved >= 2 && d.cut(d.target*0.5) {
 			d.reason = ReasonStarved
 		}
 		return
@@ -384,7 +410,7 @@ func (d *DelayGradient) OnFeedback(fb Feedback) {
 		overuse = ReasonBackoffDelay
 	}
 	if overuse != "" {
-		if d.cut(fb.AtMs, d.cfg.Beta*rep.RecvRateBps) {
+		if d.cut(d.cfg.Beta * rep.RecvRateBps) {
 			d.reason = overuse
 		}
 		return
@@ -405,16 +431,15 @@ func (d *DelayGradient) OnFeedback(fb Feedback) {
 // cut applies one backoff, rate-limited to one per BackoffGapMs, and resets
 // the trendline so the pre-cut queue growth cannot re-trigger immediately.
 // It reports whether the backoff was applied.
-func (d *DelayGradient) cut(atMs, toBps float64) bool {
-	if d.haveCut && atMs-d.lastCutMs < d.cfg.BackoffGapMs {
+func (d *DelayGradient) cut(toBps float64) bool {
+	if !d.gap.ready(d.cfg.BackoffGapMs) {
 		return false
 	}
 	if toBps > d.target {
 		toBps = d.target // a backoff never raises the target
 	}
 	d.target = d.cfg.clamp(toBps)
-	d.lastCutMs = atMs
-	d.haveCut = true
+	d.gap.reset()
 	d.tSec = d.tSec[:0]
 	d.owdMs = d.owdMs[:0]
 	return true

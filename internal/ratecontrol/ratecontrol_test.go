@@ -1,6 +1,7 @@
 package ratecontrol
 
 import (
+	"slices"
 	"testing"
 
 	"telepresence/internal/rtp"
@@ -81,6 +82,31 @@ func TestLossAIMD(t *testing.T) {
 	c.OnFeedback(fb(1600, 20, 1e6, 0.05))
 	if got := c.TargetBps(); got != afterCut {
 		t.Errorf("hold band moved the target: %v", got)
+	}
+}
+
+// TestBackoffGapIgnoresArrivalJitter: every report covers 100 ms and
+// signals overuse, but reaches the sender 0.3 ms late or early in turn.
+// The backoff gap is counted in report coverage, so both controllers cut
+// on every third report; measured between arrivals, the gap from a late
+// report to an early one is 299.4 ms and the cut waited a fourth report.
+func TestBackoffGapIgnoresArrivalJitter(t *testing.T) {
+	for _, kind := range []string{"loss", "gcc"} {
+		c, _ := New(kind, Config{InitialBps: 2e6})
+		var cuts []int
+		for i := 1; i <= 13; i++ {
+			jitter := 0.3
+			if i%2 == 0 {
+				jitter = -0.3
+			}
+			c.OnFeedback(fb(float64(i*100)+jitter, 30, 1e6, 0.4))
+			if c.(interface{ LastReason() string }).LastReason() == ReasonBackoffLoss {
+				cuts = append(cuts, i)
+			}
+		}
+		if want := []int{1, 4, 7, 10, 13}; !slices.Equal(cuts, want) {
+			t.Errorf("%s: backoffs at reports %v, want %v", kind, cuts, want)
+		}
 	}
 }
 

@@ -117,6 +117,10 @@ func (s *Sender) BudgetOverheadRatio() float64 {
 	return s.budgetEwma
 }
 
+// ChargedOverheadRatio returns what the last BudgetOverheadRatio call
+// returned, without advancing the window.
+func (s *Sender) ChargedOverheadRatio() float64 { return s.budgetEwma }
+
 // OnPacket ingests one outgoing media packet (a full RTP packet: header and
 // payload). It caches a copy for retransmission and advances the parity
 // group; when the group completes it returns the marshaled parity packet to

@@ -42,46 +42,3 @@ func TestGeneratorMatchesMathRand(t *testing.T) {
 		}
 	}
 }
-
-// TestFillNormalMatchesNormal compares FillNormal with sequential Normal
-// calls over 10^7 draws, in batches of varying length so batch boundaries
-// fall everywhere relative to the generator's 607-word wrap and to
-// rejected draws. Interleaved Intn calls check that both paths leave the
-// stream in the same place.
-func TestFillNormalMatchesNormal(t *testing.T) {
-	a, b := New(123), New(123)
-	buf := make([]float64, 1000)
-	var n, tail int
-	for n < 10_000_000 {
-		batch := buf[:1+a.Intn(len(buf))]
-		b.Intn(len(buf))
-		a.FillNormal(batch, 3, 0.75)
-		for k, got := range batch {
-			want := b.Normal(3, 0.75)
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("draw %d: FillNormal = %v, Normal = %v", n+k, got, want)
-			}
-			if math.Abs(got-3) > 0.75*zigRn {
-				tail++
-			}
-		}
-		n += len(batch)
-	}
-	if tail == 0 {
-		t.Error("no draw reached the base-strip tail")
-	}
-	a.FillNormal(nil, 0, 1)
-	if x, y := a.Int63(), b.Int63(); x != y {
-		t.Errorf("streams out of step after the batches: %d vs %d", x, y)
-	}
-}
-
-func BenchmarkFillNormal(b *testing.B) {
-	s := New(1)
-	var buf [512]float64 // the batch Scene.Next draws
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.FillNormal(buf[:], 0, 1.2)
-	}
-}

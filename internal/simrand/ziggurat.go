@@ -1,13 +1,11 @@
 // Ziggurat normal sampler ported from Go's math/rand/normal.go (see the Go
 // LICENSE; "The Ziggurat Method for Generating Random Variables", Marsaglia
-// & Tsang, 2000). The port exists purely for speed: Source draws normals on
-// the per-pixel camera-noise and motion hot paths, and going through
+// & Tsang, 2000). The port exists purely for speed: going through
 // *rand.Rand costs several wrapper calls per draw. It consumes simrand's
 // own generator (rng.go), whose stream equals rand.NewSource's, with the
 // SAME arithmetic, so every sequence is bit-identical to
 // rand.Rand.NormFloat64 — the fleet's golden determinism test depends on
-// that. FillNormal inlines the fast path over a batch; every draw that
-// misses it finishes in normTail, the one copy of the rejection loop.
+// that. A draw that misses the fast path finishes in normTail.
 package simrand
 
 import "math"
@@ -75,38 +73,6 @@ func (s *Source) normTail(j int32) float64 {
 			return float64(j) * float64(wn[i])
 		}
 	}
-}
-
-// FillNormal fills dst with normal draws of the given mean and standard
-// deviation. It consumes the stream and produces the values of len(dst)
-// sequential Normal calls, bit for bit; it is faster because the
-// generator's indices stay in locals and the ziggurat fast path is inline.
-func (s *Source) FillNormal(dst []float64, mean, stddev float64) {
-	g := s.g
-	tap, feed := g.tap, g.feed
-	for k := range dst {
-		// g.Uint64, with the indices held in locals.
-		tap--
-		if tap < 0 {
-			tap += rngLen
-		}
-		feed--
-		if feed < 0 {
-			feed += rngLen
-		}
-		u := g.vec[feed] + g.vec[tap]
-		g.vec[feed] = u
-
-		j := int32(uint32((uint64(u) & rngMask) >> 31)) // zigUint32
-		if i := j & 0x7F; zigAbsInt32(j) < kn[i] {
-			dst[k] = mean + stddev*(float64(j)*float64(wn[i]))
-			continue
-		}
-		g.tap, g.feed = tap, feed
-		dst[k] = mean + stddev*s.normTail(j)
-		tap, feed = g.tap, g.feed
-	}
-	g.tap, g.feed = tap, feed
 }
 
 var kn = [128]uint32{

@@ -6,6 +6,7 @@ import (
 
 	"telepresence/internal/geo"
 	"telepresence/internal/netem"
+	"telepresence/internal/ratecontrol"
 	"telepresence/internal/simtime"
 )
 
@@ -142,8 +143,11 @@ func TestRecoveryAcrossSFU(t *testing.T) {
 
 // TestRecoveryChargedAgainstRateTarget pins the rate-budget interaction:
 // with gcc rate control and hybrid recovery on the same capped link, the
-// encoder target is reduced by the redundancy overhead, so media plus
-// parity plus RTX stay within the controller's grant.
+// encoder target is the controller's target with the redundancy charged
+// against it, so media plus parity plus RTX stay within the controller's
+// grant. The charge is the recent-window ratio
+// (recovery.Sender.BudgetOverheadRatio), not the session-lifetime
+// OverheadRatio: a finished loss episode stops being charged.
 func TestRecoveryChargedAgainstRateTarget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("controller convergence needs a 10 s session; skipped in -short")
@@ -158,20 +162,20 @@ func TestRecoveryChargedAgainstRateTarget(t *testing.T) {
 	sess.UplinkShaper(0).RateBps = 0.9e6
 	sess.UplinkShaper(0).Burst = netem.NewGilbertElliott(0.01, 0.3, 0.9)
 	sess.Run()
-	overhead := sess.RecoveryOverheadRatio(0)
-	if overhead <= 0 {
+	if overhead := sess.RecoveryOverheadRatio(0); overhead <= 0 {
 		t.Fatal("no redundancy overhead measured")
 	}
-	// The applied target (mean) must sit below the raw controller target:
-	// the redundancy charge divides it by 1+overhead.
 	applied := sess.RateTargetMeanBps(0)
 	raw := sess.RateController(0).TargetBps()
 	if applied <= 0 || raw <= 0 {
 		t.Fatal("no targets recorded")
 	}
-	if enc := sess.encoders[0].TargetBps(); enc > raw/(1+overhead)*1.001 && enc > 150e3 {
-		t.Errorf("encoder target %.0f above charged budget %.0f (raw %.0f, overhead %.2f)",
-			enc, raw/(1+overhead), raw, overhead)
+	// The controller's target moves only on feedback, so raw and the
+	// charged ratio are both as of the last report.
+	charged := sess.recSend[0].ChargedOverheadRatio()
+	want := ratecontrol.ApplyOverhead(raw, charged, ratecontrol.DefaultMinBps)
+	if enc := sess.encoders[0].TargetBps(); enc != want {
+		t.Errorf("encoder target %.0f, want %.0f (raw %.0f, charged overhead %.3f)", enc, want, raw, charged)
 	}
 }
 

@@ -1,9 +1,16 @@
 // Package video implements the 2D-persona path: a block-transform video
-// codec (8x8 DCT, JPEG-style quantization, inter-frame prediction, adaptive
-// range coding) with closed-loop rate control, plus a synthetic talking-head
-// scene generator. Zoom/Webex/Teams and FaceTime's 2D persona all deliver
-// this kind of stream (§4.2); per-app resolution and target bitrate come
-// from the vca package.
+// codec (8x8 integer transform, JPEG-style quantization, inter-frame
+// prediction, adaptive range coding) with closed-loop rate control, plus a
+// synthetic talking-head scene generator. Zoom/Webex/Teams and FaceTime's
+// 2D persona all deliver this kind of stream (§4.2); per-app resolution and
+// target bitrate come from the vca package.
+//
+// The per-pixel arithmetic is integer: the scene's sensor noise comes from
+// a per-scene table indexed by a PCG generator, and the codec uses the
+// H.264 8x8 integer core transform with table-driven multiply-shift
+// quantisation, built on both sides from the float32 qscale the frame
+// header carries. Its output bytes are pinned by digests (TestSceneDigest,
+// TestEncodeDigest), not by parity with a float reference.
 //
 // Both codec directions run allocation-free in steady state: the encoder
 // reconstructs into its one reference frame in place, the decoder
@@ -82,82 +89,81 @@ func PSNR(a, b *Frame) float64 {
 	return 10 * math.Log10(255*255/mse)
 }
 
-// --- 8x8 DCT ---
+// --- 8x8 integer transform ---
 
-var (
-	dctCos [8][8]float64
-	// dctCosT is the transpose (dctCosT[n][k] == dctCos[k][n]), giving the
-	// idct inner loops a contiguous access pattern.
-	dctCosT [8][8]float64
-)
+// block8 is one 8x8 block of transform input, coefficients or output,
+// indexed [row][column].
+type block8 [8][8]int32
 
-func init() {
-	for k := 0; k < 8; k++ {
-		for n := 0; n < 8; n++ {
-			dctCos[k][n] = math.Cos(math.Pi / 8 * (float64(n) + 0.5) * float64(k))
-			dctCosT[n][k] = dctCos[k][n]
+// fwd8 is the H.264 High-profile 8-point forward core transform (Malvar
+// et al., IEEE TCSVT 2003), in place, using only adds and shifts. Its
+// basis rows are orthogonal with squared norms transformNorm; they
+// approximate the DCT's.
+func fwd8(v *[8]int32) {
+	s07, s16, s25, s34 := v[0]+v[7], v[1]+v[6], v[2]+v[5], v[3]+v[4]
+	d07, d16, d25, d34 := v[0]-v[7], v[1]-v[6], v[2]-v[5], v[3]-v[4]
+	a0, a1, a2, a3 := s07+s34, s16+s25, s07-s34, s16-s25
+	a4 := d16 + d25 + d07 + d07>>1
+	a5 := d07 - d34 - d25 - d25>>1
+	a6 := d07 + d34 - d16 - d16>>1
+	a7 := d16 - d25 + d34 + d34>>1
+	v[0], v[4] = a0+a1, a0-a1
+	v[2], v[6] = a2+a3>>1, a2>>1-a3
+	v[1], v[7] = a4+a7>>2, a4>>2-a7
+	v[3], v[5] = a5+a6>>2, a6-a5>>2
+}
+
+// inv8 is the H.264 8-point inverse core transform, in place: the
+// transpose of fwd8's basis, so inv8(fwd8(v)) is v scaled per
+// coefficient by transformNorm.
+func inv8(v *[8]int32) {
+	e0, e2 := v[0]+v[4], v[0]-v[4]
+	e4, e6 := v[2]>>1-v[6], v[2]+v[6]>>1
+	e1 := v[5] - v[3] - v[7] - v[7]>>1
+	e3 := v[1] + v[7] - v[3] - v[3]>>1
+	e5 := v[7] - v[1] + v[5] + v[5]>>1
+	e7 := v[3] + v[5] + v[1] + v[1]>>1
+	f0, f6 := e0+e6, e0-e6
+	f2, f4 := e2+e4, e2-e4
+	f1, f7 := e1+e7>>2, e7-e1>>2
+	f3, f5 := e3+e5>>2, e3>>2-e5
+	v[0], v[7] = f0+f7, f0-f7
+	v[1], v[6] = f2+f5, f2-f5
+	v[2], v[5] = f4+f3, f4-f3
+	v[3], v[4] = f6+f1, f6-f1
+}
+
+// forward applies fwd8 to every row, then every column.
+func (b *block8) forward() {
+	for y := range b {
+		fwd8(&b[y])
+	}
+	var col [8]int32
+	for x := 0; x < 8; x++ {
+		for k := range col {
+			col[k] = b[k][x]
+		}
+		fwd8(&col)
+		for k := range col {
+			b[k][x] = col[k]
 		}
 	}
 }
 
-// dctC is the orthonormalization factor for coefficient k.
-func dctC(k int) float64 {
-	if k == 0 {
-		return 1 / (2 * math.Sqrt2)
-	}
-	return 0.5
-}
-
-// dot8 is the unrolled 8-term inner product. The additions associate left
-// to right exactly like the accumulation loop it replaces, so results are
-// bit-identical.
-func dot8(a, b *[8]float64) float64 {
-	s := a[0]*b[0] + a[1]*b[1] + a[2]*b[2] + a[3]*b[3]
-	s = s + a[4]*b[4] + a[5]*b[5] + a[6]*b[6] + a[7]*b[7]
-	return s
-}
-
-func fdct8(block *[64]float64) {
-	var tmp [64]float64
-	for y := 0; y < 8; y++ { // rows
-		row := (*[8]float64)(block[y*8 : y*8+8])
-		for k := 0; k < 8; k++ {
-			tmp[y*8+k] = dot8(row, &dctCos[k]) * dctC(k)
+// inverse applies inv8 to every column, then every row.
+func (b *block8) inverse() {
+	var col [8]int32
+	for x := 0; x < 8; x++ {
+		for k := range col {
+			col[k] = b[k][x]
+		}
+		inv8(&col)
+		for k := range col {
+			b[k][x] = col[k]
 		}
 	}
-	var col [8]float64
-	for x := 0; x < 8; x++ { // cols
-		for n := 0; n < 8; n++ {
-			col[n] = tmp[n*8+x]
-		}
-		for k := 0; k < 8; k++ {
-			block[k*8+x] = dot8(&col, &dctCos[k]) * dctC(k)
-		}
-	}
-}
-
-func idct8(block *[64]float64) {
-	var tmp [64]float64
-	// Hoist the per-coefficient scale: the products (c*coef)*cos match the
-	// historical c*coef*cos association exactly, so outputs are
-	// bit-identical while the inner loops lose a branch and a multiply.
-	var scaled [8]float64
-	for x := 0; x < 8; x++ { // cols
-		for k := 0; k < 8; k++ {
-			scaled[k] = dctC(k) * block[k*8+x]
-		}
-		for n := 0; n < 8; n++ {
-			tmp[n*8+x] = dot8(&scaled, &dctCosT[n])
-		}
-	}
-	for y := 0; y < 8; y++ { // rows
-		row := (*[8]float64)(tmp[y*8 : y*8+8])
-		for k := 0; k < 8; k++ {
-			scaled[k] = dctC(k) * row[k]
-		}
-		for n := 0; n < 8; n++ {
-			block[y*8+n] = dot8(&scaled, &dctCosT[n])
-		}
+	for y := range b {
+		inv8(&b[y])
 	}
 }
 
@@ -300,8 +306,9 @@ func (e *Encoder) Encode(f *Frame) (*EncodedFrame, error) {
 	}
 	zig := func(v int32) uint64 { return uint64(uint32(v<<1) ^ uint32(v>>31)) }
 
-	q := e.quantTable()
-	var block [64]float64
+	qs := float32(e.qscale)
+	qt := newQuantTables(qs)
+	var block block8
 	w := f.W
 	for by := 0; by < bh; by++ {
 		for bx := 0; bx < bw; bx++ {
@@ -343,38 +350,38 @@ func (e *Encoder) Encode(f *Frame) (*EncodedFrame, error) {
 			// Residual (or intra) block.
 			if interior {
 				base := oy*w + ox
-				for y := 0; y < 8; y++ {
+				for y := range block {
 					cur := f.Pix[base+y*w : base+y*w+8 : base+y*w+8]
 					if key {
-						for x := 0; x < 8; x++ {
-							block[y*8+x] = float64(int(cur[x]) - 128)
+						for x := range block[y] {
+							block[y][x] = (int32(cur[x]) - 128) << inShift
 						}
 					} else {
 						prev := ref.Pix[base+y*w : base+y*w+8 : base+y*w+8]
-						for x := 0; x < 8; x++ {
-							block[y*8+x] = float64(int(cur[x]) - int(prev[x]))
+						for x := range block[y] {
+							block[y][x] = (int32(cur[x]) - int32(prev[x])) << inShift
 						}
 					}
 				}
 			} else {
-				for y := 0; y < 8; y++ {
-					for x := 0; x < 8; x++ {
-						v := float64(f.At(ox+x, oy+y))
+				for y := range block {
+					for x := range block[y] {
+						v := int32(f.At(ox+x, oy+y))
 						if !key {
-							v -= float64(ref.At(ox+x, oy+y))
+							v -= int32(ref.At(ox+x, oy+y))
 						} else {
 							v -= 128
 						}
-						block[y*8+x] = v
+						block[y][x] = v << inShift
 					}
 				}
 			}
-			fdct8(&block)
+			block.forward()
 			// Quantize + zigzag + run-length code.
 			run := 0
 			for _, zi := range zigzagOrder {
-				c := int32(math.Round(block[zi] / q[zi]))
-				block[zi] = float64(c) * q[zi] // dequantize for recon
+				c := qt.quantise(block[zi>>3&7][zi&7], zi)
+				block[zi>>3&7][zi&7] = c * qt.deq[zi] // dequantize for recon
 				if c == 0 {
 					run++
 					continue
@@ -385,31 +392,25 @@ func (e *Encoder) Encode(f *Frame) (*EncodedFrame, error) {
 			}
 			putUv(uint64(run) | 1<<20) // end-of-block marker: impossible run
 			// Reconstruct exactly as the decoder will.
-			idct8(&block)
+			block.inverse()
+			var pred []uint8 // a keyframe predicts 128
 			if interior {
 				base := oy*w + ox
-				for y := 0; y < 8; y++ {
-					dst := ref.Pix[base+y*w : base+y*w+8 : base+y*w+8]
-					if key {
-						for x := 0; x < 8; x++ {
-							dst[x] = clamp255(block[y*8+x] + 128)
-						}
-					} else {
-						for x := 0; x < 8; x++ {
-							dst[x] = clamp255(block[y*8+x] + float64(dst[x]))
-						}
+				for y := range block {
+					dst := ref.Pix[base+y*w : base+y*w+8]
+					if !key {
+						pred = dst
 					}
+					addResidual(dst, pred, &block[y])
 				}
 			} else {
-				for y := 0; y < 8; y++ {
-					for x := 0; x < 8; x++ {
-						v := block[y*8+x]
+				for y := range block {
+					for x := range block[y] {
+						p := int32(128)
 						if !key {
-							v += float64(ref.At(ox+x, oy+y))
-						} else {
-							v += 128
+							p = int32(ref.At(ox+x, oy+y))
 						}
-						ref.Set(ox+x, oy+y, clamp255(v))
+						ref.Set(ox+x, oy+y, clampPix(p+descale(block[y][x])))
 					}
 				}
 			}
@@ -426,41 +427,104 @@ func (e *Encoder) Encode(f *Frame) (*EncodedFrame, error) {
 	var d [8]byte
 	binary.LittleEndian.PutUint16(d[0:], uint16(f.W))
 	binary.LittleEndian.PutUint16(d[2:], uint16(f.H))
-	binary.LittleEndian.PutUint32(d[4:], math.Float32bits(float32(e.qscale)))
+	binary.LittleEndian.PutUint32(d[4:], math.Float32bits(qs))
 	hdr = append(hdr, d[:]...)
 	e.out = e.cmp.Compress(hdr, body)
 
-	e.frame = EncodedFrame{Data: e.out, Key: key, QScale: e.qscale}
+	e.frame = EncodedFrame{Data: e.out, Key: key, QScale: float64(qs)}
 	e.adaptRate(len(e.out))
 	return &e.frame, nil
 }
 
-// clamp255 clamps v to [0,255] and rounds half away from zero, exactly
-// like math.Round, without calling it. For v >= 0.5 the sum v+0.5 is exact
-// or rounds within the same integer interval, so truncating it is
-// round-half-up; the one double below 0.5 whose sum would round up to 1,
-// 0.49999999999999994, takes the first branch.
-func clamp255(v float64) uint8 {
-	if v < 0.5 {
-		return 0
+// descale rounds an inverse-transform output to grey levels.
+func descale(v int32) int32 { return (v + 1<<(outShift-1)) >> outShift }
+
+// addResidual writes one reconstructed block row: pred plus the descaled
+// residual res, clamped, into dst. A nil pred is a keyframe's, 128.
+func addResidual(dst, pred []uint8, res *[8]int32) {
+	dst = dst[:8]
+	if pred == nil {
+		for x, r := range res {
+			dst[x] = clampPix(128 + descale(r))
+		}
+		return
 	}
-	if v >= 254.5 {
-		return 255
+	pred = pred[:8]
+	for x, r := range res {
+		dst[x] = clampPix(int32(pred[x]) + descale(r))
 	}
-	return uint8(int32(v + 0.5))
 }
 
-// quantTable scales the JPEG table by the current quantizer: higher qscale
-// means finer quantization (better quality, more bits).
-func (e *Encoder) quantTable() [64]float64 {
-	var q [64]float64
-	for i, v := range jpegLuma {
-		q[i] = float64(v) / e.qscale
-		if q[i] < 0.5 {
-			q[i] = 0.5
-		}
+// clampPix clamps v to a pixel value.
+func clampPix(v int32) uint8 {
+	if v < 0 {
+		return 0
 	}
-	return q
+	if v > 255 {
+		return 255
+	}
+	return uint8(v)
+}
+
+// transformNorm is the squared norm of each fwd8 basis row.
+var transformNorm = [8]float64{8, 289. / 32, 5, 289. / 32, 8, 289. / 32, 5, 289. / 32}
+
+// Fixed-point scales of the quantiser tables. Residuals enter the forward
+// transform shifted left by inShift. The reciprocals carry recipShift
+// fractional bits, enough for the coarsest step, and the inverse
+// transform's output outShift, enough that a table entry's rounding is
+// below the finest step's own error; more would risk int32 overflow in
+// the inverse transform.
+const (
+	inShift    = 3
+	recipShift = 32
+	outShift   = 13
+)
+
+// quantTables is one frame's quantiser: the JPEG table scaled by the
+// frame's qscale (higher qscale means finer steps, better quality and more
+// bits), with the transform's row norms folded in. A step is the JPEG
+// entry over qscale, floored at 0.5, in units of an orthonormal DCT
+// coefficient.
+type quantTables struct {
+	// recip quantises a forward-transform output y to
+	// round(|y|*recip >> recipShift), with y's sign.
+	recip [64]int32
+	// deq dequantises a level c to c*deq, the inverse transform's input.
+	deq [64]int32
+}
+
+// newQuantTables builds the tables for the qscale a frame header carries.
+// Encoder and decoder both build them from this float32, so the encoder's
+// reconstruction is the decoder's output.
+func newQuantTables(qscale float32) quantTables {
+	var t quantTables
+	for i, v := range jpegLuma {
+		t.setStep(i, float64(v)/float64(qscale))
+	}
+	return t
+}
+
+// setStep sets coefficient i's step to q, floored at 0.5 and capped at
+// 1e4. Rate control keeps qscale within [0.02, 10], so q within [1, 6050];
+// the cap bounds the tables for forged headers, NaN included.
+func (t *quantTables) setStep(i int, q float64) {
+	if !(q <= 1e4) {
+		q = 1e4
+	}
+	q = max(q, 0.5)
+	norm := math.Sqrt(transformNorm[i>>3] * transformNorm[i&7])
+	t.recip[i] = int32(math.Round((1 << recipShift) / (norm * q * (1 << inShift))))
+	t.deq[i] = int32(math.Round((1 << outShift) * q / norm))
+}
+
+// quantise returns y's level under qt's step i, rounding half away from
+// zero.
+func (qt *quantTables) quantise(y int32, i int) int32 {
+	s := y >> 31
+	m := int64((y ^ s) - s)
+	c := int32((m*int64(qt.recip[i]) + 1<<(recipShift-1)) >> recipShift)
+	return (c ^ s) - s
 }
 
 // adaptRate is a simple closed-loop controller nudging qscale so that mean
@@ -509,7 +573,7 @@ func (d *Decoder) Decode(data []byte) (*Frame, error) {
 	kind := data[0]
 	w := int(binary.LittleEndian.Uint16(data[1:]))
 	h := int(binary.LittleEndian.Uint16(data[3:]))
-	qscale := float64(math.Float32frombits(binary.LittleEndian.Uint32(data[5:])))
+	qscale := math.Float32frombits(binary.LittleEndian.Uint32(data[5:]))
 	if w <= 0 || h <= 0 || qscale <= 0 {
 		return nil, ErrCorrupt
 	}
@@ -526,13 +590,7 @@ func (d *Decoder) Decode(data []byte) (*Frame, error) {
 	}
 	d.body = body
 
-	var q [64]float64
-	for i, v := range jpegLuma {
-		q[i] = float64(v) / qscale
-		if q[i] < 0.5 {
-			q[i] = 0.5
-		}
-	}
+	qt := newQuantTables(qscale)
 
 	pos := 0
 	getUv := func() (uint64, error) {
@@ -556,7 +614,7 @@ func (d *Decoder) Decode(data []byte) (*Frame, error) {
 		out = NewFrame(w, h)
 	}
 	d.spare = nil
-	var block [64]float64
+	var block block8
 	for by := 0; by < bh; by++ {
 		for bx := 0; bx < bw; bx++ {
 			ox, oy := bx*8, by*8
@@ -586,9 +644,7 @@ func (d *Decoder) Decode(data []byte) (*Frame, error) {
 					return nil, ErrCorrupt
 				}
 			}
-			for i := range block {
-				block[i] = 0
-			}
+			block = block8{}
 			zi := 0
 			for {
 				run, err := getUv()
@@ -607,35 +663,28 @@ func (d *Decoder) Decode(data []byte) (*Frame, error) {
 					return nil, ErrCorrupt
 				}
 				c := int32(val>>1) ^ -int32(val&1)
-				block[zigzagOrder[zi]] = float64(c) * q[zigzagOrder[zi]]
+				k := zigzagOrder[zi]
+				block[k>>3&7][k&7] = c * qt.deq[k]
 				zi++
 			}
-			idct8(&block)
+			block.inverse()
+			var pred []uint8 // a keyframe predicts 128
 			if interior {
 				base := oy*w + ox
-				for y := 0; y < 8; y++ {
-					dst := out.Pix[base+y*w : base+y*w+8 : base+y*w+8]
-					if key {
-						for x := 0; x < 8; x++ {
-							dst[x] = clamp255(block[y*8+x] + 128)
-						}
-					} else {
-						prev := d.ref.Pix[base+y*w : base+y*w+8 : base+y*w+8]
-						for x := 0; x < 8; x++ {
-							dst[x] = clamp255(block[y*8+x] + float64(prev[x]))
-						}
+				for y := range block {
+					if !key {
+						pred = d.ref.Pix[base+y*w : base+y*w+8]
 					}
+					addResidual(out.Pix[base+y*w:base+y*w+8], pred, &block[y])
 				}
 			} else {
-				for y := 0; y < 8; y++ {
-					for x := 0; x < 8; x++ {
-						v := block[y*8+x]
-						if key {
-							v += 128
-						} else {
-							v += float64(d.ref.At(ox+x, oy+y))
+				for y := range block {
+					for x := range block[y] {
+						p := int32(128)
+						if !key {
+							p = int32(d.ref.At(ox+x, oy+y))
 						}
-						out.Set(ox+x, oy+y, clamp255(v))
+						out.Set(ox+x, oy+y, clampPix(p+descale(block[y][x])))
 					}
 				}
 			}
@@ -662,7 +711,7 @@ func (d *Decoder) Validate(data []byte) error {
 	kind := data[0]
 	w := int(binary.LittleEndian.Uint16(data[1:]))
 	h := int(binary.LittleEndian.Uint16(data[3:]))
-	qscale := float64(math.Float32frombits(binary.LittleEndian.Uint32(data[5:])))
+	qscale := math.Float32frombits(binary.LittleEndian.Uint32(data[5:]))
 	if w <= 0 || h <= 0 || qscale <= 0 {
 		return ErrCorrupt
 	}

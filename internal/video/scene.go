@@ -28,11 +28,13 @@ type Scene struct {
 	headS    *simrand.OU
 	handAmp  *simrand.OU
 	bg       []uint8
-	frames   [2]*Frame     // render targets, allocated by the first Next
-	next     int           // index into frames of the frame render draws
-	ahead    bool          // a renderer owns the scene until done delivers
-	done     chan struct{} // capacity 1: a renderer's finished frame
-	noise    float64       // NoiseLevel as of the first Next
+	frames   [2]*Frame             // render targets, allocated by the first Next
+	next     int                   // index into frames of the frame render draws
+	ahead    bool                  // a renderer owns the scene until done delivers
+	done     chan struct{}         // capacity 1: a renderer's finished frame
+	noiseTab *[noiseTableLen]int16 // sensor-noise quantiles; nil without noise
+	pcg      uint64                // noise index generator state
+	pcgInc   uint64                // and its odd increment
 	t        float64
 	fps      float64
 	// NoiseLevel is the camera noise std dev in grey levels. Set it before
@@ -106,7 +108,7 @@ func NewScene(rng *simrand.Source, w, h int, fps float64) *Scene {
 func (s *Scene) Next() *Frame {
 	switch {
 	case s.done == nil: // first call
-		s.noise = s.NoiseLevel
+		s.initNoise()
 		s.done = make(chan struct{}, 1)
 		s.frames = [2]*Frame{NewFrame(s.W, s.H), NewFrame(s.W, s.H)}
 		s.render()
@@ -187,17 +189,71 @@ func (s *Scene) render() {
 		fill(hx, hy, rx*0.35, rx*0.35, 185)
 		fill(2*cx-hx, hy, rx*0.35, rx*0.35, 185)
 	}
-	// Camera sensor noise, one normal draw per pixel in raster order,
-	// drawn a stack-sized chunk at a time.
-	if s.noise > 0 {
-		var noise [512]float64
-		for pix := f.Pix; len(pix) > 0; {
-			chunk := noise[:min(len(pix), len(noise))]
-			s.noiseRng.FillNormal(chunk, 0, s.noise)
-			for i, n := range chunk {
-				pix[i] = clamp255(float64(pix[i]) + n)
-			}
-			pix = pix[len(chunk):]
-		}
+	if s.noiseTab != nil {
+		s.addNoise(f.Pix)
 	}
+}
+
+// Sensor noise. Each pixel adds an entry of a table of noiseTableLen
+// values, picked by a PCG generator the scene seeds from its noise stream:
+// PCG-RXS-M-XS-64 (O'Neill, "PCG: A Family of Simple Fast Space-Efficient
+// Statistically Good Algorithms for Random Number Generation", 2014), whose
+// every 64-bit output gives noisePerWord indices from its high bits. The
+// table holds the quantiles of round(Normal(0, NoiseLevel)) at evenly
+// spaced probabilities, so its marginal is the rounded normal's to within
+// 1/noiseTableLen, its mean is exactly 0, and no scene's table is off by
+// the sampling error of a few thousand draws.
+const (
+	noiseBits     = 12
+	noiseTableLen = 1 << noiseBits
+	noisePerWord  = 64 / noiseBits // addNoise unrolls this many
+
+	pcgMul = 6364136223846793005
+	pcgOut = 12605985483967701277
+)
+
+// initNoise builds the noise table for the current NoiseLevel and seeds
+// the index generator.
+func (s *Scene) initNoise() {
+	if s.NoiseLevel <= 0 {
+		return
+	}
+	s.noiseTab = new([noiseTableLen]int16)
+	for i := range s.noiseTab {
+		z := math.Sqrt2 * math.Erfinv(2*(float64(i)+0.5)/noiseTableLen-1)
+		// Beyond ±255 every pixel saturates alike.
+		s.noiseTab[i] = int16(max(-255, min(255, math.Round(s.NoiseLevel*z))))
+	}
+	s.pcg = uint64(s.noiseRng.Int63())
+	s.pcgInc = uint64(s.noiseRng.Int63())<<1 | 1
+}
+
+// addNoise adds one table entry to each pixel of pix in raster order,
+// clamped to 0-255.
+func (s *Scene) addNoise(pix []uint8) {
+	tab := s.noiseTab
+	state, inc := s.pcg, s.pcgInc
+	const mask = noiseTableLen - 1
+	for len(pix) > 0 {
+		// One PCG step: advance the LCG, permute the old state.
+		old := state
+		state = old*pcgMul + inc
+		r := ((old >> (old>>59 + 5)) ^ old) * pcgOut
+		r ^= r >> 43
+		if len(pix) < noisePerWord {
+			for i, p := range pix {
+				pix[i] = clampPix(int32(p) + int32(tab[r>>(64-noiseBits)]))
+				r <<= noiseBits
+			}
+			break
+		}
+		p := pix[:noisePerWord:noisePerWord]
+		p[0] = clampPix(int32(p[0]) + int32(tab[r>>(64-noiseBits)]))
+		p[1] = clampPix(int32(p[1]) + int32(tab[r>>(64-2*noiseBits)&mask]))
+		p[2] = clampPix(int32(p[2]) + int32(tab[r>>(64-3*noiseBits)&mask]))
+		p[3] = clampPix(int32(p[3]) + int32(tab[r>>(64-4*noiseBits)&mask]))
+		p[4] = clampPix(int32(p[4]) + int32(tab[r>>(64-5*noiseBits)&mask]))
+		pix = pix[noisePerWord:]
+	}
+	s.pcg = state
 }

@@ -1,6 +1,7 @@
 package video
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -8,36 +9,57 @@ import (
 	"telepresence/internal/simrand"
 )
 
+// TestDCTRoundTrip runs random residual blocks through the integer
+// transform with a unit quantiser (every step one orthonormal DCT unit)
+// and back: the transform's row norms are folded into the quantiser
+// exactly, so every pixel comes back within one grey level.
 func TestDCTRoundTrip(t *testing.T) {
-	rng := simrand.New(1)
-	var block, orig [64]float64
-	for i := range block {
-		block[i] = rng.Uniform(-128, 128)
-		orig[i] = block[i]
+	var unit quantTables
+	for i := range 64 {
+		unit.setStep(i, 1)
 	}
-	fdct8(&block)
-	idct8(&block)
-	for i := range block {
-		if math.Abs(block[i]-orig[i]) > 1e-9 {
-			t.Fatalf("DCT round trip error %v at %d", block[i]-orig[i], i)
+	rng := simrand.New(1)
+	for n := 0; n < 2000; n++ {
+		var block, orig block8
+		for y := range block {
+			for x := range block[y] {
+				orig[y][x] = int32(rng.Intn(511) - 255)
+				block[y][x] = orig[y][x] << inShift
+			}
+		}
+		block.forward()
+		for i := range 64 {
+			y, x := i>>3, i&7
+			block[y][x] = unit.quantise(block[y][x], i) * unit.deq[i]
+		}
+		block.inverse()
+		for y := range block {
+			for x := range block[y] {
+				got := descale(block[y][x])
+				if d := got - orig[y][x]; d < -1 || d > 1 {
+					t.Fatalf("block %d (%d,%d): %d round-trips to %d", n, x, y, orig[y][x], got)
+				}
+			}
 		}
 	}
 }
 
 func TestDCTEnergyCompaction(t *testing.T) {
 	// A smooth gradient block should concentrate energy in low
-	// frequencies.
-	var block [64]float64
-	for y := 0; y < 8; y++ {
-		for x := 0; x < 8; x++ {
-			block[y*8+x] = float64(x + y)
+	// frequencies. Each output is scaled to its orthonormal DCT
+	// coefficient by the transform's row norms.
+	var block block8
+	for y := range block {
+		for x := range block[y] {
+			block[y][x] = int32(x+y) << inShift
 		}
 	}
-	fdct8(&block)
+	block.forward()
 	var low, total float64
-	for y := 0; y < 8; y++ {
-		for x := 0; x < 8; x++ {
-			e := block[y*8+x] * block[y*8+x]
+	for y := range block {
+		for x := range block[y] {
+			c := float64(block[y][x])
+			e := c * c / (transformNorm[y] * transformNorm[x])
 			total += e
 			if x < 2 && y < 2 {
 				low += e
@@ -548,5 +570,87 @@ func BenchmarkSceneEncode(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestDecodeMatchesEncoderReference checks that the decoder's output is the
+// encoder's reconstruction, byte for byte, over rate-controlled sequences.
+// Rate control moves qscale every frame, and the header carries it as a
+// float32, so both sides must quantise with that float32.
+func TestDecodeMatchesEncoderReference(t *testing.T) {
+	for _, c := range []struct{ w, h int }{{640, 360}, {1280, 720}, {97, 55}} {
+		scene := NewScene(simrand.New(int64(c.w)), c.w, c.h, 30)
+		enc, err := NewEncoder(DefaultConfig(c.w, c.h, 1.2e6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec := NewDecoder()
+		differ := 0
+		for i := 0; i < 150; i++ {
+			ef, err := enc.Encode(scene.Next())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := dec.Decode(ef.Data)
+			if err != nil {
+				t.Fatalf("%dx%d frame %d: %v", c.w, c.h, i, err)
+			}
+			if !bytes.Equal(got.Pix, enc.ref.Pix) {
+				differ++
+			}
+		}
+		if differ > 0 {
+			t.Errorf("%dx%d: %d of 150 decoded frames differ from the encoder's reference", c.w, c.h, differ)
+		}
+	}
+}
+
+// TestSceneNoiseStatistics adds a scene's sensor noise to a flat grey
+// frame and checks the draws: each frame's mean is 0, its standard
+// deviation is the rounded normal's, √(σ²+1/12), and neither neighbouring
+// pixels nor one pixel in consecutive frames are correlated. A table or
+// index generator that repeated would show as correlation, and would let
+// P-frames skip blocks a camera's noise would force to be coded.
+func TestSceneNoiseStatistics(t *testing.T) {
+	const w, h, frames, grey = 640, 360, 10, 128
+	for seed := int64(1); seed <= 3; seed++ {
+		s := NewScene(simrand.New(seed), w, h, 30)
+		s.initNoise()
+		wantSD := math.Sqrt(s.NoiseLevel*s.NoiseLevel + 1.0/12)
+		prev := make([]float64, w*h)
+		cur := make([]float64, w*h)
+		pix := make([]uint8, w*h)
+		for f := 0; f < frames; f++ {
+			for i := range pix {
+				pix[i] = grey
+			}
+			s.addNoise(pix)
+			var sum, sq, lag, across float64
+			for i, p := range pix {
+				d := float64(p) - grey
+				cur[i] = d
+				sum += d
+				sq += d * d
+				if i > 0 {
+					lag += d * cur[i-1]
+				}
+				across += d * prev[i]
+			}
+			n := float64(len(pix))
+			mean, sd := sum/n, math.Sqrt(sq/n)
+			if math.Abs(mean) > 0.02 {
+				t.Errorf("seed %d frame %d: mean %.4f, want within ±0.02 of 0", seed, f, mean)
+			}
+			if math.Abs(sd/wantSD-1) > 0.02 {
+				t.Errorf("seed %d frame %d: sd %.4f, want %.4f ±2%%", seed, f, sd, wantSD)
+			}
+			if r := lag / sq; math.Abs(r) > 0.02 {
+				t.Errorf("seed %d frame %d: lag-1 pixel correlation %.4f", seed, f, r)
+			}
+			if r := across / sq; f > 0 && math.Abs(r) > 0.02 {
+				t.Errorf("seed %d frame %d: correlation with the previous frame %.4f", seed, f, r)
+			}
+			prev, cur = cur, prev
+		}
 	}
 }
