@@ -3,7 +3,9 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -11,12 +13,14 @@ import (
 type FieldKind uint8
 
 const (
-	// Number is any JSON number (integers and floats alike).
+	// Number is a JSON number that is a finite float64.
 	Number FieldKind = iota
 	// String is a JSON string.
 	String
 	// Bool is a JSON true/false.
 	Bool
+	// Integer is a JSON number written as an integer that fits an int.
+	Integer
 )
 
 func (k FieldKind) String() string {
@@ -27,6 +31,8 @@ func (k FieldKind) String() string {
 		return "string"
 	case Bool:
 		return "bool"
+	case Integer:
+		return "integer"
 	}
 	return "unknown"
 }
@@ -43,28 +49,28 @@ type Field struct {
 // column-stable for downstream tooling.
 var Schema = map[string]map[string][]Field{
 	"netem": {
-		"enqueue":  {{"link", String}, {"size", Number}, {"queue", Number}, {"tx_ms", Number}},
-		"drop":     {{"link", String}, {"size", Number}, {"kind", String}},
-		"deliver":  {{"link", String}, {"size", Number}},
+		"enqueue":  {{"link", String}, {"size", Integer}, {"queue", Integer}, {"tx_ms", Number}},
+		"drop":     {{"link", String}, {"size", Integer}, {"kind", String}},
+		"deliver":  {{"link", String}, {"size", Integer}},
 		"ge_state": {{"link", String}, {"bad", Bool}},
 	},
 	"rate": {
-		"report": {{"sender", Number}, {"loss", Number}, {"owd_ms", Number}, {"rate_bps", Number}},
-		"target": {{"sender", Number}, {"target_bps", Number}, {"applied_bps", Number}, {"reason", String}},
+		"report": {{"sender", Integer}, {"loss", Number}, {"owd_ms", Number}, {"rate_bps", Number}},
+		"target": {{"sender", Integer}, {"target_bps", Number}, {"applied_bps", Number}, {"reason", String}},
 	},
 	"recovery": {
-		"nack_sent":     {{"sender", Number}, {"receiver", Number}, {"seqs", Number}},
-		"nack_answered": {{"sender", Number}, {"count", Number}, {"misses", Number}},
-		"parity_sent":   {{"sender", Number}, {"size", Number}},
-		"repair":        {{"sender", Number}, {"receiver", Number}, {"kind", String}, {"count", Number}},
-		"expire":        {{"sender", Number}, {"receiver", Number}, {"count", Number}},
+		"nack_sent":     {{"sender", Integer}, {"receiver", Integer}, {"seqs", Integer}},
+		"nack_answered": {{"sender", Integer}, {"count", Integer}, {"misses", Integer}},
+		"parity_sent":   {{"sender", Integer}, {"size", Integer}},
+		"repair":        {{"sender", Integer}, {"receiver", Integer}, {"kind", String}, {"count", Integer}},
+		"expire":        {{"sender", Integer}, {"receiver", Integer}, {"count", Integer}},
 	},
 	"vca": {
-		"frame_sent":        {{"sender", Number}, {"size", Number}},
-		"frame_thinned":     {{"sender", Number}},
-		"frame_decoded":     {{"sender", Number}, {"receiver", Number}, {"lat_ms", Number}, {"live", Bool}},
-		"frame_undecodable": {{"sender", Number}, {"receiver", Number}},
-		"frame_timeout":     {{"sender", Number}, {"receiver", Number}, {"count", Number}},
+		"frame_sent":        {{"sender", Integer}, {"size", Integer}},
+		"frame_thinned":     {{"sender", Integer}},
+		"frame_decoded":     {{"sender", Integer}, {"receiver", Integer}, {"lat_ms", Number}, {"live", Bool}},
+		"frame_undecodable": {{"sender", Integer}, {"receiver", Integer}},
+		"frame_timeout":     {{"sender", Integer}, {"receiver", Integer}, {"count", Integer}},
 	},
 }
 
@@ -94,32 +100,49 @@ func SchemaDoc() string {
 	return sb.String()
 }
 
-// rawKind classifies a JSON raw value by its first byte.
-func rawKind(raw json.RawMessage) (FieldKind, bool) {
+// maxTraceMs is the latest virtual time a trace line can carry: the end of
+// simtime's int64-nanosecond clock.
+const maxTraceMs = float64(math.MaxInt64) / 1e6
+
+// hasKind reports whether a JSON raw value is of kind k. A Number must be
+// a finite float64 and an Integer must fit an int, so that whatever
+// ValidateLine accepts also decodes into Summarize's typed fields.
+func hasKind(raw json.RawMessage, k FieldKind) bool {
 	if len(raw) == 0 {
-		return 0, false
+		return false
 	}
 	switch c := raw[0]; {
 	case c == '"':
-		return String, true
+		return k == String
 	case c == 't' || c == 'f':
-		return Bool, true
+		return k == Bool
 	case c == '-' || (c >= '0' && c <= '9'):
-		return Number, true
+		switch k {
+		case Number:
+			_, err := strconv.ParseFloat(string(raw), 64)
+			return err == nil
+		case Integer:
+			_, err := strconv.ParseInt(string(raw), 10, strconv.IntSize)
+			return err == nil
+		}
 	}
-	return 0, false
+	return false
 }
 
 // ValidateLine checks one trace line against the event schema: valid JSON,
-// complete envelope, a known cat/ev pair, every declared field present with
-// the declared type, and no undeclared fields.
+// complete envelope with t_ms a virtual time (a Number in [0, maxTraceMs]),
+// a known cat/ev pair, every declared field present with the declared type,
+// and no undeclared fields.
 func ValidateLine(line []byte) error {
 	var m map[string]json.RawMessage
 	if err := json.Unmarshal(line, &m); err != nil {
 		return fmt.Errorf("telemetry: invalid JSON: %w", err)
 	}
-	if k, ok := rawKind(m["t_ms"]); !ok || k != Number {
+	if !hasKind(m["t_ms"], Number) {
 		return fmt.Errorf("telemetry: missing or non-numeric t_ms")
+	}
+	if tMs, _ := strconv.ParseFloat(string(m["t_ms"]), 64); !(tMs >= 0 && tMs <= maxTraceMs) {
+		return fmt.Errorf("telemetry: t_ms %s outside the virtual clock's range", m["t_ms"])
 	}
 	var cat, ev string
 	if err := json.Unmarshal(m["cat"], &cat); err != nil {
@@ -141,7 +164,7 @@ func ValidateLine(line []byte) error {
 		if !ok {
 			return fmt.Errorf("telemetry: %s/%s missing field %q", cat, ev, f.Name)
 		}
-		if k, ok := rawKind(raw); !ok || k != f.Kind {
+		if !hasKind(raw, f.Kind) {
 			return fmt.Errorf("telemetry: %s/%s field %q is not a %s", cat, ev, f.Name, f.Kind)
 		}
 	}

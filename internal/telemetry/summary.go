@@ -49,9 +49,16 @@ type StreamSummary struct {
 	Unrepaired                int64
 	NacksSent, NackSeqs       int64
 	LatencySumMs              float64
-	// DecodedPerSec is the per-second decoded-frame timeline (index =
-	// floor(t_ms/1000)).
-	DecodedPerSec []int64
+	// DecodedPerSec is the decoded-frame timeline: each second
+	// (floor(t_ms/1000)) in which the stream decoded a frame, ascending,
+	// with its count. Seconds with none are left out, so the timeline
+	// grows with the trace's lines, not with the time they span.
+	DecodedPerSec []SecondCount
+}
+
+// SecondCount is one entry of a per-second timeline.
+type SecondCount struct {
+	Sec, Frames int64
 }
 
 // Summary is the reduction of one session trace: per-link packet fates,
@@ -237,17 +244,27 @@ func (s *Summary) add(l *traceLine) {
 			if l.Live {
 				st.FramesLive++
 			}
-			sec := int(l.TMs / 1000)
-			for len(st.DecodedPerSec) <= sec {
-				st.DecodedPerSec = append(st.DecodedPerSec, 0)
-			}
-			st.DecodedPerSec[sec]++
+			st.DecodedPerSec = countSecond(st.DecodedPerSec, int64(l.TMs/1000))
 		case "frame_undecodable":
 			s.stream(l.Sender, l.Receiver).FramesUndecodable++
 		case "frame_timeout":
 			s.stream(l.Sender, l.Receiver).FrameTimeouts += l.Count
 		}
 	}
+}
+
+// countSecond adds one to sec's entry of an ascending timeline, inserting
+// the entry if it is new.
+func countSecond(tl []SecondCount, sec int64) []SecondCount {
+	k := sort.Search(len(tl), func(i int) bool { return tl[i].Sec >= sec })
+	if k < len(tl) && tl[k].Sec == sec {
+		tl[k].Frames++
+		return tl
+	}
+	tl = append(tl, SecondCount{})
+	copy(tl[k+1:], tl[k:])
+	tl[k] = SecondCount{Sec: sec, Frames: 1}
+	return tl
 }
 
 func (s *Summary) sender(i int) *SenderSummary {
@@ -336,7 +353,7 @@ func (s *Summary) WriteReport(w io.Writer) error {
 			if len(st.DecodedPerSec) > 0 {
 				fmt.Fprintf(&sb, "       decoded/s:")
 				for _, c := range st.DecodedPerSec {
-					fmt.Fprintf(&sb, " %d", c)
+					fmt.Fprintf(&sb, " %d:%d", c.Sec, c.Frames)
 				}
 				sb.WriteByte('\n')
 			}

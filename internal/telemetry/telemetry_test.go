@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -165,6 +166,10 @@ func TestValidateLineRejections(t *testing.T) {
 		{"missing field", `{"t_ms":1,"cat":"netem","ev":"deliver","link":"l"}`},
 		{"wrong type", `{"t_ms":1,"cat":"netem","ev":"deliver","link":"l","size":"1"}`},
 		{"undeclared field", `{"t_ms":1,"cat":"netem","ev":"deliver","link":"l","size":1,"extra":2}`},
+		{"negative t_ms", `{"t_ms":-1,"cat":"netem","ev":"deliver","link":"l","size":1}`},
+		{"t_ms past the clock", `{"t_ms":1e13,"cat":"netem","ev":"deliver","link":"l","size":1}`},
+		{"fractional integer", `{"t_ms":1,"cat":"netem","ev":"deliver","link":"l","size":1.5}`},
+		{"overflowing number", `{"t_ms":1,"cat":"rate","ev":"report","sender":0,"loss":0,"owd_ms":1e400,"rate_bps":1}`},
 	}
 	for _, c := range cases {
 		if err := ValidateLine([]byte(c.line)); err == nil {
@@ -345,7 +350,7 @@ func TestSummarizeAggregates(t *testing.T) {
 		st.Unrepaired != 1 || st.NacksSent != 1 || st.NackSeqs != 4 {
 		t.Fatalf("stream summary %+v", *st)
 	}
-	if len(st.DecodedPerSec) != 3 || st.DecodedPerSec[1] != 1 || st.DecodedPerSec[2] != 1 {
+	if want := []SecondCount{{1, 1}, {2, 1}}; !reflect.DeepEqual(st.DecodedPerSec, want) {
 		t.Fatalf("decoded/s %v", st.DecodedPerSec)
 	}
 
@@ -358,7 +363,7 @@ func TestSummarizeAggregates(t *testing.T) {
 	if err := sum.WriteReport(&rpt); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"23 events", "u1.up", "u0", "u0->u1", "decoded/s: 0 1 1", "backoff-loss:1"} {
+	for _, want := range []string{"23 events", "u1.up", "u0", "u0->u1", "decoded/s: 1:1 2:1", "backoff-loss:1"} {
 		if !strings.Contains(rpt.String(), want) {
 			t.Errorf("report missing %q:\n%s", want, rpt.String())
 		}

@@ -100,43 +100,75 @@ func TestTelemetryTraceIsDeterministic(t *testing.T) {
 // TestTraceSummarizeReproducesUserStats is the acceptance gate: replaying
 // the event stream alone must reproduce the session's end-of-run UserStats
 // frame and repair counters exactly. It holds because the emission sites
-// diff the same engine counters UserStats is built from.
+// diff the same engine counters UserStats is built from. Two sessions pin
+// it: the standard P2P one, whose burst channel exercises repair, and a
+// three-party Zoom SFU call with loss on every downlink, whose receivers
+// reject frames through the checksum receive check.
 func TestTraceSummarizeReproducesUserStats(t *testing.T) {
-	var trace bytes.Buffer
-	_, res := telemetrySession(t, &TelemetryConfig{Trace: telemetry.NewTracer(&trace)})
-
-	sum, err := telemetry.Summarize(bytes.NewReader(trace.Bytes()))
-	if err != nil {
-		t.Fatalf("trace does not summarize: %v", err)
-	}
-	if sum.Events == 0 {
-		t.Fatal("empty trace")
-	}
-	for i, u := range res.Users {
-		sent, thinned, decoded, undecodable, repaired, unrepaired := sum.UserFrameCounts(i)
-		if sent != int64(u.FramesSent) {
-			t.Errorf("u%d FramesSent: trace %d, stats %d", i, sent, u.FramesSent)
+	sfu := DefaultSessionConfig(Zoom, []Participant{
+		vp("u1", geo.Ashburn), vp("u2", geo.NewYork), vp("u3", geo.Ashburn),
+	})
+	sfu.Duration = 4 * simtime.Second
+	sfu.Seed = 12
+	sfu.VideoFPS = 15
+	for _, c := range []struct {
+		name string
+		run  func(*TelemetryConfig) *Results
+	}{
+		{"p2p-burst", func(tc *TelemetryConfig) *Results {
+			_, res := telemetrySession(t, tc)
+			return res
+		}},
+		{"sfu-downlink-loss", func(tc *TelemetryConfig) *Results {
+			cfg := sfu
+			cfg.Telemetry = tc
+			sess, res := runLossy(t, cfg, 2, nil)
+			if sess.Plan().P2P {
+				t.Fatal("three-party Zoom planned P2P; SFU path not exercised")
+			}
+			return res
+		}},
+	} {
+		var trace bytes.Buffer
+		res := c.run(&TelemetryConfig{Trace: telemetry.NewTracer(&trace)})
+		sum, err := telemetry.Summarize(bytes.NewReader(trace.Bytes()))
+		if err != nil {
+			t.Fatalf("%s: trace does not summarize: %v", c.name, err)
 		}
-		if thinned != int64(u.FramesThinned) {
-			t.Errorf("u%d FramesThinned: trace %d, stats %d", i, thinned, u.FramesThinned)
+		if sum.Events == 0 {
+			t.Fatalf("%s: empty trace", c.name)
 		}
-		if decoded != int64(u.FramesDecoded) {
-			t.Errorf("u%d FramesDecoded: trace %d, stats %d", i, decoded, u.FramesDecoded)
+		var undecodableAll int64
+		for i, u := range res.Users {
+			sent, thinned, decoded, undecodable, repaired, unrepaired := sum.UserFrameCounts(i)
+			if sent != int64(u.FramesSent) {
+				t.Errorf("%s: u%d FramesSent: trace %d, stats %d", c.name, i, sent, u.FramesSent)
+			}
+			if thinned != int64(u.FramesThinned) {
+				t.Errorf("%s: u%d FramesThinned: trace %d, stats %d", c.name, i, thinned, u.FramesThinned)
+			}
+			if decoded != int64(u.FramesDecoded) {
+				t.Errorf("%s: u%d FramesDecoded: trace %d, stats %d", c.name, i, decoded, u.FramesDecoded)
+			}
+			if undecodable != int64(u.FramesUndecodable) {
+				t.Errorf("%s: u%d FramesUndecodable: trace %d, stats %d", c.name, i, undecodable, u.FramesUndecodable)
+			}
+			if repaired != int64(u.PacketsRepaired) {
+				t.Errorf("%s: u%d PacketsRepaired: trace %d, stats %d", c.name, i, repaired, u.PacketsRepaired)
+			}
+			if unrepaired != int64(u.PacketsUnrepaired) {
+				t.Errorf("%s: u%d PacketsUnrepaired: trace %d, stats %d", c.name, i, unrepaired, u.PacketsUnrepaired)
+			}
+			undecodableAll += undecodable
 		}
-		if undecodable != int64(u.FramesUndecodable) {
-			t.Errorf("u%d FramesUndecodable: trace %d, stats %d", i, undecodable, u.FramesUndecodable)
+		// Each session must exercise the counters it is there for, or the
+		// equalities above are vacuous.
+		if _, _, _, _, repaired, _ := sum.UserFrameCounts(1); c.name == "p2p-burst" && repaired == 0 {
+			t.Error("no repairs traced under burst loss — test lost its teeth")
 		}
-		if repaired != int64(u.PacketsRepaired) {
-			t.Errorf("u%d PacketsRepaired: trace %d, stats %d", i, repaired, u.PacketsRepaired)
+		if c.name == "sfu-downlink-loss" && undecodableAll == 0 {
+			t.Error("no undecodable frame traced under downlink loss — test lost its teeth")
 		}
-		if unrepaired != int64(u.PacketsUnrepaired) {
-			t.Errorf("u%d PacketsUnrepaired: trace %d, stats %d", i, unrepaired, u.PacketsUnrepaired)
-		}
-	}
-	// The burst channel must actually have exercised the loss machinery,
-	// or the equalities above are vacuous.
-	if _, _, _, _, repaired, _ := sum.UserFrameCounts(1); repaired == 0 {
-		t.Error("no repairs traced under burst loss — test lost its teeth")
 	}
 }
 

@@ -553,8 +553,8 @@ type Decoder struct {
 	body  []byte
 	dec   *entropy.Decompressor
 
-	// Validate-mode reference bookkeeping (dimensions only).
-	valRefW, valRefH int
+	// gate is Validate's reference bookkeeping (dimensions only).
+	gate Gate
 }
 
 // NewDecoder returns an empty decoder.
@@ -567,30 +567,20 @@ var ErrCorrupt = errors.New("video: corrupt frame")
 // reference buffer: it is valid (and must not be modified) only until the
 // next Decode call; copy with Clone to retain.
 func (d *Decoder) Decode(data []byte) (*Frame, error) {
-	if len(data) < 9 {
-		return nil, ErrCorrupt
+	// Decode predicts only from pixels it reconstructed: a zero Gate
+	// holds no reference of its own.
+	hd, err := Gate{}.check(data, d.ref)
+	if err != nil {
+		return nil, err
 	}
-	kind := data[0]
-	w := int(binary.LittleEndian.Uint16(data[1:]))
-	h := int(binary.LittleEndian.Uint16(data[3:]))
-	qscale := math.Float32frombits(binary.LittleEndian.Uint32(data[5:]))
-	if w <= 0 || h <= 0 || qscale <= 0 {
-		return nil, ErrCorrupt
-	}
-	key := kind == frameKey
-	if !key && kind != frameDelta {
-		return nil, ErrCorrupt
-	}
-	if !key && (d.ref == nil || d.ref.W != w || d.ref.H != h) {
-		return nil, fmt.Errorf("%w: delta frame without reference", ErrCorrupt)
-	}
-	body, err := d.dec.Decompress(d.body[:0], data[9:])
+	key, w, h := hd.key, hd.w, hd.h
+	body, err := d.dec.Decompress(d.body[:0], data[headerLen:])
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	d.body = body
 
-	qt := newQuantTables(qscale)
+	qt := newQuantTables(hd.qscale)
 
 	pos := 0
 	getUv := func() (uint64, error) {
@@ -697,33 +687,23 @@ func (d *Decoder) Decode(data []byte) (*Frame, error) {
 
 // Validate parses one encoded frame exactly as Decode does — same header
 // checks, same entropy decode, same coefficient-stream walk, same
-// reference-presence rules — but skips pixel reconstruction, which no
-// session measurement depends on. For a given stream, drive a Decoder with
-// either Decode or Validate, not a mixture: Validate tracks only the
-// reference dimensions, so a delta frame Decoded after a Validated
-// keyframe has no reference pixels to reconstruct from and errors.
-// Measurement pipelines that only need decodability and timing (the vca
-// receive path) use Validate; consumers that need pixels use Decode.
+// reference-presence rules — but skips pixel reconstruction. For a given
+// stream, drive a Decoder with either Decode or Validate, not a mixture:
+// Validate tracks only the reference dimensions, so a delta frame Decoded
+// after a Validated keyframe has no reference pixels to reconstruct from
+// and errors.
+//
+// The session receive path does not call Validate: it accepts frames by
+// checksum with Gate.Accept, which agrees with Validate on every frame an
+// Encoder produced. Validate stays the reference that agreement is tested
+// against, and what the benchmark's replay times.
 func (d *Decoder) Validate(data []byte) error {
-	if len(data) < 9 {
-		return ErrCorrupt
+	hd, err := d.gate.check(data, d.ref)
+	if err != nil {
+		return err
 	}
-	kind := data[0]
-	w := int(binary.LittleEndian.Uint16(data[1:]))
-	h := int(binary.LittleEndian.Uint16(data[3:]))
-	qscale := math.Float32frombits(binary.LittleEndian.Uint32(data[5:]))
-	if w <= 0 || h <= 0 || qscale <= 0 {
-		return ErrCorrupt
-	}
-	key := kind == frameKey
-	if !key && kind != frameDelta {
-		return ErrCorrupt
-	}
-	hasRef := (d.valRefW == w && d.valRefH == h) || (d.ref != nil && d.ref.W == w && d.ref.H == h)
-	if !key && !hasRef {
-		return fmt.Errorf("%w: delta frame without reference", ErrCorrupt)
-	}
-	body, err := d.dec.Decompress(d.body[:0], data[9:])
+	key, w, h := hd.key, hd.w, hd.h
+	body, err := d.dec.Decompress(d.body[:0], data[headerLen:])
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
@@ -772,6 +752,6 @@ func (d *Decoder) Validate(data []byte) error {
 			zi++
 		}
 	}
-	d.valRefW, d.valRefH = w, h
+	d.gate.setRef(hd)
 	return nil
 }

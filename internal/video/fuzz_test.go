@@ -32,7 +32,9 @@ func fuzzStream(f *testing.F) [][]byte {
 // FuzzValidate checks that Validate accepts or rejects exactly what Decode
 // does, on arbitrary bytes, both on a fresh decoder and on one holding a
 // reference frame (so delta frames can parse), as TestValidateMatchesDecode
-// does for a live stream.
+// does for a live stream. Whatever Validate accepts, a Gate in the same
+// state accepts too when the checksum matches: Accept applies Validate's
+// header checks and reference rule, and only skips the body.
 func FuzzValidate(f *testing.F) {
 	stream := fuzzStream(f)
 	key := stream[0]
@@ -43,6 +45,7 @@ func FuzzValidate(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, primed := range []bool{false, true} {
 			val, dec := NewDecoder(), NewDecoder()
+			var g Gate
 			if primed {
 				if val.Validate(key) != nil {
 					t.Fatal("Validate rejected the reference keyframe")
@@ -50,11 +53,17 @@ func FuzzValidate(f *testing.F) {
 				if _, err := dec.Decode(key); err != nil {
 					t.Fatal("Decode rejected the reference keyframe")
 				}
+				if g.Accept(key, Checksum(key)) != nil {
+					t.Fatal("Accept rejected the reference keyframe")
+				}
 			}
 			vErr := val.Validate(data)
 			_, dErr := dec.Decode(data)
 			if (vErr == nil) != (dErr == nil) {
 				t.Fatalf("primed=%v: Validate err=%v, Decode err=%v", primed, vErr, dErr)
+			}
+			if gErr := g.Accept(data, Checksum(data)); vErr == nil && gErr != nil {
+				t.Fatalf("primed=%v: Validate accepted what Accept rejected: %v", primed, gErr)
 			}
 		}
 	})

@@ -2,6 +2,7 @@ package video
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"testing"
 
@@ -424,9 +425,98 @@ func BenchmarkDecode360p(b *testing.B) {
 	}
 }
 
+// BenchmarkValidate360p times Validate on the keyframe BenchmarkDecode360p
+// decodes: the entropy decode and coefficient walk without reconstruction.
+func BenchmarkValidate360p(b *testing.B) {
+	scene := NewScene(simrand.New(13), 640, 360, 30)
+	enc, _ := NewEncoder(DefaultConfig(640, 360, 1.5e6))
+	ef, _ := enc.Encode(scene.Next())
+	dec := NewDecoder()
+	b.SetBytes(int64(len(ef.Data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := dec.Validate(ef.Data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAccept360p times the session's receive check on the same
+// keyframe: the frame's CRC-32C against the sender's, then the header rule.
+func BenchmarkAccept360p(b *testing.B) {
+	scene := NewScene(simrand.New(13), 640, 360, 30)
+	enc, _ := NewEncoder(DefaultConfig(640, 360, 1.5e6))
+	ef, _ := enc.Encode(scene.Next())
+	sum := Checksum(ef.Data)
+	var g Gate
+	b.SetBytes(int64(len(ef.Data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := g.Accept(ef.Data, sum); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestGateAcceptMatchesValidate pins Gate.Accept to Validate on encoder
+// output: the same verdict for every frame of two interleaved streams of
+// different sizes with frames dropped, so both the checksum path and the
+// reference rule (a delta frame needs an accepted reference of its size)
+// are exercised. A frame with one flipped bit fails the checksum.
+func TestGateAcceptMatchesValidate(t *testing.T) {
+	rng := simrand.New(21)
+	type stream struct {
+		scene *Scene
+		enc   *Encoder
+	}
+	var streams []stream
+	for _, sz := range [][2]int{{96, 64}, {64, 48}} {
+		enc, err := NewEncoder(Config{W: sz[0], H: sz[1], FPS: 30, Quality: 1, GOP: 6, SkipThreshold: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams = append(streams, stream{NewScene(simrand.New(int64(sz[0])), sz[0], sz[1], 30), enc})
+	}
+	val := NewDecoder()
+	var g Gate
+	var accepted, rejected int
+	for i := 0; i < 120; i++ {
+		st := streams[rng.Intn(len(streams))]
+		ef, err := st.enc.Encode(st.scene.Next())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rng.Float64() < 0.3 {
+			continue // lost in transit
+		}
+		sum := Checksum(ef.Data)
+		vErr := val.Validate(ef.Data)
+		gErr := g.Accept(ef.Data, sum)
+		if (vErr == nil) != (gErr == nil) {
+			t.Fatalf("frame %d (key %v): Validate err=%v, Accept err=%v", i, ef.Key, vErr, gErr)
+		}
+		if gErr == nil {
+			accepted++
+		} else {
+			rejected++
+		}
+		bad := append([]byte(nil), ef.Data...)
+		bad[len(bad)/2] ^= 0x10
+		if err := g.Accept(bad, sum); !errors.Is(err, ErrChecksum) {
+			t.Fatalf("frame %d: Accept of a corrupted copy returned %v, want ErrChecksum", i, err)
+		}
+	}
+	if accepted == 0 || rejected == 0 {
+		t.Fatalf("%d accepted, %d rejected: both verdicts must occur", accepted, rejected)
+	}
+}
+
 // TestValidateMatchesDecode pins Validate to Decode over a live stream:
 // same accept/reject verdicts for intact, cold-start and corrupt input,
-// since the session receive path counts decodability through Validate.
+// since Validate is the reference the session's receive check
+// (Gate.Accept) is held to.
 func TestValidateMatchesDecode(t *testing.T) {
 	rng := simrand.New(14)
 	scene := NewScene(rng, 96, 96, 30)
