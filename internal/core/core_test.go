@@ -63,3 +63,15 @@ func TestOptionsRejectNegatives(t *testing.T) {
 		t.Error("RateAdaptation ignored invalid options on empty sweep")
 	}
 }
+
+// BenchmarkFig4Rep times one Figure 4 unit: 90 probe pairs, each on its own
+// Split stream, ten RTT samples a pair.
+func BenchmarkFig4Rep(b *testing.B) {
+	b.ReportAllocs()
+	opts := Quick(1)
+	for i := 0; i < b.N; i++ {
+		if _, err := fig4Rep(opts, i); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -119,9 +119,11 @@ func (m PathModel) BaseRTTMs(a, b Location) float64 {
 	return prop + m.AccessMs + m.ServerProcMs
 }
 
-// SampleRTTMs returns one jittered RTT observation between a and b.
-func (m PathModel) SampleRTTMs(a, b Location, rng *simrand.Source) float64 {
-	return m.BaseRTTMs(a, b) + rng.LogNormal(m.JitterMu, m.JitterSigma)
+// JitterMs draws one path's queueing jitter. A jittered RTT observation
+// between a and b is BaseRTTMs(a, b) + JitterMs(rng); a caller probing one
+// pair many times computes the base once.
+func (m PathModel) JitterMs(rng *simrand.Source) float64 {
+	return rng.LogNormal(m.JitterMu, m.JitterSigma)
 }
 
 // Validate reports an error if the model parameters are physically

@@ -7,7 +7,9 @@
 // generator (rng.go), so every seed yields exactly the stream
 // rand.NewSource would; the simulator's golden outputs depend on that.
 // Owning the concrete generator lets the hot normal samplers (ziggurat.go)
-// skip the rand.Source interface call per draw.
+// skip the rand.Source interface call per draw, and lets New compute the
+// seeded register by jump-ahead, a third of what stepping math/rand's
+// seeding LCG costs.
 package simrand
 
 import (
@@ -30,10 +32,13 @@ func New(seed int64) *Source {
 	return &Source{r: rand.New(g), g: g}
 }
 
-// Split derives an independent sub-stream identified by label. Deriving the
-// same label twice yields identical streams; different labels yield
-// decorrelated streams. This lets one experiment seed fan out to many
-// subsystems without shared-stream coupling.
+// Split derives a sub-stream identified by label. It draws one Int63 from
+// s, so each Split advances s by one draw: the same label split from s in
+// the same state yields the same stream, but two Splits of one label from
+// one parent yield different streams, and a caller's Splits depend on
+// their order. Different labels yield decorrelated streams. This lets one
+// experiment seed fan out to many subsystems without shared-stream
+// coupling; use ChildSeed where the order must not matter.
 func (s *Source) Split(label string) *Source {
 	h := uint64(1469598103934665603) // FNV-1a offset basis
 	for i := 0; i < len(label); i++ {

@@ -29,12 +29,15 @@ func NewRTTProbe() *RTTProbe {
 }
 
 // Measure samples reps RTTs between the vantage point and the server of the
-// given app.
+// given app: each is the pair's fixed path delay, computed once, plus a
+// jitter draw plus the server's extra delay, added in that order (the rows'
+// bytes depend on it).
 func (p *RTTProbe) Measure(app App, server, vantage geo.Location, rng *simrand.Source, reps int) *stats.Sample {
 	extra := p.ExtraServerMs[fmt.Sprintf("%v/%v", app, server)]
+	base := p.Model.BaseRTTMs(vantage, server)
 	s := &stats.Sample{}
 	for i := 0; i < reps; i++ {
-		s.Add(p.Model.SampleRTTMs(vantage, server, rng) + extra)
+		s.Add(base + p.Model.JitterMs(rng) + extra)
 	}
 	return s
 }
