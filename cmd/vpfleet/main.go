@@ -12,13 +12,13 @@
 // values, never its grid position or worker).
 //
 // The fleet is fault tolerant (see DESIGN.md "Fault tolerance"): rows
-// stream to disk as cells complete, a panicking or failing cell is
-// isolated and retried (-retries, -cell-timeout, -backoff) without
-// stopping the run, completed cells checkpoint to a journal
-// (-checkpoint DIR) that a later invocation resumes (-resume), and a
-// deterministic chaos harness (-chaos) injects faults for testing. SIGINT
-// or SIGTERM drains gracefully: in-flight cells finish and journal, the
-// manifest marks the run resumable, and vpfleet exits 3.
+// stream to disk as cells complete, a panicking, failing or hung
+// (-cell-timeout) cell is isolated as one failed cell without stopping
+// the run, and completed cells checkpoint to a journal (-checkpoint DIR)
+// that a later invocation resumes (-resume). Cells are pure, so none is
+// retried: it would fail the same way again. SIGINT or SIGTERM drains
+// gracefully: in-flight cells finish and journal, the manifest marks the
+// run resumable, and vpfleet exits 3.
 //
 // Exit codes: 0 success; 1 one or more cells (or claims) failed; 2 usage error
 // (bad flags, unknown experiment or target); 3 interrupted but resumable.
@@ -34,7 +34,7 @@
 // tail-follow of the sink stream), /metrics (Prometheus text) and
 // /debug/pprof over HTTP; `-monitor-addr :8090` attaches the same server
 // to a plain run/sweep; and `-progress` renders a single-line live
-// terminal view (cells done/total, retries, failures, rows/sec, ETA).
+// terminal view (cells done/total, failures, rows/sec, ETA).
 // All three views read one Monitor — they can never disagree — and none
 // of them changes a single emitted row byte.
 //
@@ -63,7 +63,7 @@
 //	vpfleet sweep handover -axis delay_ms=0,100,250,500,1000 -workers 8
 //	vpfleet sweep burstloss -axis p_good_bad=0.01,0.05 -checkpoint ck/
 //	vpfleet sweep burstloss -axis p_good_bad=0.01,0.05 -checkpoint ck/ -resume
-//	vpfleet run all -retries 3 -cell-timeout 5m -chaos panic=0.2,attempts=1
+//	vpfleet run all -cell-timeout 5m
 //	vpfleet serve -addr :8090 sweep handover -axis delay_ms=0,100,250
 //	vpfleet run all -progress -workers 8
 //	vpfleet sweep burstloss -axis loss_bad=0.3,0.6 -vprof prof/
@@ -98,7 +98,7 @@ import (
 // broken run from an interrupted-but-resumable one.
 const (
 	exitOK          = 0
-	exitFailures    = 1 // one or more cells failed after retries, or a claim failed
+	exitFailures    = 1 // one or more cells failed, or a claim failed
 	exitUsage       = 2 // bad flags, unknown command/experiment/target
 	exitInterrupted = 3 // gracefully drained; resume with -checkpoint/-resume
 )
@@ -146,9 +146,8 @@ func usage() {
 
 run and sweep share the flags:
   [-seed N] [-full] [-workers N] [-out DIR] [-format jsonl|csv]
-  [-checkpoint DIR] [-resume] [-retries N] [-cell-timeout D] [-backoff D]
-  [-chaos SPEC] [-trace DIR] [-metrics DIR] [-vprof DIR]
-  [-monitor-addr ADDR] [-progress]
+  [-checkpoint DIR] [-resume] [-cell-timeout D] [-trace DIR]
+  [-metrics DIR] [-vprof DIR] [-monitor-addr ADDR] [-progress]
 run additionally takes [-cpuprofile FILE] [-memprofile FILE].
 
 -vprof DIR writes per-cell virtual-time profiles (<cell>.vprof.jsonl
@@ -209,10 +208,7 @@ type commonFlags struct {
 	vprof       *string
 	checkpoint  *string
 	resume      *bool
-	retries     *int
 	cellTimeout *time.Duration
-	backoff     *time.Duration
-	chaos       *string
 	monitorAddr *string
 	progress    *bool
 
@@ -236,10 +232,7 @@ func newCommonFlags(name string) *commonFlags {
 		vprof:       fs.String("vprof", "", "write per-cell virtual-time profiles (JSONL + pprof) to this directory and merge them after the run"),
 		checkpoint:  fs.String("checkpoint", "", "journal completed cells to this directory (enables -resume)"),
 		resume:      fs.Bool("resume", false, "skip cells already journaled in -checkpoint DIR"),
-		retries:     fs.Int("retries", 1, "attempts per cell, first run included (1 = no retry)"),
-		cellTimeout: fs.Duration("cell-timeout", 0, "abandon and retry a cell attempt running longer than this (0 = no watchdog)"),
-		backoff:     fs.Duration("backoff", 0, "delay before a cell's second attempt, doubling per attempt"),
-		chaos:       fs.String("chaos", "", "inject deterministic faults, e.g. panic=0.5,error=0.2,delay=0.3,delay_ms=50,sink=0.1,attempts=2"),
+		cellTimeout: fs.Duration("cell-timeout", 0, "fail a cell still running after this long (0 = no watchdog)"),
 		monitorAddr: fs.String("monitor-addr", "", "serve live HTTP introspection on this address while the fleet runs"),
 		progress:    fs.Bool("progress", false, "render a single-line live progress view on stderr"),
 	}
@@ -269,6 +262,9 @@ func (c *commonFlags) resolve() (workers int, opts tp.Options, outDir, format st
 	}
 	if *c.resume && *c.checkpoint == "" {
 		failUsage(errors.New("-resume requires -checkpoint DIR"))
+	}
+	if *c.cellTimeout < 0 {
+		failUsage(fmt.Errorf("negative -cell-timeout %v", *c.cellTimeout))
 	}
 	workers = *c.workers
 	if workers <= 0 {
@@ -312,26 +308,14 @@ func (c *commonFlags) mergeProfiles() []tp.FleetHotSite {
 }
 
 // fleetConfig assembles the scheduler config from the fault-tolerance
-// flags: the retry policy, the chaos plan (seeded by the run seed so a
-// chaos run is reproducible), the checkpoint journal, and the
+// flags: the per-cell watchdog, the checkpoint journal, and the
 // signal-driven interrupt channel. The returned journal is nil when no
 // -checkpoint was given.
 func (c *commonFlags) fleetConfig(workers int) (tp.FleetConfig, *tp.FleetJournal) {
 	cfg := tp.FleetConfig{
-		Workers: workers,
-		Retry: tp.RetryPolicy{
-			MaxAttempts:    *c.retries,
-			PerCellTimeout: *c.cellTimeout,
-			Backoff:        *c.backoff,
-		},
-		Interrupt: installInterrupt(),
-	}
-	if *c.chaos != "" {
-		plan, err := tp.ParseFaultPlan(*c.chaos, *c.seed)
-		if err != nil {
-			failUsage(err)
-		}
-		cfg.Chaos = plan
+		Workers:     workers,
+		CellTimeout: *c.cellTimeout,
+		Interrupt:   installInterrupt(),
 	}
 	var journal *tp.FleetJournal
 	if *c.checkpoint != "" {

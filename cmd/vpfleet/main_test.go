@@ -91,10 +91,11 @@ func TestExitCodes(t *testing.T) {
 		{"bad flag", []string{"run", "protocols", "-bogus"}, 2},
 		{"bad format", []string{"run", "protocols", "-format", "xml"}, 2},
 		{"resume without checkpoint", []string{"run", "protocols", "-resume", "-out", out}, 2},
-		{"bad chaos spec", []string{"run", "protocols", "-chaos", "wat=1", "-out", out}, 2},
+		{"negative cell timeout", []string{"run", "protocols", "-cell-timeout", "-1s", "-out", out}, 2},
 		{"clean run", []string{"run", "protocols", "-out", out}, 0},
-		{"chaos-failed run", []string{"run", "protocols", "-chaos", "error=1,attempts=9", "-retries", "2", "-out", out}, 1},
-		{"chaos healed by retry", []string{"run", "protocols", "-chaos", "error=1,attempts=1", "-retries", "2", "-out", out}, 0},
+		// A 1µs watchdog fails the one protocols rep: a timeout is a plain
+		// failure.
+		{"timed-out run", []string{"run", "protocols", "-cell-timeout", "1us", "-out", out}, 1},
 		// serve wraps run/sweep: its own errors are usage errors, and the
 		// underlying run's exit code passes through otherwise.
 		{"serve without subcommand", []string{"serve", "-addr", "127.0.0.1:0"}, 2},
@@ -102,7 +103,7 @@ func TestExitCodes(t *testing.T) {
 		{"serve bad addr", []string{"serve", "-addr", "999.999.999.999:http", "run", "protocols", "-out", out}, 2},
 		{"serve bad monitor addr", []string{"run", "protocols", "-monitor-addr", "999.999.999.999:http", "-out", out}, 2},
 		{"serve clean run", []string{"serve", "-addr", "127.0.0.1:0", "run", "protocols", "-out", out}, 0},
-		{"serve chaos-failed run", []string{"serve", "-addr", "127.0.0.1:0", "run", "protocols", "-chaos", "error=1,attempts=9", "-retries", "2", "-out", out}, 1},
+		{"serve timed-out run", []string{"serve", "-addr", "127.0.0.1:0", "run", "protocols", "-cell-timeout", "1us", "-out", out}, 1},
 		{"progress clean run", []string{"run", "protocols", "-progress", "-out", out}, 0},
 		// prof introspects profile files: malformed or missing inputs are
 		// usage errors; valid rank and merge succeed on both formats.
@@ -221,46 +222,12 @@ func TestClaimsDiff(t *testing.T) {
 	}
 }
 
-// TestChaosHealedBytesMatchClean: a run whose injected faults are healed
-// by retries writes byte-identical rows to a fault-free run.
-func TestChaosHealedBytesMatchClean(t *testing.T) {
-	clean, healed := t.TempDir(), t.TempDir()
-	if code, out := runVpfleet(t, "run", "protocols", "-workers", "2", "-out", clean); code != 0 {
-		t.Fatalf("clean run exited %d\n%s", code, out)
-	}
-	if code, out := runVpfleet(t, "run", "protocols", "-workers", "2", "-out", healed,
-		"-chaos", "panic=1,attempts=1", "-retries", "3"); code != 0 {
-		t.Fatalf("healed run exited %d\n%s", code, out)
-	}
-	a, err := os.ReadFile(filepath.Join(clean, "protocols.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(filepath.Join(healed, "protocols.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Errorf("healed rows diverge from clean rows\nclean:  %.200s\nhealed: %.200s", a, b)
-	}
-	// The manifest records the extra attempts.
-	var m struct {
-		Sections []struct {
-			Units []struct {
-				Attempts int `json:"attempts"`
-			} `json:"units"`
-		} `json:"sections"`
-	}
-	data, err := os.ReadFile(filepath.Join(healed, "manifest.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &m); err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Sections) != 1 || len(m.Sections[0].Units) != 1 || m.Sections[0].Units[0].Attempts != 2 {
-		t.Errorf("manifest attempts = %+v, want one unit with 2 (one faulted + one clean)", m.Sections)
-	}
+// slowSweep returns the arguments of a session sweep slow enough to be
+// interrupted and watched mid-run: six cells of 8 to 13 s calls, each
+// about 1.5 to 2.5 s of wall time on a 2-CPU host, followed by extra.
+func slowSweep(extra ...string) []string {
+	return append([]string{"sweep", "session", "-axis", "app=1",
+		"-axis", "duration_s=8,9,10,11,12,13"}, extra...)
 }
 
 // serveURL polls path (the serve-mode stderr log) for the announced
@@ -315,18 +282,16 @@ func TestServeSigterm(t *testing.T) {
 	}
 	defer logFile.Close()
 
-	// Chaos delays stretch each cell so the fleet is still mid-run when the
-	// API is polled and the signal lands; workers=1 leaves cells queued.
-	cmd := exec.Command(vpfleetBin, "serve", "-addr", "127.0.0.1:0",
-		"sweep", "handover", "-axis", "delay_ms=0,100,250,500,700,900",
-		"-workers", "1", "-out", out, "-checkpoint", ck,
-		"-chaos", "delay=1,delay_ms=1200,attempts=99")
+	// The slow session grid keeps the fleet mid-run when the API is polled
+	// and the signal lands; workers=1 leaves cells queued.
+	cmd := exec.Command(vpfleetBin, append([]string{"serve", "-addr", "127.0.0.1:0"},
+		slowSweep("-workers", "1", "-out", out, "-checkpoint", ck)...)...)
 	cmd.Stdout, cmd.Stderr = logFile, logFile
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
 	base := serveURL(t, logPath)
-	id := "sweep-handover"
+	id := "sweep-session"
 
 	// Poll until the run reports itself running with work dispatched.
 	deadline := time.Now().Add(10 * time.Second)
@@ -353,8 +318,7 @@ func TestServeSigterm(t *testing.T) {
 		t.Errorf("/metrics missing fleet_rows_total for %s:\n%.400s", id, metrics)
 	}
 
-	// The rows endpoint streams the sink's NDJSON; wait for the first cell
-	// (delay_ms=0 finishes quickly even under chaos delay).
+	// The rows endpoint streams the sink's NDJSON; wait for the first cell.
 	rowDeadline := time.Now().Add(10 * time.Second)
 	for {
 		row := getBody(t, base+"/api/runs/"+id+"/rows?max=1")
@@ -400,7 +364,7 @@ func TestServeSigterm(t *testing.T) {
 		Interrupted bool   `json:"interrupted"`
 		Checkpoint  string `json:"checkpoint"`
 	}
-	data, err := os.ReadFile(filepath.Join(out, "sweep-handover-manifest.json"))
+	data, err := os.ReadFile(filepath.Join(out, "sweep-session-manifest.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,14 +386,13 @@ func TestSigtermResume(t *testing.T) {
 	clean, part, resumed := t.TempDir(), t.TempDir(), t.TempDir()
 	ck := t.TempDir()
 
-	if code, out := runVpfleet(t, "run", "mesh", "-workers", "1", "-out", clean); code != 0 {
+	if code, out := runVpfleet(t, slowSweep("-workers", "2", "-out", clean)...); code != 0 {
 		t.Fatalf("clean run exited %d\n%s", code, out)
 	}
 
-	// Chaos delays stretch each rep so the signal lands mid-run; workers=1
-	// leaves later reps undispatched when the drain begins.
-	cmd := exec.Command(vpfleetBin, "run", "mesh", "-workers", "1", "-out", part,
-		"-checkpoint", ck, "-chaos", "delay=1,delay_ms=1500,attempts=99")
+	// The slow session grid lets the signal land mid-run; workers=1 leaves
+	// later cells undispatched when the drain begins.
+	cmd := exec.Command(vpfleetBin, slowSweep("-workers", "1", "-out", part, "-checkpoint", ck)...)
 	var buf bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &buf, &buf
 	if err := cmd.Start(); err != nil {
@@ -450,15 +413,15 @@ func TestSigtermResume(t *testing.T) {
 		t.Fatalf("nothing journaled before drain (%v): %v", err, entries)
 	}
 
-	if code, out := runVpfleet(t, "run", "mesh", "-workers", "2", "-out", resumed,
-		"-checkpoint", ck, "-resume"); code != 0 {
+	if code, out := runVpfleet(t, slowSweep("-workers", "2", "-out", resumed,
+		"-checkpoint", ck, "-resume")...); code != 0 {
 		t.Fatalf("resume exited %d\n%s", code, out)
 	}
-	a, err := os.ReadFile(filepath.Join(clean, "mesh.jsonl"))
+	a, err := os.ReadFile(filepath.Join(clean, "sweep-session.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(filepath.Join(resumed, "mesh.jsonl"))
+	b, err := os.ReadFile(filepath.Join(resumed, "sweep-session.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +435,7 @@ func TestSigtermResume(t *testing.T) {
 		Interrupted bool   `json:"interrupted"`
 		Checkpoint  string `json:"checkpoint"`
 	}
-	data, _ := os.ReadFile(filepath.Join(part, "manifest.json"))
+	data, _ := os.ReadFile(filepath.Join(part, "sweep-session-manifest.json"))
 	if err := json.Unmarshal(data, &pm); err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +445,7 @@ func TestSigtermResume(t *testing.T) {
 	var rm struct {
 		Resumed int `json:"resumed"`
 	}
-	data, _ = os.ReadFile(filepath.Join(resumed, "manifest.json"))
+	data, _ = os.ReadFile(filepath.Join(resumed, "sweep-session-manifest.json"))
 	if err := json.Unmarshal(data, &rm); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,12 @@
 package fleet
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"runtime"
+	"runtime/debug"
+	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -9,29 +14,40 @@ import (
 	"telepresence/internal/core"
 )
 
+// ErrInterrupted marks work skipped or abandoned by a graceful drain: the
+// run stopped dispatching, finished what was in flight, and every completed
+// unit is preserved (journaled when a checkpoint is configured). A run that
+// returns an error satisfying errors.Is(err, ErrInterrupted) can be resumed
+// from its journal.
+var ErrInterrupted = errors.New("fleet: interrupted (resumable)")
+
+// ErrUnitTimeout marks a unit abandoned by the per-cell watchdog
+// (Config.CellTimeout).
+var ErrUnitTimeout = errors.New("fleet: unit timed out")
+
 // unit is one schedulable work item: an experiment repetition or a sweep
 // cell (see section). Units are pure (all randomness derives from the seed
-// and the unit's identity), which is what makes retry, resume, and
-// worker-count invariance cheap — a unit's rows are the same wherever and
-// whenever it runs.
+// and the unit's identity), which is what makes resume and worker-count
+// invariance cheap — a unit's rows are the same wherever and whenever it
+// runs. It is also why a unit runs once: one that panics, errors or hangs
+// would do the same again.
 type unit struct {
 	// key is the unit's stable identity ("grid/fig4/rep=0",
 	// "grid/handover/delay_ms=100"); with the options scope it forms the
-	// journal key and seeds chaos decisions.
+	// journal key.
 	key string
 	// labels are pprof label pairs attached while the unit runs.
 	labels []string
 	run    func() ([]core.Row, error)
 }
 
-// unitOutcome is a unit's terminal result after retries (or a journal
-// replay).
+// unitOutcome is a unit's result: its one live run, or a journal replay.
 type unitOutcome struct {
 	rows     []core.Row    // live success: the typed rows
 	entry    *JournalEntry // resumed: the pre-encoded rows (rows is nil)
 	err      error
 	stack    string // captured panic stack, when the failure was a panic
-	attempts int
+	attempts int    // 1 for a unit that ran; the journaled count when resumed
 	wall     time.Duration
 	resumed  bool
 }
@@ -44,9 +60,51 @@ func (o unitOutcome) rowCount() int {
 	return len(o.rows)
 }
 
-// runOrdered executes units under cfg's pool, retry policy, chaos plan and
-// journal, calling emit exactly once per unit in index order as soon as the
-// unit and all its predecessors have resolved. Guarantees:
+// executeUnit runs unit i once, inside a recover() so a panicking runner
+// becomes an error with its stack captured instead of killing the process.
+// A positive cfg.CellTimeout arms the watchdog: on expiry the unit fails
+// with ErrUnitTimeout, and its goroutine is left to finish in the
+// background with its result discarded through the buffered channel.
+func executeUnit(i int, u unit, cfg Config) unitOutcome {
+	start := time.Now()
+	cfg.publish(MonitorEvent{Kind: EventAttemptStarted, Unit: i, Key: u.key, Attempt: 1})
+	ch := make(chan unitOutcome, 1)
+	go func() {
+		defer func() {
+			if p := recover(); p != nil {
+				ch <- unitOutcome{err: fmt.Errorf("panic: %v", p), stack: string(debug.Stack())}
+			}
+		}()
+		var o unitOutcome
+		// Label the unit for CPU profiling: -cpuprofile samples attribute
+		// to (experiment, cell) instead of an undifferentiated pool.
+		pprof.Do(context.Background(), pprof.Labels(u.labels...), func(context.Context) {
+			o.rows, o.err = u.run()
+		})
+		ch <- o
+	}()
+	var o unitOutcome
+	if cfg.CellTimeout <= 0 {
+		o = <-ch
+	} else {
+		t := time.NewTimer(cfg.CellTimeout)
+		select {
+		case o = <-ch:
+		case <-t.C:
+			o.err = fmt.Errorf("%w: still running after %v (abandoned)", ErrUnitTimeout, cfg.CellTimeout)
+		}
+		t.Stop()
+	}
+	if o.err != nil {
+		o.err = fmt.Errorf("fleet: %s failed: %w", u.key, o.err)
+	}
+	o.attempts, o.wall = 1, time.Since(start)
+	return o
+}
+
+// runOrdered executes units under cfg's pool and journal, calling emit
+// exactly once per unit in index order as soon as the unit and all its
+// predecessors have resolved. Guarantees:
 //
 //   - Dispatch is index-ordered and window-gated: at most window units are
 //     in flight or completed-but-unemitted, so streamed memory is bounded
@@ -109,7 +167,7 @@ func runOrdered(units []unit, scope string, cfg Config, emit func(i int, o unitO
 		go func() {
 			defer wg.Done()
 			for i := range tasks {
-				o := executeUnit(i, units[i], cfg, interrupt)
+				o := executeUnit(i, units[i], cfg)
 				if o.err == nil && cfg.Checkpoint != nil {
 					if e, err := encodeEntry(units[i].key, scope, o.attempts, o.rows); err != nil {
 						o.err = err

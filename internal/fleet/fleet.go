@@ -12,15 +12,13 @@
 // Sinks (JSONL, CSV, in-memory) serialize the rows; a run manifest records
 // seed, options, worker count, wall time and every unit's accounting.
 //
-// The fleet is fault tolerant: a panicking runner is isolated (recovered,
-// stack captured, its unit marked failed) instead of killing the process;
-// failing or hung units retry under a RetryPolicy with a per-attempt
-// watchdog and exponential backoff — and because units are pure, retried
-// rows are byte-identical to first-try rows; completed units checkpoint to
-// a content-addressed Journal so an interrupted or crashed run resumes
-// without re-running finished work; and a deterministic chaos harness
-// (FaultPlan) injects panics, errors and delays to keep all of the above
-// honest. See DESIGN.md "Fault tolerance".
+// The fleet is fault tolerant without retrying anything: units are pure,
+// so one that panics, errors or hangs would do the same again. A
+// panicking runner is isolated (recovered, stack captured, its unit marked
+// failed) instead of killing the process; a per-cell watchdog fails a hung
+// unit; completed units checkpoint to a content-addressed Journal so an
+// interrupted or crashed run resumes without re-running finished work; and
+// an interrupt drains gracefully. See DESIGN.md "Fault tolerance".
 package fleet
 
 import (
@@ -36,12 +34,11 @@ import (
 type Config struct {
 	// Workers bounds the worker pool; <=0 selects GOMAXPROCS.
 	Workers int
-	// Retry re-runs failing or hung units; the zero value runs each unit
-	// once with no watchdog.
-	Retry RetryPolicy
-	// Chaos, when non-nil, injects deterministic faults into unit
-	// attempts and sink emissions (see FaultPlan).
-	Chaos *FaultPlan
+	// CellTimeout is a wall-clock watchdog per unit: a unit still running
+	// after this long fails with ErrUnitTimeout. Its goroutine is left to
+	// finish in the background and its result is discarded. 0 disables
+	// the watchdog.
+	CellTimeout time.Duration
 	// Checkpoint, when non-nil, journals every completed unit's rows
 	// (content-addressed, atomic) as soon as the unit finishes.
 	Checkpoint *Journal
@@ -59,7 +56,7 @@ type Config struct {
 	// is what keeps streaming memory constant in grid size.
 	Window int
 	// Monitor, when non-nil, receives unit-lifecycle events (dispatch,
-	// attempts, retries, panics, journal hits, ordered emission, window
+	// start, completion, journal hits, ordered emission, window
 	// occupancy) from every goroutine of the run; implementations must be
 	// concurrency-safe. Monitors observe but never steer: emitted rows are
 	// byte-identical with or without one, and a nil Monitor adds zero
@@ -81,15 +78,16 @@ type UnitResult struct {
 	// Label names the unit within its section: "rep=N" for a registry
 	// repetition, the canonical parameter label for a sweep cell.
 	Label string
-	// Key is the unit's stable identity (unitKey): the journal key and the
-	// chaos roll key.
+	// Key is the unit's stable identity (unitKey), from which the journal
+	// key derives.
 	Key string
 	// Rows is the number of rows the unit emitted.
 	Rows int
-	// Wall is the unit's wall time across attempts (parallel units overlap
-	// these intervals).
+	// Wall is the unit's wall time (parallel units overlap these
+	// intervals).
 	Wall time.Duration
-	// Attempts is how many tries the unit took (>1 when retries fired).
+	// Attempts is 1 for a unit that ran and the journaled count for a
+	// resumed one; 0 for a unit an interrupted run never started.
 	Attempts int
 	// Resumed reports the unit was served from the checkpoint journal.
 	Resumed bool
@@ -126,9 +124,9 @@ type section struct {
 // order, byte-identical for any worker count, and memory stays bounded by
 // the reorder window (Config.Window) instead of the whole run.
 //
-// A failing unit (error, panic, or watchdog timeout, after retries) does
-// not suppress its siblings: it leaves a gap in the stream exactly where
-// its rows would be, which a later resumed run fills in. With
+// A failing unit (error, panic, or watchdog timeout) does not suppress
+// its siblings: it leaves a gap in the stream exactly where its rows
+// would be, which a later resumed run fills in. With
 // cfg.Checkpoint set, completed units journal before they stream; with
 // cfg.Resume, journaled units replay through the sink without running, so
 // the sink must implement EntrySink (NewJSONLSink and NewCSVSink do).
@@ -192,7 +190,7 @@ func runSections(secs []section, opts core.Options, cfg Config) ([]UnitResult, e
 			}
 			opened = cur
 		}
-		if r.Err = emitUnit(sink, r.Key, o, cfg.Chaos); r.Err != nil {
+		if r.Err = emitUnit(sink, o); r.Err != nil {
 			return r.Err
 		}
 		r.Rows = o.rowCount()
@@ -246,18 +244,14 @@ func RunStream(exps []core.Experiment, opts core.Options, cfg Config, factory Si
 }
 
 // emitUnit writes one successful unit's rows to sink: a journal replay
-// goes through EntrySink verbatim; a live outcome first passes the chaos
-// plan's sink fault, then writes its rows in order.
-func emitUnit(sink Sink, key string, o unitOutcome, chaos *FaultPlan) error {
+// goes through EntrySink verbatim; a live outcome writes its rows in order.
+func emitUnit(sink Sink, o unitOutcome) error {
 	if o.entry != nil {
 		es, ok := sink.(EntrySink)
 		if !ok {
 			return fmt.Errorf("fleet: sink %T cannot replay journal entries (no EntrySink)", sink)
 		}
 		return es.WriteEntry(o.entry)
-	}
-	if err := chaos.sinkFault(key); err != nil {
-		return err
 	}
 	for _, row := range o.rows {
 		if err := sink.Write(row); err != nil {

@@ -65,33 +65,3 @@ func FuzzJournalLookup(f *testing.F) {
 		}
 	})
 }
-
-// FuzzParseFaultPlan drives the -chaos spec parser. It must not panic, and
-// a plan it accepts has every probability in [0,1], a non-negative Delay
-// and a non-negative FailAttempts.
-func FuzzParseFaultPlan(f *testing.F) {
-	f.Add("panic=0.5,error=0.25,delay=0.1,delay_ms=20,sink=0.75,attempts=2")
-	f.Add("delay=1")
-	f.Add("panic=NaN")
-	f.Add("attempts=-5")
-	f.Add("attempts=1e300")
-	f.Add("attempts=2.9")
-	f.Add("delay_ms=1e300")
-	f.Add("delay_ms=Inf")
-	f.Add(" panic = 1 , , attempts=0x1p3")
-	f.Add("")
-	f.Fuzz(func(t *testing.T, spec string) {
-		p, err := ParseFaultPlan(spec, 1)
-		if err != nil {
-			return
-		}
-		for _, v := range []float64{p.PanicProb, p.ErrorProb, p.DelayProb, p.SinkErrorProb} {
-			if !(v >= 0 && v <= 1) {
-				t.Fatalf("accepted %q with probability %v: %+v", spec, v, p)
-			}
-		}
-		if p.Delay < 0 || p.FailAttempts < 0 {
-			t.Fatalf("accepted %q with negative Delay or FailAttempts: %+v", spec, p)
-		}
-	})
-}

@@ -50,7 +50,7 @@ func TestSweepManifestCellTimingsComplete(t *testing.T) {
 // with rows, attempts and wall time, and rows over the cumulative rep
 // wall time is positive whenever rows were emitted and wall time elapsed.
 func TestManifestPerExperimentRowsPerSec(t *testing.T) {
-	exp, _ := flakyExperiment("rps", 3, 0, false)
+	exp := testExperiment("rps", 3, false)
 	results, _, err := runRows([]core.Experiment{exp}, core.Quick(3), Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)

@@ -5,9 +5,8 @@ import "time"
 // EventKind enumerates the unit-lifecycle notifications the engine
 // publishes to Config.Monitor. Kinds cover the whole life of a run: the
 // unit universe (run started), scheduling (dispatched, journal hit),
-// execution (attempt started, retried, panicked, timed out, done), ordered
-// emission (rows emitted, window occupancy), and the drain path
-// (interrupted, run done).
+// execution (attempt started, done), ordered emission (rows emitted,
+// window occupancy), and the drain path (interrupted, run done).
 type EventKind uint8
 
 const (
@@ -16,24 +15,17 @@ const (
 	EventRunStarted EventKind = iota
 	// EventUnitDispatched fires when a unit is handed to the worker pool.
 	EventUnitDispatched
-	// EventAttemptStarted fires per attempt, first try included.
+	// EventAttemptStarted fires once per unit that runs, with Attempt 1,
+	// when its runner starts.
 	EventAttemptStarted
-	// EventUnitRetried fires after a failed attempt that will be retried;
-	// Backoff is the sleep preceding the next attempt.
-	EventUnitRetried
-	// EventUnitPanicked fires when an attempt panicked; Stack carries the
-	// recovered goroutine stack.
-	EventUnitPanicked
-	// EventUnitTimedOut fires when the per-cell watchdog abandoned an
-	// attempt.
-	EventUnitTimedOut
 	// EventJournalHit fires when a resumed unit is served from the
 	// checkpoint journal instead of running; Rows and Attempt carry the
 	// journaled counts.
 	EventJournalHit
-	// EventUnitDone fires at a unit's terminal outcome (after retries):
-	// Rows/Wall/Attempt describe the outcome, Err and Stack the failure if
-	// any. Units skipped by an interrupt report Err = ErrInterrupted.
+	// EventUnitDone fires at a unit's outcome: Rows/Wall/Attempt describe
+	// it, Err and Stack the failure if any. A panic is Stack != ""; a
+	// watchdog timeout is errors.Is(Err, ErrUnitTimeout). Units skipped by
+	// an interrupt report Err = ErrInterrupted.
 	EventUnitDone
 	// EventRowsEmitted fires when a successful unit's rows pass the
 	// ordered emission point into the sink stream.
@@ -58,22 +50,19 @@ type MonitorEvent struct {
 	// Key is the unit's stable identity ("grid/fig4/rep=0",
 	// "grid/handover/delay_ms=100"); empty for run-level events.
 	Key string
-	// Attempt is the 1-based attempt number (or the terminal attempt
-	// count on EventUnitDone / EventJournalHit).
+	// Attempt is 1 for a unit that runs (the journaled count on
+	// EventJournalHit).
 	Attempt int
 	// Rows is the unit's row count (EventUnitDone, EventJournalHit,
 	// EventRowsEmitted).
 	Rows int
 	// Units is the run's total unit count (EventRunStarted).
 	Units int
-	// Backoff is the sleep before the next attempt (EventUnitRetried).
-	Backoff time.Duration
 	// Wall is the unit's cumulative wall time (EventUnitDone).
 	Wall time.Duration
-	// Err is the attempt or unit error, when the event reports a failure.
+	// Err is the unit error, when the event reports a failure.
 	Err error
-	// Stack is the recovered panic stack (EventUnitPanicked,
-	// EventUnitDone after a terminal panic).
+	// Stack is the recovered panic stack (EventUnitDone after a panic).
 	Stack string
 	// InFlight and Buffered are the window-occupancy gauges (EventWindow).
 	InFlight int

@@ -43,7 +43,7 @@ func (m *recordingMonitor) byKind(k EventKind) []MonitorEvent {
 // with unit indices and keys that match dispatch order.
 func TestMonitorLifecycleEvents(t *testing.T) {
 	mon := &recordingMonitor{}
-	exp, _ := flakyExperiment("steady", 4, 0, false)
+	exp := testExperiment("steady", 4, false)
 	res, _, err := runRows([]core.Experiment{exp}, core.Quick(1), Config{Workers: 2, Monitor: mon})
 	if err != nil {
 		t.Fatal(err)
@@ -107,49 +107,30 @@ func TestMonitorLifecycleEvents(t *testing.T) {
 	}
 }
 
-// TestMonitorRetryPanicEvents: panicking attempts publish UnitPanicked
-// (with the recovered stack) and UnitRetried (with the backoff preceding
-// the next attempt), and the terminal UnitDone still reports success once
-// retries converge.
-func TestMonitorRetryPanicEvents(t *testing.T) {
+// TestMonitorPanicEvents: a panicking unit starts one attempt, and its
+// UnitDone carries the failure with the recovered stack.
+func TestMonitorPanicEvents(t *testing.T) {
 	mon := &recordingMonitor{}
-	exp, _ := flakyExperiment("crashy", 2, 1, true) // each rep panics once
-	cfg := Config{Workers: 2, Monitor: mon,
-		Retry: RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond}}
-	if _, _, err := runRows([]core.Experiment{exp}, core.Quick(1), cfg); err != nil {
-		t.Fatalf("retries did not converge: %v", err)
+	exp := testExperiment("crashy", 2, true)
+	if _, _, err := runRows([]core.Experiment{exp}, core.Quick(1), Config{Workers: 2, Monitor: mon}); err == nil {
+		t.Fatal("panicking reps returned no error")
 	}
-
-	panics := mon.byKind(EventUnitPanicked)
-	if len(panics) != 2 {
-		t.Fatalf("%d UnitPanicked events, want 2 (one per rep)", len(panics))
+	if got := len(mon.byKind(EventAttemptStarted)); got != 2 {
+		t.Errorf("%d AttemptStarted events, want 2 (one per rep)", got)
 	}
-	for _, ev := range panics {
+	dones := mon.byKind(EventUnitDone)
+	if len(dones) != 2 {
+		t.Fatalf("%d UnitDone events, want 2", len(dones))
+	}
+	for _, ev := range dones {
 		if ev.Attempt != 1 || ev.Err == nil || !strings.Contains(ev.Stack, "goroutine") {
-			t.Errorf("UnitPanicked = attempt %d err %v stack %d bytes", ev.Attempt, ev.Err, len(ev.Stack))
-		}
-	}
-	retries := mon.byKind(EventUnitRetried)
-	if len(retries) != 2 {
-		t.Fatalf("%d UnitRetried events, want 2", len(retries))
-	}
-	for _, ev := range retries {
-		if ev.Attempt != 1 || ev.Backoff != time.Millisecond {
-			t.Errorf("UnitRetried = attempt %d backoff %v, want 1 / 1ms", ev.Attempt, ev.Backoff)
-		}
-	}
-	if got := len(mon.byKind(EventAttemptStarted)); got != 4 {
-		t.Errorf("%d AttemptStarted events, want 4 (2 reps x 2 attempts)", got)
-	}
-	for _, ev := range mon.byKind(EventUnitDone) {
-		if ev.Err != nil || ev.Attempt != 2 {
-			t.Errorf("terminal UnitDone = %+v, want clean second-attempt outcome", ev)
+			t.Errorf("UnitDone = attempt %d err %v stack %d bytes", ev.Attempt, ev.Err, len(ev.Stack))
 		}
 	}
 }
 
-// TestMonitorTimeout: a watchdog-abandoned attempt publishes UnitTimedOut
-// and the exhausted unit's UnitDone carries ErrUnitTimeout.
+// TestMonitorTimeout: a watchdog-abandoned unit's UnitDone carries
+// ErrUnitTimeout and no stack.
 func TestMonitorTimeout(t *testing.T) {
 	mon := &recordingMonitor{}
 	hang := core.Experiment{
@@ -160,18 +141,13 @@ func TestMonitorTimeout(t *testing.T) {
 			return []core.Row{0}, nil
 		},
 	}
-	cfg := Config{Workers: 1, Monitor: mon,
-		Retry: RetryPolicy{MaxAttempts: 1, PerCellTimeout: 30 * time.Millisecond}}
+	cfg := Config{Workers: 1, Monitor: mon, CellTimeout: 30 * time.Millisecond}
 	if _, _, err := runRows([]core.Experiment{hang}, core.Quick(1), cfg); !errors.Is(err, ErrUnitTimeout) {
 		t.Fatalf("err = %v, want ErrUnitTimeout", err)
 	}
-	timeouts := mon.byKind(EventUnitTimedOut)
-	if len(timeouts) != 1 || !errors.Is(timeouts[0].Err, ErrUnitTimeout) {
-		t.Fatalf("UnitTimedOut events = %+v, want one carrying ErrUnitTimeout", timeouts)
-	}
 	dones := mon.byKind(EventUnitDone)
-	if len(dones) != 1 || !errors.Is(dones[0].Err, ErrUnitTimeout) {
-		t.Errorf("UnitDone = %+v, want terminal timeout", dones)
+	if len(dones) != 1 || !errors.Is(dones[0].Err, ErrUnitTimeout) || dones[0].Stack != "" || dones[0].Attempt != 1 {
+		t.Errorf("UnitDone = %+v, want one timeout on attempt 1 with no stack", dones)
 	}
 }
 
@@ -228,7 +204,7 @@ func TestMonitorInterrupted(t *testing.T) {
 	mon := &recordingMonitor{}
 	interrupt := make(chan struct{})
 	close(interrupt)
-	exp, _ := flakyExperiment("skippy", 3, 0, false)
+	exp := testExperiment("skippy", 3, false)
 	_, err := RunStream([]core.Experiment{exp}, core.Quick(1),
 		Config{Workers: 2, Monitor: mon, Interrupt: interrupt},
 		func(core.Experiment) (Sink, error) { return NewJSONLSink(&bytes.Buffer{}), nil })

@@ -89,9 +89,9 @@ func (s *trippingSink) Write(row core.Row) error {
 	return err
 }
 
-// TestKillAndResume is the acceptance pin: a sweep killed mid-run under
-// chaos, then resumed from its journal, reassembles byte-identical output
-// to an uninterrupted run — at worker counts 1 and 8.
+// TestKillAndResume is the acceptance pin: a sweep killed mid-run, then
+// resumed from its journal, reassembles byte-identical output to an
+// uninterrupted run — at worker counts 1 and 8.
 func TestKillAndResume(t *testing.T) {
 	spec := testSweepSpec()
 	opts := core.Quick(13)
@@ -104,16 +104,14 @@ func TestKillAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Run 1: chaos panics on first attempts, cells slowed so the trip
-	// lands while work is still in flight, kill after the 3rd row reaches
-	// the sink.
+	// Run 1: kill after the 3rd row reaches the sink. The window of 4
+	// keeps at most 4 cells dispatched past the last emitted one, so the
+	// drain skips some of the 12.
 	interrupt := make(chan struct{})
 	var buf bytes.Buffer
 	sink := &trippingSink{Sink: NewJSONLSink(&buf), after: 3, interrupt: interrupt}
 	cfg := Config{
 		Workers: 2, Window: 4,
-		Chaos:      &FaultPlan{Seed: 13, PanicProb: 0.5, DelayProb: 1, Delay: 15 * time.Millisecond, FailAttempts: 1},
-		Retry:      RetryPolicy{MaxAttempts: 3},
 		Checkpoint: journal,
 		Interrupt:  interrupt,
 	}
@@ -180,11 +178,27 @@ func TestKillAndResume(t *testing.T) {
 	}
 }
 
-// TestSinkChaosErrorThenResume: an injected sink-write error aborts the
-// run, but completed cells are already journaled, so a resume recovers
-// them without re-running and replays clean (sink faults never fire on
-// journal replays).
-func TestSinkChaosErrorThenResume(t *testing.T) {
+// failingSink wraps a sink and fails every write from the Nth on.
+type failingSink struct {
+	Sink
+	after  int
+	writes int
+}
+
+var errSinkWrite = errors.New("synthetic sink write error")
+
+func (s *failingSink) Write(row core.Row) error {
+	s.writes++
+	if s.writes >= s.after {
+		return errSinkWrite
+	}
+	return s.Sink.Write(row)
+}
+
+// TestSinkErrorThenResume: a sink-write error aborts the run, but
+// completed cells are already journaled, so a resume recovers them
+// without re-running and replays byte-identical output.
+func TestSinkErrorThenResume(t *testing.T) {
 	spec := testSweepSpec()
 	opts := core.Quick(5)
 	clean, _, err := streamSweepJSONL(t, spec, opts, Config{Workers: 2})
@@ -192,15 +206,26 @@ func TestSinkChaosErrorThenResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	journal, _ := OpenJournal(t.TempDir())
-	_, _, runErr := streamSweepJSONL(t, spec, opts, Config{
-		Workers: 2, Checkpoint: journal,
-		Chaos: &FaultPlan{Seed: 5, SinkErrorProb: 1},
-	})
-	if runErr == nil {
-		t.Fatal("SinkErrorProb=1 run succeeded")
+	var buf bytes.Buffer
+	sink := &failingSink{Sink: NewJSONLSink(&buf), after: 3}
+	results, runErr := RunSweepStream(spec, opts, Config{Workers: 2, Checkpoint: journal}, sink)
+	if !errors.Is(runErr, errSinkWrite) {
+		t.Fatalf("run error = %v, want the sink's write error", runErr)
 	}
-	if journal.Len() == 0 {
-		t.Fatal("sink failure lost completed cells (nothing journaled)")
+	if sink.writes != 3 {
+		t.Errorf("sink saw %d writes, want 3 (the emit error aborts the run)", sink.writes)
+	}
+	skipped := 0
+	for _, r := range results {
+		if errors.Is(r.Err, ErrInterrupted) {
+			skipped++
+		}
+	}
+	if skipped == 0 {
+		t.Error("no cell left unemitted after the emit error")
+	}
+	if journal.Len() < 3 {
+		t.Fatalf("%d cells journaled, want at least the 3 that reached the sink", journal.Len())
 	}
 	got, results, err := streamSweepJSONL(t, spec, opts, Config{
 		Workers: 2, Checkpoint: journal, Resume: true,
@@ -226,7 +251,7 @@ func TestSinkChaosErrorThenResume(t *testing.T) {
 // per experiment, streams rep rows in order, isolates failures as gaps,
 // and reports counts in its results.
 func TestRunStreamExperiments(t *testing.T) {
-	good, _ := flakyExperiment("s-good", 3, 0, false)
+	good := testExperiment("s-good", 3, false)
 	half := core.Experiment{ // rep 1 of 3 fails: reps 0 and 2 still stream
 		Name: "s-half", Desc: "test", Row: 0,
 		Reps: func(core.Options) int { return 3 },

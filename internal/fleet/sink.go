@@ -87,14 +87,24 @@ type UnitManifest struct {
 	Label  string  `json:"label"`
 	Rows   int     `json:"rows"`
 	WallMs float64 `json:"wall_ms"`
-	// Attempts is how many tries the unit took; omitted (0) for units an
-	// interrupted run never started.
+	// Attempts is 1 for a unit that ran (a unit runs once; the field keeps
+	// the schema); omitted (0) for units an interrupted run never started.
 	Attempts int `json:"attempts,omitempty"`
 	// Resumed marks units replayed from the checkpoint journal.
 	Resumed bool `json:"resumed,omitempty"`
 	// Skipped marks units an interrupted run never completed; a resumed
 	// run fills them in.
 	Skipped bool `json:"skipped,omitempty"`
+}
+
+// UnitFailure records one unit's failure for manifests: which unit, what
+// it said, the captured panic stack if it crashed, and how many attempts
+// it took (always 1; the field keeps the manifest schema).
+type UnitFailure struct {
+	Unit     string `json:"unit"`
+	Error    string `json:"error"`
+	Stack    string `json:"stack,omitempty"`
+	Attempts int    `json:"attempts"`
 }
 
 // SectionManifest records one section of a run: a registry experiment or
@@ -132,7 +142,7 @@ type Manifest struct {
 	RowsPerSec float64           `json:"rows_per_sec"`
 	Sections   []SectionManifest `json:"sections"`
 	// Failures details every failed unit: error, captured panic stack,
-	// attempt count. Interrupted (skipped) units are not failures.
+	// attempt count (1). Interrupted (skipped) units are not failures.
 	Failures []UnitFailure `json:"failures,omitempty"`
 	// Interrupted marks a run that drained early (signal or abort); its
 	// journal, if any, makes it resumable.

@@ -21,15 +21,13 @@ type metricDef struct {
 var metricDefs = []metricDef{
 	{"fleet_rows_total", "counter", "Rows emitted through ordered emission.",
 		func(s Snapshot) float64 { return float64(s.Rows) }},
-	{"fleet_failures_total", "counter", "Units that failed terminally (after retries).",
+	{"fleet_failures_total", "counter", "Units that failed (error, panic or watchdog timeout).",
 		func(s Snapshot) float64 { return float64(s.FailuresTotal) }},
-	{"fleet_retries_total", "counter", "Failed attempts that were retried.",
-		func(s Snapshot) float64 { return float64(s.Retries) }},
 	{"fleet_journal_hits_total", "counter", "Units served from the checkpoint journal.",
 		func(s Snapshot) float64 { return float64(s.JournalHits) }},
-	{"fleet_panics_total", "counter", "Attempts that panicked (recovered, stack captured).",
+	{"fleet_panics_total", "counter", "Units that panicked (recovered, stack captured).",
 		func(s Snapshot) float64 { return float64(s.Panics) }},
-	{"fleet_timeouts_total", "counter", "Attempts abandoned by the per-cell watchdog.",
+	{"fleet_timeouts_total", "counter", "Units abandoned by the per-cell watchdog.",
 		func(s Snapshot) float64 { return float64(s.Timeouts) }},
 	{"fleet_units_total", "gauge", "Unit universe of the run.",
 		func(s Snapshot) float64 { return float64(s.Units) }},

@@ -11,7 +11,7 @@ import (
 // Progress renders a single-line live view of one run to a terminal
 // writer, redrawn in place with carriage returns:
 //
-//	sweep-handover 7/12 units · 7 rows · 2 retries · 1 failed · 3.1 rows/s · ETA 0:05
+//	sweep-handover 7/12 units · 7 rows · 1 failed · 3.1 rows/s · ETA 0:05
 //
 // It reads the same RunState the HTTP server serves, so the terminal and
 // API views can never disagree.
@@ -62,7 +62,7 @@ func (p *Progress) Stop() {
 
 // draw renders one frame.
 func (p *Progress) draw() {
-	completed, total, rows, retries, failed, rate, eta, state := p.state.progressLine(time.Now())
+	completed, total, rows, failed, rate, eta, state := p.state.progressLine(time.Now())
 	var b strings.Builder
 	b.WriteByte('\r')
 	b.WriteString(p.state.ID())
@@ -73,11 +73,6 @@ func (p *Progress) draw() {
 	b.WriteString(" units · ")
 	b.WriteString(strconv.FormatInt(rows, 10))
 	b.WriteString(" rows")
-	if retries > 0 {
-		b.WriteString(" · ")
-		b.WriteString(strconv.FormatInt(retries, 10))
-		b.WriteString(" retries")
-	}
 	if failed > 0 {
 		b.WriteString(" · ")
 		b.WriteString(strconv.FormatInt(failed, 10))

@@ -25,8 +25,8 @@ func seedServer(t *testing.T) (*httptest.Server, *RunState) {
 	st.Event(fleet.MonitorEvent{Kind: fleet.EventUnitDone, Unit: 0, Key: "sweep/demo/a=1", Attempt: 1, Rows: 1})
 	st.Event(fleet.MonitorEvent{Kind: fleet.EventRowsEmitted, Unit: 0, Key: "sweep/demo/a=1", Rows: 1})
 	st.Event(fleet.MonitorEvent{Kind: fleet.EventUnitDispatched, Unit: 1, Key: "sweep/demo/a=2"})
-	st.Event(fleet.MonitorEvent{Kind: fleet.EventUnitDone, Unit: 1, Key: "sweep/demo/a=2", Attempt: 2,
-		Err: errors.New("fleet: sweep/demo/a=2 failed after 2 attempt(s): boom")})
+	st.Event(fleet.MonitorEvent{Kind: fleet.EventUnitDone, Unit: 1, Key: "sweep/demo/a=2", Attempt: 1,
+		Err: errors.New("fleet: sweep/demo/a=2 failed: boom")})
 	st.Event(fleet.MonitorEvent{Kind: fleet.EventRunDone, Unit: -1})
 	srv := httptest.NewServer(NewMux(reg))
 	t.Cleanup(srv.Close)

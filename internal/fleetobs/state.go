@@ -22,13 +22,12 @@ import (
 
 // Unit status values reported by RunState snapshots.
 const (
-	StatusPending  = "pending"  // not yet dispatched
-	StatusRunning  = "running"  // an attempt is executing
-	StatusRetrying = "retrying" // failed an attempt, backoff before the next
-	StatusResumed  = "resumed"  // served from the checkpoint journal
-	StatusDone     = "done"     // terminal success
-	StatusFailed   = "failed"   // terminal failure (after retries)
-	StatusSkipped  = "skipped"  // never started: interrupted, resumable
+	StatusPending = "pending" // not yet dispatched
+	StatusRunning = "running" // dispatched or executing
+	StatusResumed = "resumed" // served from the checkpoint journal
+	StatusDone    = "done"    // success
+	StatusFailed  = "failed"  // error, panic or watchdog timeout
+	StatusSkipped = "skipped" // never started: interrupted, resumable
 )
 
 // Run-level state values.
@@ -141,7 +140,6 @@ type Snapshot struct {
 	JournalHits int `json:"journal_hits"`
 
 	Rows     int64 `json:"rows"`
-	Retries  int64 `json:"retries"`
 	Panics   int64 `json:"panics"`
 	Timeouts int64 `json:"timeouts"`
 
@@ -181,7 +179,6 @@ type RunState struct {
 	skipped     int
 	journalHits int
 	rows        int64
-	retries     int64
 	panics      int64
 	timeouts    int64
 	inFlight    int
@@ -243,16 +240,6 @@ func (s *RunState) Event(ev fleet.MonitorEvent) {
 			u.status = StatusRunning
 			u.attempts = ev.Attempt
 		}
-	case fleet.EventUnitRetried:
-		s.retries++
-		if u := s.unit(ev.Unit); u != nil {
-			u.status = StatusRetrying
-			u.errText = ev.Err.Error()
-		}
-	case fleet.EventUnitPanicked:
-		s.panics++
-	case fleet.EventUnitTimedOut:
-		s.timeouts++
 	case fleet.EventJournalHit:
 		s.dispatched++
 		s.journalHits++
@@ -275,7 +262,6 @@ func (s *RunState) Event(ev fleet.MonitorEvent) {
 			s.done++
 			if u != nil {
 				u.status = StatusDone
-				u.errText = ""
 			}
 		case errors.Is(ev.Err, fleet.ErrInterrupted):
 			s.skipped++
@@ -285,6 +271,12 @@ func (s *RunState) Event(ev fleet.MonitorEvent) {
 			}
 		default:
 			s.failed++
+			if ev.Stack != "" {
+				s.panics++
+			}
+			if errors.Is(ev.Err, fleet.ErrUnitTimeout) {
+				s.timeouts++
+			}
 			if u != nil {
 				u.status = StatusFailed
 				u.errText = ev.Err.Error()
@@ -369,8 +361,7 @@ func (s *RunState) Snapshot(detail bool) Snapshot {
 		Units: s.total, Dispatched: s.dispatched,
 		Done: s.done, Failed: s.failed, Skipped: s.skipped,
 		JournalHits: s.journalHits,
-		Rows:        s.rows, Retries: s.retries,
-		Panics: s.panics, Timeouts: s.timeouts,
+		Rows:        s.rows, Panics: s.panics, Timeouts: s.timeouts,
 		InFlight: s.inFlight, Buffered: s.buffered,
 		RowsPerSec:    s.rowsRate.value(now),
 		Interrupted:   s.interrupted,
@@ -407,13 +398,12 @@ func (s *RunState) Snapshot(detail bool) Snapshot {
 // Progress returns the compact counters the terminal renderer needs:
 // completed units (done+failed+skipped+journal hits), the unit universe,
 // and the current rates.
-func (s *RunState) progressLine(now time.Time) (completed, total int, rows, retries, failed int64, rowsPerSec, etaSec float64, state string) {
+func (s *RunState) progressLine(now time.Time) (completed, total int, rows, failed int64, rowsPerSec, etaSec float64, state string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	completed = s.done + s.failed + s.skipped + s.journalHits
 	total = s.total
 	rows = s.rows
-	retries = s.retries
 	failed = int64(s.failed)
 	rowsPerSec = s.rowsRate.value(now)
 	if s.state == RunRunning {

@@ -2,6 +2,7 @@ package fleetobs
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -62,22 +63,15 @@ func TestRunStateLifecycle(t *testing.T) {
 		t.Errorf("unit views = %+v", snap.UnitViews)
 	}
 
-	// Unit 0 fails an attempt, retries, then panics terminally.
-	s.Event(fleet.MonitorEvent{Kind: fleet.EventUnitRetried, Unit: 0, Key: "sweep/x/a=1",
-		Attempt: 1, Err: errors.New("boom"), Backoff: time.Millisecond})
-	if got := s.Snapshot(true); got.Retries != 1 || got.UnitViews[0].Status != StatusRetrying {
-		t.Errorf("after retry: %+v", got.UnitViews[0])
-	}
-	s.Event(fleet.MonitorEvent{Kind: fleet.EventUnitPanicked, Unit: 0, Key: "sweep/x/a=1",
-		Attempt: 2, Err: errors.New("panic: boom"), Stack: "goroutine 1 [running]"})
+	// Unit 0 panics.
 	s.Event(fleet.MonitorEvent{Kind: fleet.EventUnitDone, Unit: 0, Key: "sweep/x/a=1",
-		Attempt: 2, Err: errors.New("fleet: sweep/x/a=1 failed after 2 attempt(s): panic: boom"),
+		Attempt: 1, Err: errors.New("fleet: sweep/x/a=1 failed: panic: boom"),
 		Stack: "goroutine 1 [running]"})
 	snap = s.Snapshot(true)
-	if snap.Failed != 1 || snap.Panics != 1 || snap.FailuresTotal != 1 {
-		t.Errorf("after terminal failure: %+v", snap)
+	if snap.Failed != 1 || snap.Panics != 1 || snap.Timeouts != 0 || snap.FailuresTotal != 1 {
+		t.Errorf("after panic: %+v", snap)
 	}
-	if len(snap.Failures) != 1 || snap.Failures[0].Stack == "" || snap.Failures[0].Attempts != 2 {
+	if len(snap.Failures) != 1 || snap.Failures[0].Stack == "" || snap.Failures[0].Attempts != 1 {
 		t.Errorf("failure ring = %+v", snap.Failures)
 	}
 
@@ -103,6 +97,21 @@ func TestRunStateLifecycle(t *testing.T) {
 	}
 	if snap.UnitViews[1].WallMs != 5 {
 		t.Errorf("unit 1 wall = %v ms, want 5", snap.UnitViews[1].WallMs)
+	}
+}
+
+// TestRunStateCountsTimeouts: a watchdog timeout is counted from its
+// UnitDone, apart from panics, and an interrupted skip is neither.
+func TestRunStateCountsTimeouts(t *testing.T) {
+	s := NewRunState("sweep-t", "sweep")
+	s.Event(fleet.MonitorEvent{Kind: fleet.EventRunStarted, Unit: -1, Units: 2})
+	s.Event(fleet.MonitorEvent{Kind: fleet.EventUnitDone, Unit: 0, Key: "grid/t/a=1", Attempt: 1,
+		Err: fmt.Errorf("fleet: grid/t/a=1 failed: %w", fleet.ErrUnitTimeout)})
+	s.Event(fleet.MonitorEvent{Kind: fleet.EventUnitDone, Unit: 1, Key: "grid/t/a=2",
+		Err: fleet.ErrInterrupted})
+	snap := s.Snapshot(false)
+	if snap.Timeouts != 1 || snap.Panics != 0 || snap.Failed != 1 || snap.Skipped != 1 {
+		t.Errorf("snapshot = %+v, want 1 timeout, 0 panics, 1 failed, 1 skipped", snap)
 	}
 }
 

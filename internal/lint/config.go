@@ -15,9 +15,9 @@ type Config struct {
 	// DeterministicPackages are the simulation packages whose output feeds
 	// golden rows and traces: everything in them must derive from seeds and
 	// virtual time. walltime and maporder enforce there. The fleet
-	// scheduler/watchdog and the CLIs are deliberately absent: retry
-	// backoff, watchdog timers, and manifest wall-clock stamps are real
-	// time by design and never feed row bytes.
+	// scheduler/watchdog and the CLIs are deliberately absent: watchdog
+	// timers and manifest wall-clock stamps are real time by design and
+	// never feed row bytes.
 	DeterministicPackages []string
 
 	// MapOrderExtraPackages extends maporder beyond the deterministic core

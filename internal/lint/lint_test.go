@@ -216,7 +216,7 @@ func TestDefaultConfigTargets(t *testing.T) {
 	}{
 		{walltimeCheck{}, "telepresence/internal/simtime", true},
 		{walltimeCheck{}, "telepresence/internal/netem", true},
-		{walltimeCheck{}, "telepresence/internal/fleet", false}, // watchdog/backoff are wall time by design
+		{walltimeCheck{}, "telepresence/internal/fleet", false}, // the watchdog is wall time by design
 		{walltimeCheck{}, "telepresence/cmd/vpfleet", false},
 		{walltimeCheck{}, "telepresence/internal/fleetobs", false}, // EWMA/uptime are wall time by design
 		{walltimeCheck{}, "telepresence/internal/vprof", false},    // CPU attribution is wall time by design

@@ -323,11 +323,6 @@ type (
 	MemorySink = fleet.MemorySink
 
 	// Fault tolerance (see DESIGN.md "Fault tolerance"):
-	// RetryPolicy re-runs failing or hung units with backoff and a
-	// per-attempt watchdog (FleetConfig.Retry).
-	RetryPolicy = fleet.RetryPolicy
-	// FaultPlan is the deterministic chaos harness (FleetConfig.Chaos).
-	FaultPlan = fleet.FaultPlan
 	// FleetJournal is a per-run checkpoint directory of completed units.
 	FleetJournal = fleet.Journal
 	// FleetJournalEntry is one checkpointed unit's pre-encoded rows.
@@ -356,9 +351,6 @@ const (
 	FleetEventRunStarted     = fleet.EventRunStarted
 	FleetEventUnitDispatched = fleet.EventUnitDispatched
 	FleetEventAttemptStarted = fleet.EventAttemptStarted
-	FleetEventUnitRetried    = fleet.EventUnitRetried
-	FleetEventUnitPanicked   = fleet.EventUnitPanicked
-	FleetEventUnitTimedOut   = fleet.EventUnitTimedOut
 	FleetEventJournalHit     = fleet.EventJournalHit
 	FleetEventUnitDone       = fleet.EventUnitDone
 	FleetEventRowsEmitted    = fleet.EventRowsEmitted
@@ -435,8 +427,6 @@ var (
 	// ErrFleetInterrupted marks a gracefully drained (resumable) run;
 	// test with errors.Is.
 	ErrFleetInterrupted = fleet.ErrInterrupted
-	// ParseFaultPlan parses a vpfleet -chaos spec into a FaultPlan.
-	ParseFaultPlan = fleet.ParseFaultPlan
 	// NewFleetManifest builds the provenance record of a finished run or
 	// sweep from its unit results.
 	NewFleetManifest = fleet.NewManifest
