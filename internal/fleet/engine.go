@@ -62,9 +62,9 @@ func (o unitOutcome) rowCount() int {
 
 // executeUnit runs unit i once, inside a recover() so a panicking runner
 // becomes an error with its stack captured instead of killing the process.
-// A positive cfg.CellTimeout arms the watchdog: on expiry the unit fails
-// with ErrUnitTimeout, and its goroutine is left to finish in the
-// background with its result discarded through the buffered channel.
+// A positive cfg.CellTimeout arms the watchdog: a unit still running at
+// expiry fails with ErrUnitTimeout, and its goroutine is left to finish in
+// the background with its result discarded through the buffered channel.
 func executeUnit(i int, u unit, cfg Config) unitOutcome {
 	start := time.Now()
 	cfg.publish(MonitorEvent{Kind: EventAttemptStarted, Unit: i, Key: u.key, Attempt: 1})
@@ -72,7 +72,7 @@ func executeUnit(i int, u unit, cfg Config) unitOutcome {
 	go func() {
 		defer func() {
 			if p := recover(); p != nil {
-				ch <- unitOutcome{err: fmt.Errorf("panic: %v", p), stack: string(debug.Stack())}
+				ch <- unitOutcome{err: fmt.Errorf("panic: %v", p), stack: string(debug.Stack()), wall: time.Since(start)}
 			}
 		}()
 		var o unitOutcome
@@ -81,6 +81,7 @@ func executeUnit(i int, u unit, cfg Config) unitOutcome {
 		pprof.Do(context.Background(), pprof.Labels(u.labels...), func(context.Context) {
 			o.rows, o.err = u.run()
 		})
+		o.wall = time.Since(start)
 		ch <- o
 	}()
 	var o unitOutcome
@@ -88,12 +89,19 @@ func executeUnit(i int, u unit, cfg Config) unitOutcome {
 		o = <-ch
 	} else {
 		t := time.NewTimer(cfg.CellTimeout)
+		late := true
 		select {
 		case o = <-ch:
+			// The verdict follows the unit's own run time, not which
+			// channel the scheduler serves first: a unit that ran past
+			// the deadline fails even when its result reached here first.
+			late = o.wall > cfg.CellTimeout
 		case <-t.C:
-			o.err = fmt.Errorf("%w: still running after %v (abandoned)", ErrUnitTimeout, cfg.CellTimeout)
 		}
 		t.Stop()
+		if late {
+			o = unitOutcome{err: fmt.Errorf("%w: still running after %v (abandoned)", ErrUnitTimeout, cfg.CellTimeout)}
+		}
 	}
 	if o.err != nil {
 		o.err = fmt.Errorf("fleet: %s failed: %w", u.key, o.err)

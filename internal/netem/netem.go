@@ -186,8 +186,8 @@ type LinkStats struct {
 	DeliveredFrames, DeliveredB int64
 	DroppedQueue, DroppedLoss   int64
 	// DroppedBurst counts frames lost to the shaper's Gilbert-Elliott burst
-	// model (a subset of total losses, tracked separately from the
-	// independent DroppedLoss coin flips).
+	// model. They are counted in DroppedLoss too, so DroppedBurst never
+	// exceeds it.
 	DroppedBurst int64
 }
 

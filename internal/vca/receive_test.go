@@ -154,7 +154,7 @@ func TestFrameSumsStayBounded(t *testing.T) {
 	var peak int
 	sched.At(simtime.Time(outStart), site, func() { sess.UplinkShaper(0).LossProb = 1 })
 	sched.At(simtime.Time(outEnd), site, func() {
-		peak = len(sess.sums[0][1])
+		peak = len(sess.stream(0, 1).sums)
 		sess.UplinkShaper(0).LossProb = 0
 	})
 	var last [2][2]simtime.Time // last completed frame's stamp per edge
@@ -175,7 +175,7 @@ func TestFrameSumsStayBounded(t *testing.T) {
 		if last[i][j] < simtime.Time(outEnd) {
 			t.Fatalf("edge %d->%d completed no frame after the outage", i, j)
 		}
-		for _, r := range sess.sums[i][j] {
+		for _, r := range sess.stream(i, j).sums {
 			if r.sent <= last[i][j] {
 				t.Errorf("edge %d->%d holds the record of a frame sent at %v, not after its last completed frame (%v)",
 					i, j, r.sent, last[i][j])

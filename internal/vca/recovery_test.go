@@ -172,9 +172,9 @@ func TestRecoveryChargedAgainstRateTarget(t *testing.T) {
 	}
 	// The controller's target moves only on feedback, so raw and the
 	// charged ratio are both as of the last report.
-	charged := sess.recSend[0].ChargedOverheadRatio()
+	charged := sess.senders[0].rec.ChargedOverheadRatio()
 	want := ratecontrol.ApplyOverhead(raw, charged, ratecontrol.DefaultMinBps)
-	if enc := sess.encoders[0].TargetBps(); enc != want {
+	if enc := sess.senders[0].enc.TargetBps(); enc != want {
 		t.Errorf("encoder target %.0f, want %.0f (raw %.0f, charged overhead %.3f)", enc, want, raw, charged)
 	}
 }

@@ -246,7 +246,9 @@ type Results struct {
 	Users []UserStats
 }
 
-// Session is a fully wired simulated telepresence call.
+// Session is a fully wired simulated telepresence call. Its media state
+// lives in one sender and one receiver per participant and one stream per
+// sender→receiver edge (DESIGN.md, "Session layout").
 type Session struct {
 	cfg   SessionConfig
 	plan  Plan
@@ -258,46 +260,24 @@ type Session struct {
 	up, down []*netem.Link
 	caps     []*capture.Capture
 
-	// Spatial state.
-	quicUp   []*quic.Conn   // user -> server (or peer in theory; spatial is never P2P)
-	quicDown [][]*quic.Conn // [sender][receiver] server -> receiver conns
-	decoders [][]*semantic.Decoder
-
-	// Video state.
-	encoders []*video.Encoder
-	scenes   []*video.Scene
-	packers  []*rtp.Packetizer
-	depacks  [][]*rtp.Depacketizer
-	gates    [][]video.Gate // [sender][receiver] receive check state
-	sums     [][]frameSums  // [sender][receiver] checksums of frames sent
-
-	stats      []UserStats
-	lastDecode []simtime.Time // per receiver: time of last decoded frame
-	staleNs    []int64        // per receiver: accumulated unavailable time
-	latSum     []float64
-	latN       []int
+	senders   []sender
+	receivers []receiver
+	streams   []stream // edge i→j at i*n+j (Session.stream); the i == j entries stay unused
 
 	relayFree []*relayJob    // pooled SFU forwarding jobs
 	relaySite simtime.SiteID // profiler label for SFU forwarding events
 
-	// Rate-control state, nil/empty unless SessionConfig.RateControl is
-	// set (the closed loop draws nothing — no events, no rng, no frames —
-	// when disabled).
-	ctrls    []ratecontrol.Controller // per sender
-	builders [][]*rtp.ReportBuilder   // [sender][receiver] receive stats
-	ctrlSum  []float64                // per sender: sum of applied targets
-	ctrlN    []int                    // per sender: feedback count
-	thinAcc  []float64                // per spatial sender: frame-budget accumulator
-	nominal  []float64                // per spatial sender: measured nominal bps
+	// reports is set when receivers send receiver reports back to their
+	// senders: rate control and hybrid recovery's redundancy adaptation
+	// both read them.
+	reports bool
 
-	// Loss-recovery state, nil/empty unless SessionConfig.Recovery selects
-	// an active strategy (same inertness contract as rate control).
+	// Loss recovery: the plan (zero unless SessionConfig.Recovery selects
+	// an active strategy) and the receive path's scratch and GC horizon.
 	recPlan recovery.Plan
-	recSend []*recovery.Sender     // per sender
-	recRecv [][]*recovery.Receiver // [sender][receiver]
-	nackScr rtp.Nack               // reused NACK parse scratch
-	dueScr  []uint16               // reused due-seq scratch
-	gcTicks uint32                 // frame-timeout horizon in 90 kHz RTP ticks
+	nackScr rtp.Nack // reused NACK parse scratch
+	dueScr  []uint16 // reused due-seq scratch
+	gcTicks uint32   // frame-timeout horizon in 90 kHz RTP ticks
 
 	// tr is the event tracer, nil unless SessionConfig.Telemetry carries
 	// one (the inertness contract: a nil tracer costs one pointer test per
@@ -308,6 +288,58 @@ type Session struct {
 	// reassembler completes with the receive check's verdict.
 	frameHook func(i, j int, frame []byte, err error)
 }
+
+// sender is one participant's outgoing media.
+type sender struct {
+	quicUp *quic.Conn // spatial: the uplink conn to the server
+
+	// 2D video.
+	scene  *video.Scene
+	enc    *video.Encoder
+	packer *rtp.Packetizer
+
+	sent    int // frames sent
+	thinned int // spatial frames the rate controller declined to send
+
+	// Rate control, zero unless SessionConfig.RateControl is set (the
+	// closed loop draws nothing — no events, no rng, no frames — when
+	// disabled).
+	ctrl    ratecontrol.Controller
+	minBps  float64 // floor of the target once recovery overhead is charged
+	ctrlSum float64 // sum of applied targets
+	ctrlN   int     // feedback count
+	thinAcc float64 // spatial: frame-budget accumulator
+	nominal float64 // spatial: measured nominal bps
+
+	rec *recovery.Sender // nil unless recovery is active
+}
+
+// stream is one sender→receiver edge: everything the receiver holds of the
+// sender's media, and the checksums the sender records for the edge.
+type stream struct {
+	conn   *quic.Conn         // spatial: the server's conn toward the receiver
+	dec    *semantic.Decoder  // spatial
+	depack *rtp.Depacketizer  // 2D
+	gate   video.Gate         // 2D receive check state
+	sums   frameSums          // 2D checksums of the frames sent on this edge
+	rep    *rtp.ReportBuilder // nil unless reports flow
+	rec    *recovery.Receiver // nil unless recovery is active
+
+	from, to             int // sender and receiver index
+	decoded, undecodable int // frames that reached the receiver
+}
+
+// receiver is one participant's availability and latency accounting over
+// all of its incoming streams.
+type receiver struct {
+	lastDecode simtime.Time // time of the last live decoded frame
+	staleNs    int64        // accumulated unavailable time
+	latSum     float64      // capture-to-decode latencies, ms
+	latN       int
+}
+
+// stream returns the edge from sender i to receiver j.
+func (s *Session) stream(i, j int) *stream { return &s.streams[i*len(s.senders)+j] }
 
 // relayJob carries one uplink packet from the SFU ingress to its delayed
 // fan-out without a per-packet closure or payload copy.
@@ -377,11 +409,22 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 			return nil, fmt.Errorf("vca: recovery strategy %q on a spatial session: QUIC streams already retransmit, RTP-level recovery has nothing to repair", cfg.Recovery.strategy())
 		}
 	}
+	n := len(cfg.Participants)
 	s := &Session{
-		cfg:   cfg,
-		plan:  plan,
-		sched: simtime.NewScheduler(),
-		rng:   simrand.New(cfg.Seed),
+		cfg:       cfg,
+		plan:      plan,
+		sched:     simtime.NewScheduler(),
+		rng:       simrand.New(cfg.Seed),
+		up:        make([]*netem.Link, n),
+		down:      make([]*netem.Link, n),
+		caps:      make([]*capture.Capture, n),
+		senders:   make([]sender, n),
+		receivers: make([]receiver, n),
+		streams:   make([]stream, n*n),
+		recPlan:   recPlan,
+		// Hybrid recovery adapts redundancy from receiver-report loss even
+		// when no rate controller is attached.
+		reports: cfg.RateControl != nil || recPlan.Adaptive,
 	}
 	if tc := cfg.Telemetry; tc != nil && tc.Prof != nil {
 		// Attach before any subsystem schedules, so the profiler observes
@@ -391,16 +434,6 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 		tc.Prof.Attach(s.sched)
 	}
 	s.relaySite = s.sched.Site("vca/sfu.relay")
-	s.recPlan = recPlan
-	n := len(cfg.Participants)
-	s.up = make([]*netem.Link, n)
-	s.down = make([]*netem.Link, n)
-	s.caps = make([]*capture.Capture, n)
-	s.stats = make([]UserStats, n)
-	s.lastDecode = make([]simtime.Time, n)
-	s.staleNs = make([]int64, n)
-	s.latSum = make([]float64, n)
-	s.latN = make([]int, n)
 
 	spec := SpecFor(cfg.App)
 	// mkCap builds the per-user AP capture: streaming aggregation with the
@@ -439,11 +472,41 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 		}
 	}
 
+	if rc := cfg.RateControl; rc != nil {
+		// Controllers start from the sender's open-loop media rate: the
+		// encoder target for 2D video, and 4 Mbps for spatial senders —
+		// above the ~1.5 Mbps nominal stream, so an unimpaired closed-loop
+		// session behaves exactly like its open-loop twin (thinning ratio
+		// clamps at 1).
+		nominal := spec.VideoTargetBps
+		if plan.Media == MediaSpatialPersona {
+			nominal = 4e6
+		}
+		minBps := rc.MinBps
+		if minBps <= 0 {
+			minBps = ratecontrol.DefaultMinBps
+		}
+		for i := range s.senders {
+			c, err := ratecontrol.New(rc.controllerKind(), rc.controllerConfig(nominal))
+			if err != nil {
+				return nil, err
+			}
+			s.senders[i].ctrl, s.senders[i].minBps = c, minBps
+		}
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			st := s.stream(i, j)
+			st.from, st.to = i, j
+			if j != i && s.reports {
+				st.rep = rtp.NewReportBuilder(rtp.VideoSSRC(i))
+			}
+		}
+	}
+
 	switch plan.Media {
 	case MediaSpatialPersona:
-		if err := s.wireSpatial(); err != nil {
-			return nil, err
-		}
+		s.wireSpatial()
 	case Media2DVideo:
 		if err := s.wireVideo(); err != nil {
 			return nil, err
@@ -482,17 +545,12 @@ func (s *Session) Capture(i int) *capture.Capture { return s.caps[i] }
 
 // RateController returns sender i's congestion controller, or nil when the
 // session runs open loop (SessionConfig.RateControl unset).
-func (s *Session) RateController(i int) ratecontrol.Controller {
-	if s.ctrls == nil {
-		return nil
-	}
-	return s.ctrls[i]
-}
+func (s *Session) RateController(i int) ratecontrol.Controller { return s.senders[i].ctrl }
 
 // RateTargetBps returns sender i's current controller target, or 0 when
 // the session runs open loop.
 func (s *Session) RateTargetBps(i int) float64 {
-	if c := s.RateController(i); c != nil {
+	if c := s.senders[i].ctrl; c != nil {
 		return c.TargetBps()
 	}
 	return 0
@@ -502,87 +560,66 @@ func (s *Session) RateTargetBps(i int) float64 {
 // sampled at every feedback arrival, or 0 before any feedback. The ccrate
 // and ccramp experiment rows report it next to the achieved rate.
 func (s *Session) RateTargetMeanBps(i int) float64 {
-	if s.ctrlN == nil || s.ctrlN[i] == 0 {
+	snd := &s.senders[i]
+	if snd.ctrlN == 0 {
 		return 0
 	}
-	return s.ctrlSum[i] / float64(s.ctrlN[i])
+	return snd.ctrlSum / float64(snd.ctrlN)
 }
 
 // RecoverySenderStats returns sender i's loss-recovery counters (cache,
 // parity, retransmissions); ok is false when the session runs without an
 // active recovery strategy.
 func (s *Session) RecoverySenderStats(i int) (recovery.SenderStats, bool) {
-	if s.recSend == nil || s.recSend[i] == nil {
-		return recovery.SenderStats{}, false
+	if rec := s.senders[i].rec; rec != nil {
+		return rec.Stats(), true
 	}
-	return s.recSend[i].Stats(), true
+	return recovery.SenderStats{}, false
 }
 
 // RecoveryReceiverStats returns receiver j's loss-recovery counters for
 // sender i's stream (gaps, repairs, repair delays); ok is false when the
 // session runs without an active recovery strategy.
 func (s *Session) RecoveryReceiverStats(i, j int) (recovery.ReceiverStats, bool) {
-	if s.recRecv == nil || s.recRecv[i] == nil || s.recRecv[i][j] == nil {
-		return recovery.ReceiverStats{}, false
+	if rr := s.stream(i, j).rec; rr != nil {
+		return rr.Stats(), true
 	}
-	return s.recRecv[i][j].Stats(), true
+	return recovery.ReceiverStats{}, false
 }
 
 // RecoveryOverheadRatio returns sender i's redundancy overhead (parity plus
 // retransmission bytes per media byte), or 0 without active recovery.
 func (s *Session) RecoveryOverheadRatio(i int) float64 {
-	if s.recSend == nil || s.recSend[i] == nil {
-		return 0
+	if rec := s.senders[i].rec; rec != nil {
+		return rec.OverheadRatio()
 	}
-	return s.recSend[i].OverheadRatio()
+	return 0
 }
 
-// setupFeedback builds the per-stream report builders: the receiver half of
-// the feedback loop, needed by rate control and by hybrid recovery's
-// redundancy adaptation alike.
-func (s *Session) setupFeedback() {
-	if s.builders != nil {
-		return
-	}
-	n := len(s.cfg.Participants)
-	s.builders = make([][]*rtp.ReportBuilder, n)
-	for i := 0; i < n; i++ {
-		s.builders[i] = make([]*rtp.ReportBuilder, n)
-		for j := 0; j < n; j++ {
-			if j != i {
-				s.builders[i][j] = rtp.NewReportBuilder(rtp.VideoSSRC(i))
-			}
-		}
-	}
-}
-
-// reportInterval is the receiver-report period: the rate-control setting
-// when present, its default otherwise (recovery-only sessions still need
-// report flow for redundancy adaptation).
-func (s *Session) reportInterval() simtime.Duration {
+// startReports starts each receiver's report ticker: every report interval
+// (the rate-control setting when present, its default otherwise), receiver
+// j reports every remote stream that has delivered anything, and send
+// carries the report back over j's own uplink. The server (or the P2P
+// pipe) relays it to the stream's sender like any other frame.
+func (s *Session) startReports(send func(j int, rep *rtp.ReceiverReport)) {
+	interval := 100 * simtime.Millisecond
 	if rc := s.cfg.RateControl; rc != nil {
-		return rc.interval()
+		interval = rc.interval()
 	}
-	return 100 * simtime.Millisecond
-}
-
-// setupRateControl builds the per-sender controllers and per-stream report
-// builders; nominalBps is the open-loop media rate controllers start from.
-func (s *Session) setupRateControl(nominalBps float64) error {
-	rc := s.cfg.RateControl
-	n := len(s.cfg.Participants)
-	s.ctrls = make([]ratecontrol.Controller, n)
-	s.ctrlSum = make([]float64, n)
-	s.ctrlN = make([]int, n)
-	s.setupFeedback()
-	for i := 0; i < n; i++ {
-		c, err := ratecontrol.New(rc.controllerKind(), rc.controllerConfig(nominalBps))
-		if err != nil {
-			return err
-		}
-		s.ctrls[i] = c
+	n := len(s.receivers)
+	for j := 0; j < n; j++ {
+		j := j
+		simtime.NewTicker(s.sched, interval, s.sched.Site("vca/ratecontrol.report"), func(now simtime.Time) {
+			for i := 0; i < n; i++ {
+				b := s.stream(i, j).rep
+				if b == nil || b.Received() == 0 {
+					continue // stream not flowing yet
+				}
+				rep := b.MakeReport(now.Milliseconds())
+				send(j, &rep)
+			}
+		})
 	}
-	return nil
 }
 
 // onFeedback delivers one receiver report to sender i: hybrid recovery
@@ -593,25 +630,22 @@ func (s *Session) setupRateControl(nominalBps float64) error {
 // target (ratecontrol.ApplyOverhead): media plus parity plus RTX together
 // stay within what the controller granted.
 func (s *Session) onFeedback(i int, rep *rtp.ReceiverReport, now simtime.Time) {
+	snd := &s.senders[i]
 	if s.tr != nil {
 		s.tr.RateReport(now, i, rep.FractionLost, rep.MeanOwdMs, rep.RecvRateBps)
 	}
-	if s.recSend != nil && s.recSend[i] != nil {
-		s.recSend[i].OnReportLoss(rep.FractionLost)
+	if snd.rec != nil {
+		snd.rec.OnReportLoss(rep.FractionLost)
 	}
-	if s.ctrls == nil || s.ctrls[i] == nil {
+	c := snd.ctrl
+	if c == nil {
 		return
 	}
-	c := s.ctrls[i]
 	c.OnFeedback(ratecontrol.Feedback{AtMs: now.Milliseconds(), Report: *rep})
 	target := c.TargetBps()
 	raw := target
-	if s.recSend != nil && s.recSend[i] != nil {
-		min := s.cfg.RateControl.MinBps
-		if min <= 0 {
-			min = ratecontrol.DefaultMinBps
-		}
-		target = ratecontrol.ApplyOverhead(target, s.recSend[i].BudgetOverheadRatio(), min)
+	if snd.rec != nil {
+		target = ratecontrol.ApplyOverhead(target, snd.rec.BudgetOverheadRatio(), snd.minBps)
 	}
 	if s.tr != nil {
 		reason := ratecontrol.ReasonHold
@@ -620,11 +654,11 @@ func (s *Session) onFeedback(i int, rep *rtp.ReceiverReport, now simtime.Time) {
 		}
 		s.tr.RateTarget(now, i, raw, target, reason)
 	}
-	if s.encoders != nil && s.encoders[i] != nil {
-		s.encoders[i].SetTargetBps(target)
+	if snd.enc != nil {
+		snd.enc.SetTargetBps(target)
 	}
-	s.ctrlSum[i] += target
-	s.ctrlN[i]++
+	snd.ctrlSum += target
+	snd.ctrlN++
 }
 
 // handleReportFrame demuxes one wire payload that may be a marshaled
@@ -632,14 +666,14 @@ func (s *Session) onFeedback(i int, rep *rtp.ReceiverReport, now simtime.Time) {
 // payload was consumed (it was a report — valid or not, reports never fall
 // through to media parsing).
 func (s *Session) handleReportFrame(me int, payload []byte, now simtime.Time) bool {
-	if s.builders == nil || !rtp.IsReport(payload) {
+	if !s.reports || !rtp.IsReport(payload) {
 		return false
 	}
 	var rep rtp.ReceiverReport
 	if err := rep.Unmarshal(payload); err != nil {
 		return true
 	}
-	if sender, audio, ok := rtp.SenderOf(rep.SSRC); ok && !audio && sender == me {
+	if src, audio, ok := rtp.SenderOf(rep.SSRC); ok && !audio && src == me {
 		s.onFeedback(me, &rep, now)
 	}
 	return true
@@ -650,47 +684,50 @@ func (s *Session) handleReportFrame(me int, payload []byte, now simtime.Time) bo
 // from the retransmit cache over me's own uplink) or a parity packet for a
 // stream me receives (handed to the stream's receiver, which may
 // reconstruct the missing packet). Like reports, recovery packets never
-// fall through to media parsing.
+// fall through to media parsing. Under an active plan every sender and
+// every stream carries its recovery half.
 func (s *Session) handleRecoveryFrame(me int, payload []byte, now simtime.Time) bool {
-	if s.recRecv == nil {
+	if !s.recPlan.Active() {
 		return false
 	}
 	if rtp.IsNack(payload) {
 		if err := s.nackScr.Unmarshal(payload); err != nil {
 			return true
 		}
-		sender, audio, ok := rtp.SenderOf(s.nackScr.SSRC)
-		if ok && !audio && sender == me && s.recSend[me] != nil {
+		src, audio, ok := rtp.SenderOf(s.nackScr.SSRC)
+		if ok && !audio && src == me {
+			rec := s.senders[me].rec
 			var preRtx, preMiss int64
 			if s.tr != nil {
-				st := s.recSend[me].Stats()
+				st := rec.Stats()
 				preRtx, preMiss = st.RtxPackets, st.CacheMisses
 			}
-			for _, pkt := range s.recSend[me].OnNack(&s.nackScr) {
+			for _, pkt := range rec.OnNack(&s.nackScr) {
 				// Cached packets are immutable once handed out, so the
 				// retransmission can share them with the network layer.
 				s.up[me].Send(netem.Frame{Size: len(pkt) + 28, Payload: pkt})
 			}
 			if s.tr != nil {
-				st := s.recSend[me].Stats()
+				st := rec.Stats()
 				s.tr.NackAnswered(now, me, int(st.RtxPackets-preRtx), int(st.CacheMisses-preMiss))
 			}
 		}
 		return true
 	}
 	if rtp.IsParity(payload) {
-		sender, audio, ok := rtp.SenderOf(rtp.ParitySSRC(payload))
-		if ok && !audio && sender != me && sender < len(s.recRecv) && s.recRecv[sender][me] != nil {
-			rr := s.recRecv[sender][me]
+		src, audio, ok := rtp.SenderOf(rtp.ParitySSRC(payload))
+		if ok && !audio && src != me && src < len(s.senders) {
+			st := s.stream(src, me)
+			rr := st.rec
 			var pre recSnap
 			if s.tr != nil {
 				pre = snapRecovery(rr)
 			}
 			if rec := rr.OnParity(payload, now.Milliseconds()); rec != nil {
-				s.pushMedia(sender, me, rec, now)
+				s.pushMedia(st, rec, now)
 			}
 			if s.tr != nil {
-				s.traceRepairDelta(now, sender, me, rr, pre)
+				s.traceRepairDelta(now, src, me, rr, pre)
 			}
 		}
 		return true
@@ -721,24 +758,8 @@ func (s *Session) DownlinkRecords(i int) []capture.Record {
 // scheme: user i's uplink conn is 100+i (server side 200+i); the server's
 // downlink conn for sender i toward receiver j is 1000+i*16+j (user side
 // 2000+i*16+j), so receivers know which sender each frame came from.
-func (s *Session) wireSpatial() error {
-	n := len(s.cfg.Participants)
-	if s.cfg.RateControl != nil {
-		// 4 Mbps is the default target ceiling for spatial senders: above
-		// the ~1.5 Mbps nominal stream, so an unimpaired closed-loop
-		// session behaves exactly like its open-loop twin (thinning ratio
-		// clamps at 1).
-		if err := s.setupRateControl(4e6); err != nil {
-			return err
-		}
-	}
-	s.quicUp = make([]*quic.Conn, n)
-	s.quicDown = make([][]*quic.Conn, n)
-	s.decoders = make([][]*semantic.Decoder, n)
-	for i := 0; i < n; i++ {
-		s.quicDown[i] = make([]*quic.Conn, n)
-		s.decoders[i] = make([]*semantic.Decoder, n)
-	}
+func (s *Session) wireSpatial() {
+	n := len(s.senders)
 	upDemux := make([]*quic.Demux, n)   // server side of up[i]
 	downDemux := make([]*quic.Demux, n) // user side of down[i]
 	for i := 0; i < n; i++ {
@@ -755,7 +776,7 @@ func (s *Session) wireSpatial() error {
 		up := quic.NewConn(s.sched, s.up[i], quic.Config{
 			ConnID: uint64(100 + i), PeerID: uint64(200 + i), Key: 0x5A, IsClient: true,
 		})
-		s.quicUp[i] = up
+		s.senders[i].quicUp = up
 		downDemux[i].Add(up) // ACKs from the server arrive on down[i]
 		srv := quic.NewConn(s.sched, s.down[i], quic.Config{
 			ConnID: uint64(200 + i), PeerID: uint64(100 + i), Key: 0x5A,
@@ -764,7 +785,7 @@ func (s *Session) wireSpatial() error {
 		srv.OnMessage(func(m quic.Message) {
 			for j := 0; j < n; j++ {
 				if j != i {
-					s.quicDown[i][j].SendMessage(m.Data)
+					s.stream(i, j).conn.SendMessage(m.Data)
 				}
 			}
 		})
@@ -775,19 +796,18 @@ func (s *Session) wireSpatial() error {
 			if j == i {
 				continue
 			}
-			i, j := i, j
-			srvSide := quic.NewConn(s.sched, s.down[j], quic.Config{
+			st := s.stream(i, j)
+			st.conn = quic.NewConn(s.sched, s.down[j], quic.Config{
 				ConnID: uint64(1000 + i*16 + j), PeerID: uint64(2000 + i*16 + j), Key: 0x5A, IsClient: true,
 			})
-			s.quicDown[i][j] = srvSide
-			upDemux[j].Add(srvSide) // receiver ACKs travel on up[j]
+			upDemux[j].Add(st.conn) // receiver ACKs travel on up[j]
 			userSide := quic.NewConn(s.sched, s.up[j], quic.Config{
 				ConnID: uint64(2000 + i*16 + j), PeerID: uint64(1000 + i*16 + j), Key: 0x5A,
 			})
 			downDemux[j].Add(userSide)
-			s.decoders[i][j] = semantic.NewDecoder()
+			st.dec = semantic.NewDecoder()
 			userSide.OnMessage(func(m quic.Message) {
-				s.onSpatialFrame(i, j, m.Data, s.sched.Now())
+				s.onSpatialFrame(st, m.Data, s.sched.Now())
 			})
 		}
 	}
@@ -803,17 +823,10 @@ func (s *Session) wireSpatial() error {
 	// accumulator keeps every k-th frame so the sent rate tracks the
 	// controller target, floored at 1/9 of nominal (a 10 fps persona at
 	// the default 90) so the stream never starves feedback entirely.
-	rc := s.cfg.RateControl
-	if rc != nil {
-		s.thinAcc = make([]float64, n)
-		s.nominal = make([]float64, n)
-		for i := range s.thinAcc {
-			s.thinAcc[i] = 1 // always send the first frame
-		}
-	}
 	interval := simtime.Duration(float64(simtime.Second) / s.cfg.SpatialFPS)
 	for i := 0; i < n; i++ {
-		i := i
+		i, snd := i, &s.senders[i]
+		snd.thinAcc = 1 // always send the first frame
 		gen := keypoints.NewGenerator(s.rng.Split(fmt.Sprintf("kp%d", i)), keypoints.MotionConfig{
 			FPS: s.cfg.SpatialFPS, Expressiveness: 1, SpeakingFraction: 1 / float64(n),
 			SensorNoise: 0.0004,
@@ -822,10 +835,10 @@ func (s *Session) wireSpatial() error {
 		var stamped []byte
 		simtime.NewTicker(s.sched, interval, s.sched.Site("vca/quic.frame"), func(now simtime.Time) {
 			f := gen.Next() // motion advances even for thinned frames
-			if rc != nil {
+			if snd.ctrl != nil {
 				keep := 1.0
-				if nom := s.nominal[i]; nom > 0 {
-					keep = s.ctrls[i].TargetBps() / nom
+				if nom := snd.nominal; nom > 0 {
+					keep = snd.ctrl.TargetBps() / nom
 					if keep > 1 {
 						keep = 1
 					}
@@ -833,17 +846,17 @@ func (s *Session) wireSpatial() error {
 						keep = 1.0 / 9
 					}
 				}
-				s.thinAcc[i] += keep
-				if s.thinAcc[i] < 1 {
-					s.stats[i].FramesThinned++
+				snd.thinAcc += keep
+				if snd.thinAcc < 1 {
+					snd.thinned++
 					if s.tr != nil {
 						s.tr.FrameThinned(now, i)
 					}
 					return
 				}
-				s.thinAcc[i]--
+				snd.thinAcc--
 			}
-			s.stats[i].FramesSent++
+			snd.sent++
 			wire := enc.Encode(&f)
 			if cap(stamped) < 8+len(wire) {
 				stamped = make([]byte, 8+len(wire))
@@ -851,45 +864,32 @@ func (s *Session) wireSpatial() error {
 			stamped = stamped[:8+len(wire)]
 			putTime(stamped, now)
 			copy(stamped[8:], wire)
-			if rc != nil {
+			if snd.ctrl != nil {
 				// Nominal = full-frame-rate wire cost of the stream, the
 				// denominator of the thinning ratio.
-				s.nominal[i] = float64(len(stamped)*8) * s.cfg.SpatialFPS
+				snd.nominal = float64(len(stamped)*8) * s.cfg.SpatialFPS
 			}
 			if s.tr != nil {
 				s.tr.FrameSent(now, i, len(stamped))
 			}
-			s.quicUp[i].SendMessage(stamped)
+			snd.quicUp.SendMessage(stamped)
 		})
 		// Audio: 60-byte frames every 20 ms ~ 24 kbps.
 		audioBuf := make([]byte, 60)
 		simtime.NewTicker(s.sched, 20*simtime.Millisecond, s.sched.Site("vca/quic.audio"), func(simtime.Time) {
-			s.quicUp[i].SendMessage(audioBuf)
+			snd.quicUp.SendMessage(audioBuf)
 		})
 	}
 
-	// Receiver-report tickers: each receiver reports every remote spatial
-	// stream back over its own uplink QUIC conn; the server relays the
-	// report like any frame and the stream's sender demuxes it in
-	// onSpatialFrame.
-	if rc != nil {
+	// Spatial reports go over the receiver's uplink QUIC conn, and the
+	// stream's sender demuxes them in onSpatialFrame.
+	if s.reports {
 		var scratch []byte
-		for j := 0; j < n; j++ {
-			j := j
-			simtime.NewTicker(s.sched, rc.interval(), s.sched.Site("vca/ratecontrol.report"), func(now simtime.Time) {
-				for i := 0; i < n; i++ {
-					b := s.builders[i][j]
-					if b == nil || b.Received() == 0 {
-						continue
-					}
-					rep := b.MakeReport(now.Milliseconds())
-					scratch = rep.Marshal(scratch[:0])
-					s.quicUp[j].SendMessage(scratch) // SendMessage copies
-				}
-			})
-		}
+		s.startReports(func(j int, rep *rtp.ReceiverReport) {
+			scratch = rep.Marshal(scratch[:0])
+			s.senders[j].quicUp.SendMessage(scratch) // SendMessage copies
+		})
 	}
-	return nil
 }
 
 func putTime(b []byte, t simtime.Time) {
@@ -907,63 +907,70 @@ func getTime(b []byte) simtime.Time {
 	return simtime.Time(v)
 }
 
-// onSpatialFrame handles a reassembled message from sender i at receiver j.
-func (s *Session) onSpatialFrame(i, j int, data []byte, now simtime.Time) {
+// onSpatialFrame handles a reassembled message at the receiving end of
+// stream st.
+func (s *Session) onSpatialFrame(st *stream, data []byte, now simtime.Time) {
 	// Receiver reports ride the same relay fan-out as media; demux them
 	// before the size-based audio check (a report is shorter than a
 	// keypoint frame).
-	if s.handleReportFrame(j, data, now) {
+	if s.handleReportFrame(st.to, data, now) {
 		return
 	}
 	if len(data) < 72 {
 		return // audio frame
 	}
 	sent := getTime(data[:8])
-	if s.builders != nil && s.builders[i][j] != nil {
+	if st.rep != nil {
 		// QUIC delivers frames reliably and in order, so a synthetic
 		// per-stream sequence number (the arrival count) stands in for an
 		// RTP seq: loss shows up as delay here, never as gaps — exactly
 		// the §4.3 semantics the delay-based controller exploits.
-		b := s.builders[i][j]
-		b.OnPacket(uint16(b.Received()), sent.Milliseconds(), now.Milliseconds(), len(data))
+		st.rep.OnPacket(uint16(st.rep.Received()), sent.Milliseconds(), now.Milliseconds(), len(data))
 	}
-	wire := data[8:]
 	// semantic.Decoder.Validate applies Decode's integrity checks (header,
 	// CRC, size) without materializing keypoints no session measurement
 	// reads.
-	if err := s.decoders[i][j].Validate(wire); err != nil {
-		s.stats[j].FramesUndecodable++
-		if s.tr != nil {
-			s.tr.FrameUndecodable(now, i, j)
-		}
-		return
-	}
-	s.stats[j].FramesDecoded++
-	lat := now.Sub(sent)
-	s.latSum[j] += float64(lat) / float64(simtime.Millisecond)
-	s.latN[j]++
-	if s.tr != nil {
-		s.tr.FrameDecoded(now, i, j, float64(lat)/float64(simtime.Millisecond), lat <= s.cfg.LatencyLimit)
-	}
-	if lat > s.cfg.LatencyLimit {
-		// Decoded but too old to animate a live persona: does not refresh
-		// availability.
-		return
-	}
-	if s.lastDecode[j] != 0 {
-		gap := now.Sub(s.lastDecode[j])
-		if gap > s.cfg.FreshnessLimit {
-			s.staleNs[j] += int64(gap - s.cfg.FreshnessLimit)
-		}
-	}
-	s.lastDecode[j] = now
+	s.frameDone(st, sent, now, st.dec.Validate(data[8:]))
 }
 
-// deliverVideo runs one network-delivered wire packet of sender i's stream
-// through receiver j's pipeline: report accounting, recovery gap tracking
-// (which may reconstruct a buffered parity group's missing packet),
-// frame-timeout GC, then reassembly and decode.
-func (s *Session) deliverVideo(i, j int, pkt []byte, size int, now simtime.Time) {
+// frameDone accounts one media frame of stream st, sent at sent, that
+// reached the receiver: undecodable when err is set, otherwise decoded
+// with its capture-to-decode latency. A decoded frame that is still live
+// refreshes the receiver's availability.
+func (s *Session) frameDone(st *stream, sent, now simtime.Time, err error) {
+	if err != nil {
+		st.undecodable++
+		if s.tr != nil {
+			s.tr.FrameUndecodable(now, st.from, st.to)
+		}
+		return
+	}
+	st.decoded++
+	r := &s.receivers[st.to]
+	lat := now.Sub(sent)
+	r.latSum += float64(lat) / float64(simtime.Millisecond)
+	r.latN++
+	if s.tr != nil {
+		s.tr.FrameDecoded(now, st.from, st.to, float64(lat)/float64(simtime.Millisecond), lat <= s.cfg.LatencyLimit)
+	}
+	if lat > s.cfg.LatencyLimit {
+		// Decoded but too old to animate a live persona (queueing under a
+		// cap drives frames past this): does not refresh availability.
+		return
+	}
+	if r.lastDecode != 0 {
+		if gap := now.Sub(r.lastDecode); gap > s.cfg.FreshnessLimit {
+			r.staleNs += int64(gap - s.cfg.FreshnessLimit)
+		}
+	}
+	r.lastDecode = now
+}
+
+// deliverVideo runs one network-delivered wire packet of stream st through
+// its receiver's pipeline: report accounting, recovery gap tracking (which
+// may reconstruct a buffered parity group's missing packet), frame-timeout
+// GC, then reassembly and decode.
+func (s *Session) deliverVideo(st *stream, pkt []byte, size int, now simtime.Time) {
 	var h rtp.Header
 	if _, err := h.Unmarshal(pkt); err != nil {
 		return
@@ -977,14 +984,13 @@ func (s *Session) deliverVideo(i, j int, pkt []byte, size int, now simtime.Time)
 	// congestion controller would read repair latency as queue buildup.
 	// Wire loss likewise stays visible: an RTX-repaired seq still counts
 	// lost in the transport stats, which is what actually happened.
-	late := s.recRecv != nil && s.recRecv[i][j] != nil && s.recRecv[i][j].IsLate(h.Seq)
-	if !late && s.builders != nil && s.builders[i][j] != nil {
+	late := st.rec != nil && st.rec.IsLate(h.Seq)
+	if !late && st.rep != nil {
 		// RTP timestamps run at the packetizer clock rate (90 kHz), so
 		// the capture instant in ms is ts/90.
-		s.builders[i][j].OnPacket(h.Seq, float64(h.Timestamp)/90, now.Milliseconds(), size)
+		st.rep.OnPacket(h.Seq, float64(h.Timestamp)/90, now.Milliseconds(), size)
 	}
-	if s.recRecv != nil && s.recRecv[i][j] != nil {
-		rr := s.recRecv[i][j]
+	if rr := st.rec; rr != nil {
 		var pre recSnap
 		if s.tr != nil {
 			pre = snapRecovery(rr)
@@ -993,14 +999,14 @@ func (s *Session) deliverVideo(i, j int, pkt []byte, size int, now simtime.Time)
 			// This arrival left exactly one unknown in a buffered parity
 			// group; the reconstruction is an older packet, so it joins
 			// the reassembler first.
-			s.pushMedia(i, j, rec, now)
+			s.pushMedia(st, rec, now)
 		}
 		if s.tr != nil {
-			s.traceRepairDelta(now, i, j, rr, pre)
+			s.traceRepairDelta(now, st.from, st.to, rr, pre)
 		}
 	}
 	if h.Timestamp > s.gcTicks {
-		d := s.depacks[i][j]
+		d := st.depack
 		var preDropped int64
 		if s.tr != nil {
 			preDropped = d.FramesDropped
@@ -1008,18 +1014,18 @@ func (s *Session) deliverVideo(i, j int, pkt []byte, size int, now simtime.Time)
 		d.GC(h.Timestamp - s.gcTicks)
 		if s.tr != nil {
 			if dd := d.FramesDropped - preDropped; dd > 0 {
-				s.tr.FrameTimeout(now, i, j, int(dd))
+				s.tr.FrameTimeout(now, st.from, st.to, int(dd))
 			}
 		}
 	}
-	s.pushMedia(i, j, pkt, now)
+	s.pushMedia(st, pkt, now)
 }
 
 // pushMedia feeds one media packet — network-delivered, retransmitted, or
-// FEC-reconstructed — to receiver j's reassembler and accounts every frame
+// FEC-reconstructed — to stream st's reassembler and accounts every frame
 // that completes.
-func (s *Session) pushMedia(i, j int, pkt []byte, now simtime.Time) {
-	d := s.depacks[i][j]
+func (s *Session) pushMedia(st *stream, pkt []byte, now simtime.Time) {
+	d := st.depack
 	var preDropped int64
 	if s.tr != nil {
 		preDropped = d.FramesDropped
@@ -1029,7 +1035,7 @@ func (s *Session) pushMedia(i, j int, pkt []byte, now simtime.Time) {
 		// Push may abandon stalled frames when a later complete frame
 		// overtakes them — the same fate as a GC timeout.
 		if dd := d.FramesDropped - preDropped; dd > 0 {
-			s.tr.FrameTimeout(now, i, j, int(dd))
+			s.tr.FrameTimeout(now, st.from, st.to, int(dd))
 		}
 	}
 	if err != nil {
@@ -1040,36 +1046,11 @@ func (s *Session) pushMedia(i, j int, pkt []byte, now simtime.Time) {
 			continue
 		}
 		sent := getTime(frame[:8])
-		err := s.acceptVideo(i, j, sent, frame[8:])
+		err := s.acceptVideo(st, sent, frame[8:])
 		if s.frameHook != nil {
-			s.frameHook(i, j, frame, err)
+			s.frameHook(st.from, st.to, frame, err)
 		}
-		if err != nil {
-			s.stats[j].FramesUndecodable++
-			if s.tr != nil {
-				s.tr.FrameUndecodable(now, i, j)
-			}
-			continue
-		}
-		s.stats[j].FramesDecoded++
-		lat := now.Sub(sent)
-		s.latSum[j] += float64(lat) / float64(simtime.Millisecond)
-		s.latN[j]++
-		if s.tr != nil {
-			s.tr.FrameDecoded(now, i, j, float64(lat)/float64(simtime.Millisecond), lat <= s.cfg.LatencyLimit)
-		}
-		if lat > s.cfg.LatencyLimit {
-			// Decoded but too old to count as a live persona frame;
-			// does not refresh availability (same rule as the spatial
-			// path — queueing under a cap drives frames past this).
-			continue
-		}
-		if s.lastDecode[j] != 0 {
-			if gap := now.Sub(s.lastDecode[j]); gap > s.cfg.FreshnessLimit {
-				s.staleNs[j] += int64(gap - s.cfg.FreshnessLimit)
-			}
-		}
-		s.lastDecode[j] = now
+		s.frameDone(st, sent, now, err)
 	}
 }
 
@@ -1078,32 +1059,32 @@ func (s *Session) pushMedia(i, j int, pkt []byte, now simtime.Time) {
 // carries a stamp read from the middle of some frame's body.
 var errNoChecksum = fmt.Errorf("%w: no checksum recorded for its stamp", video.ErrCorrupt)
 
-// acceptVideo is the receive check for one reassembled 2D frame, sent at
-// stamp sent, from sender i at receiver j. It compares the frame with the
-// checksum the sender recorded for that stamp, then applies the video
-// header checks and reference rule (video.Gate.Accept). Netem never
-// corrupts payload bytes, so this agrees with decompressing the frame
-// through video.Decoder.Validate at a fraction of the cost.
-func (s *Session) acceptVideo(i, j int, sent simtime.Time, data []byte) error {
-	sum, ok := s.sums[i][j].take(sent)
+// acceptVideo is the receive check for one reassembled 2D frame on stream
+// st, sent at stamp sent. It compares the frame with the checksum the
+// sender recorded for that stamp, then applies the video header checks and
+// reference rule (video.Gate.Accept). Netem never corrupts payload bytes,
+// so this agrees with decompressing the frame through
+// video.Decoder.Validate at a fraction of the cost.
+func (s *Session) acceptVideo(st *stream, sent simtime.Time, data []byte) error {
+	sum, ok := st.sums.take(sent)
 	if !ok {
 		return errNoChecksum
 	}
-	return s.gates[i][j].Accept(data, sum)
+	return st.gate.Accept(data, sum)
 }
 
 // wireVideo sets up the RTP 2D-persona path used by Zoom/Webex/Teams and
 // non-all-Vision-Pro FaceTime.
 func (s *Session) wireVideo() error {
-	n := len(s.cfg.Participants)
+	n := len(s.senders)
 	spec := SpecFor(s.cfg.App)
-	s.encoders = make([]*video.Encoder, n)
-	s.scenes = make([]*video.Scene, n)
-	s.packers = make([]*rtp.Packetizer, n)
-	s.depacks = make([][]*rtp.Depacketizer, n)
-	s.gates = make([][]video.Gate, n)
-	s.sums = make([][]frameSums, n)
+	pt := rtp.PTGenericVideo
+	if s.cfg.App == FaceTime {
+		pt = rtp.PTFaceTimeVideo
+	}
+	rcv := s.cfg.Recovery
 	for i := 0; i < n; i++ {
+		snd := &s.senders[i]
 		enc, err := video.NewEncoder(video.Config{
 			W: spec.VideoW, H: spec.VideoH, FPS: s.cfg.VideoFPS,
 			TargetBps: spec.VideoTargetBps, Quality: 1,
@@ -1112,53 +1093,25 @@ func (s *Session) wireVideo() error {
 		if err != nil {
 			return err
 		}
-		s.encoders[i] = enc
-		s.scenes[i] = video.NewScene(s.rng.Split(fmt.Sprintf("scene%d", i)), spec.VideoW, spec.VideoH, s.cfg.VideoFPS)
-		pt := rtp.PTGenericVideo
-		if s.cfg.App == FaceTime {
-			pt = rtp.PTFaceTimeVideo
-		}
-		s.packers[i] = rtp.NewPacketizer(pt, rtp.VideoSSRC(i))
-		s.depacks[i] = make([]*rtp.Depacketizer, n)
-		s.gates[i] = make([]video.Gate, n)
-		s.sums[i] = make([]frameSums, n)
-		for j := 0; j < n; j++ {
-			if j != i {
-				s.depacks[i][j] = rtp.NewDepacketizer()
-			}
-		}
-	}
-	if s.cfg.RateControl != nil {
-		if err := s.setupRateControl(spec.VideoTargetBps); err != nil {
-			return err
-		}
-	}
-	if rcv := s.cfg.Recovery; rcv != nil && s.recPlan.Active() {
-		ecfg := rcv.engineConfig()
-		s.recSend = make([]*recovery.Sender, n)
-		s.recRecv = make([][]*recovery.Receiver, n)
-		for i := 0; i < n; i++ {
-			snd, err := recovery.NewSender(rcv.strategy(), ecfg)
-			if err != nil {
+		snd.enc = enc
+		snd.scene = video.NewScene(s.rng.Split(fmt.Sprintf("scene%d", i)), spec.VideoW, spec.VideoH, s.cfg.VideoFPS)
+		snd.packer = rtp.NewPacketizer(pt, rtp.VideoSSRC(i))
+		if s.recPlan.Active() {
+			if snd.rec, err = recovery.NewSender(rcv.strategy(), rcv.engineConfig()); err != nil {
 				return err
 			}
-			s.recSend[i] = snd
-			s.recRecv[i] = make([]*recovery.Receiver, n)
-			for j := 0; j < n; j++ {
-				if j == i {
-					continue
-				}
-				rr, err := recovery.NewReceiver(rcv.strategy(), ecfg)
-				if err != nil {
+		}
+		for j := 0; j < n; j++ {
+			if j == i {
+				continue
+			}
+			st := s.stream(i, j)
+			st.depack = rtp.NewDepacketizer()
+			if s.recPlan.Active() {
+				if st.rec, err = recovery.NewReceiver(rcv.strategy(), rcv.engineConfig()); err != nil {
 					return err
 				}
-				s.recRecv[i][j] = rr
 			}
-		}
-		if s.recPlan.Adaptive {
-			// Hybrid adapts redundancy from receiver-report loss even when
-			// no rate controller is attached.
-			s.setupFeedback()
 		}
 	}
 	// Jitter-buffer timeout horizon: an incomplete frame stalls the
@@ -1170,32 +1123,30 @@ func (s *Session) wireVideo() error {
 	// frame pending that long, so the GC is a no-op for them.
 	timeoutMs := float64(s.cfg.FrameTimeout) / float64(simtime.Millisecond)
 	if s.recPlan.Nack {
-		e := s.cfg.Recovery.engineConfig().WithDefaults()
-		minMs := e.NackDeadlineMs + 2*float64(s.cfg.Recovery.interval())/float64(simtime.Millisecond)
+		e := rcv.engineConfig().WithDefaults()
+		minMs := e.NackDeadlineMs + 2*float64(rcv.interval())/float64(simtime.Millisecond)
 		if timeoutMs < minMs {
 			timeoutMs = minMs
 		}
 	}
 	s.gcTicks = uint32(timeoutMs * 90) // FrameTimeout at the 90 kHz RTP clock
 
+	// Receiver reports, NACKs and parity ride the same links as media and
+	// are demuxed off before RTP parsing.
 	if s.plan.P2P {
-		// In P2P the pipe endpoints are shared; one handler per direction.
-		// Receiver reports, NACKs and parity ride the same reverse link as
-		// media and are demuxed off before RTP parsing.
-		s.up[0].SetHandler(func(now simtime.Time, f netem.Frame) {
-			if s.handleReportFrame(1, f.Payload, now) || s.handleRecoveryFrame(1, f.Payload, now) {
-				return
-			}
-			s.deliverVideo(0, 1, f.Payload, f.Size, now)
-		})
-		s.up[1].SetHandler(func(now simtime.Time, f netem.Frame) {
-			if s.handleReportFrame(0, f.Payload, now) || s.handleRecoveryFrame(0, f.Payload, now) {
-				return
-			}
-			s.deliverVideo(1, 0, f.Payload, f.Size, now)
-		})
+		// In P2P the pipe endpoints are shared: up[i] delivers to peer j
+		// both i's media and i's feedback on j's stream.
+		for i := 0; i < 2; i++ {
+			j, st := 1-i, s.stream(i, 1-i)
+			s.up[i].SetHandler(func(now simtime.Time, f netem.Frame) {
+				if s.handleReportFrame(j, f.Payload, now) || s.handleRecoveryFrame(j, f.Payload, now) {
+					return
+				}
+				s.deliverVideo(st, f.Payload, f.Size, now)
+			})
+		}
 	} else {
-		procDelay := simtime.Duration(SpecFor(s.cfg.App).ServerProcMs * float64(simtime.Millisecond))
+		procDelay := simtime.Duration(spec.ServerProcMs * float64(simtime.Millisecond))
 		for i := 0; i < n; i++ {
 			i := i
 			s.up[i].SetHandler(func(now simtime.Time, f netem.Frame) {
@@ -1216,48 +1167,34 @@ func (s *Session) wireVideo() error {
 				if _, err := h.Unmarshal(f.Payload); err != nil {
 					return
 				}
-				sender, audio, ok := rtp.SenderOf(h.SSRC)
-				if ok && !audio && sender < n && sender != i && s.depacks[sender][i] != nil {
-					s.deliverVideo(sender, i, f.Payload, f.Size, now)
+				src, audio, ok := rtp.SenderOf(h.SSRC)
+				if ok && !audio && src < n && src != i {
+					s.deliverVideo(s.stream(src, i), f.Payload, f.Size, now)
 				}
 			})
 		}
 	}
 
-	// Receiver-report tickers: each receiver periodically reports every
-	// remote stream back across its own uplink; the SFU (or the P2P pipe)
-	// carries the report to the stream's sender like any other frame.
-	// Builders exist when rate control or hybrid recovery needs reports.
-	if s.builders != nil {
-		for j := 0; j < n; j++ {
-			j := j
-			simtime.NewTicker(s.sched, s.reportInterval(), s.sched.Site("vca/ratecontrol.report"), func(now simtime.Time) {
-				for i := 0; i < n; i++ {
-					b := s.builders[i][j]
-					if b == nil || b.Received() == 0 {
-						continue // stream not flowing yet
-					}
-					rep := b.MakeReport(now.Milliseconds())
-					// The report buffer is retained by the network layer
-					// until delivery, so each send owns a fresh one.
-					wire := rep.Marshal(make([]byte, 0, rtp.ReportLen))
-					s.up[j].Send(netem.Frame{Size: len(wire) + 28, Payload: wire})
-				}
-			})
-		}
+	if s.reports {
+		s.startReports(func(j int, rep *rtp.ReceiverReport) {
+			// The report buffer is retained by the network layer until
+			// delivery, so each send owns a fresh one.
+			wire := rep.Marshal(make([]byte, 0, rtp.ReportLen))
+			s.up[j].Send(netem.Frame{Size: len(wire) + 28, Payload: wire})
+		})
 	}
 
 	// Recovery scan tickers: each receiver periodically expires overdue
 	// gaps and NACKs the rest, batched per remote stream (at most
 	// MaxNackSeqs per packet); NACKs travel the receiver's own uplink like
 	// reports, and the stream's sender answers with retransmissions.
-	if s.recRecv != nil {
+	if s.recPlan.Active() {
 		for j := 0; j < n; j++ {
 			j := j
-			simtime.NewTicker(s.sched, s.cfg.Recovery.interval(), s.sched.Site("vca/recovery.scan"), func(now simtime.Time) {
+			simtime.NewTicker(s.sched, rcv.interval(), s.sched.Site("vca/recovery.scan"), func(now simtime.Time) {
 				nowMs := now.Milliseconds()
 				for i := 0; i < n; i++ {
-					rr := s.recRecv[i][j]
+					rr := s.stream(i, j).rec
 					if rr == nil {
 						continue
 					}
@@ -1290,25 +1227,24 @@ func (s *Session) wireVideo() error {
 	// frame bytes into each packet); the audio payload is a constant.
 	interval := simtime.Duration(float64(simtime.Second) / s.cfg.VideoFPS)
 	for i := 0; i < n; i++ {
-		i := i
+		i, snd := i, &s.senders[i]
 		audio := rtp.NewPacketizer(rtp.PTGenericAudio, rtp.AudioSSRC(i))
 		if s.cfg.App == FaceTime {
 			audio.PT = rtp.PTFaceTimeAudio
 		}
 		var stamped []byte
 		simtime.NewTicker(s.sched, interval, s.sched.Site("vca/rtp.frame"), func(now simtime.Time) {
-			frame := s.scenes[i].Next()
-			ef, err := s.encoders[i].Encode(frame)
+			ef, err := snd.enc.Encode(snd.scene.Next())
 			if err != nil {
 				return
 			}
-			s.stats[i].FramesSent++
+			snd.sent++
 			// Record the frame's checksum on every edge it travels, keyed
 			// by its send stamp; receivers check it in acceptVideo.
 			sum := video.Checksum(ef.Data)
-			for j := range s.sums[i] {
+			for j := 0; j < n; j++ {
 				if j != i {
-					s.sums[i][j].add(now, sum)
+					s.stream(i, j).sums.add(now, sum)
 				}
 			}
 			if cap(stamped) < 8+len(ef.Data) {
@@ -1320,12 +1256,12 @@ func (s *Session) wireVideo() error {
 			if s.tr != nil {
 				s.tr.FrameSent(now, i, len(stamped))
 			}
-			for _, pkt := range s.packers[i].Packetize(stamped, now.Seconds()) {
+			for _, pkt := range snd.packer.Packetize(stamped, now.Seconds()) {
 				var parity []byte
-				if s.recSend != nil && s.recSend[i] != nil {
+				if snd.rec != nil {
 					// Cache for retransmission and advance the XOR group
 					// (OnPacket copies; the network owns pkt after Send).
-					parity = s.recSend[i].OnPacket(pkt)
+					parity = snd.rec.OnPacket(pkt)
 				}
 				s.up[i].Send(netem.Frame{Size: len(pkt) + 28, Payload: pkt}) // +IP/UDP overhead
 				if parity != nil {
@@ -1352,8 +1288,12 @@ func (s *Session) Run() *Results {
 	n := len(s.cfg.Participants)
 	res := &Results{Plan: s.plan, Users: make([]UserStats, n)}
 	for i := 0; i < n; i++ {
-		st := s.stats[i]
-		st.ID = s.cfg.Participants[i].ID
+		r := &s.receivers[i]
+		st := UserStats{
+			ID:            s.cfg.Participants[i].ID,
+			FramesSent:    s.senders[i].sent,
+			FramesThinned: s.senders[i].thinned,
+		}
 		// Throughput and protocol come from the streaming AP aggregates,
 		// computed online at the tap — no record scan, no retained packets.
 		upName, downName := s.up[i].Name(), s.down[i].Name()
@@ -1361,29 +1301,30 @@ func (s *Session) Run() *Results {
 		st.Downlink = s.caps[i].EgressThroughputSample(downName)
 		cls, _ := s.caps[i].DominantClass(upName, downName)
 		st.Protocol = analysis.Protocol(cls)
-		if s.latN[i] > 0 {
-			st.MeanFrameLatencyMs = s.latSum[i] / float64(s.latN[i])
-		}
-		if s.recRecv != nil {
-			for k := 0; k < n; k++ {
-				if rr := s.recRecv[k][i]; rr != nil {
-					rst := rr.Stats()
-					st.PacketsRepaired += int(rst.RepairedRtx + rst.RepairedFec)
-					st.PacketsUnrepaired += int(rst.Unrepaired)
-				}
+		for k := 0; k < n; k++ {
+			in := s.stream(k, i)
+			st.FramesDecoded += in.decoded
+			st.FramesUndecodable += in.undecodable
+			if in.rec != nil {
+				rst := in.rec.Stats()
+				st.PacketsRepaired += int(rst.RepairedRtx + rst.RepairedFec)
+				st.PacketsUnrepaired += int(rst.Unrepaired)
 			}
+		}
+		if r.latN > 0 {
+			st.MeanFrameLatencyMs = r.latSum / float64(r.latN)
 		}
 		// Unavailability: stale gaps plus never-having-decoded time. A
 		// participant who never decoded a single live remote frame was
 		// unavailable for the whole session, whichever media the plan
 		// carries.
 		total := float64(s.cfg.Duration)
-		stale := float64(s.staleNs[i])
-		if s.lastDecode[i] == 0 {
+		stale := float64(r.staleNs)
+		if r.lastDecode == 0 {
 			stale = total
 		} else {
 			// Tail gap after the last decode.
-			if gap := s.sched.Now().Sub(s.lastDecode[i]); gap > s.cfg.FreshnessLimit {
+			if gap := s.sched.Now().Sub(r.lastDecode); gap > s.cfg.FreshnessLimit {
 				stale += float64(gap - s.cfg.FreshnessLimit)
 			}
 		}

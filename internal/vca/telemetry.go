@@ -83,30 +83,26 @@ func (s *Session) setupTelemetry() {
 			return float64(s.up[i].QueuedBytes())
 		})
 		m.Register(fmt.Sprintf("loss_ewma/u%d", i), func() float64 {
-			if s.recSend != nil && s.recSend[i] != nil {
-				return s.recSend[i].LossEwma()
+			if rec := s.senders[i].rec; rec != nil {
+				return rec.LossEwma()
 			}
 			return 0
 		})
 		m.Register(fmt.Sprintf("repaired/u%d", i), func() float64 {
 			var total int64
-			if s.recRecv != nil {
-				for k := range s.recRecv {
-					if rr := s.recRecv[k][i]; rr != nil {
-						st := rr.Stats()
-						total += st.RepairedRtx + st.RepairedFec
-					}
+			for k := 0; k < n; k++ {
+				if rr := s.stream(k, i).rec; rr != nil {
+					st := rr.Stats()
+					total += st.RepairedRtx + st.RepairedFec
 				}
 			}
 			return float64(total)
 		})
 		m.Register(fmt.Sprintf("frames_outstanding/u%d", i), func() float64 {
 			var total int
-			if s.depacks != nil {
-				for k := range s.depacks {
-					if d := s.depacks[k][i]; d != nil {
-						total += d.Pending()
-					}
+			for k := 0; k < n; k++ {
+				if d := s.stream(k, i).depack; d != nil {
+					total += d.Pending()
 				}
 			}
 			return float64(total)

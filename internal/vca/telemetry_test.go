@@ -100,10 +100,11 @@ func TestTelemetryTraceIsDeterministic(t *testing.T) {
 // TestTraceSummarizeReproducesUserStats is the acceptance gate: replaying
 // the event stream alone must reproduce the session's end-of-run UserStats
 // frame and repair counters exactly. It holds because the emission sites
-// diff the same engine counters UserStats is built from. Two sessions pin
-// it: the standard P2P one, whose burst channel exercises repair, and a
+// diff the same engine counters UserStats is built from. Three sessions pin
+// it: the standard P2P one, whose burst channel exercises repair; a
 // three-party Zoom SFU call with loss on every downlink, whose receivers
-// reject frames through the checksum receive check.
+// reject frames through the checksum receive check; and a spatial FaceTime
+// call under gcc with a 0.7 Mbps uplink, whose sender thins frames.
 func TestTraceSummarizeReproducesUserStats(t *testing.T) {
 	sfu := DefaultSessionConfig(Zoom, []Participant{
 		vp("u1", geo.Ashburn), vp("u2", geo.NewYork), vp("u3", geo.Ashburn),
@@ -111,6 +112,12 @@ func TestTraceSummarizeReproducesUserStats(t *testing.T) {
 	sfu.Duration = 4 * simtime.Second
 	sfu.Seed = 12
 	sfu.VideoFPS = 15
+	spatial := DefaultSessionConfig(FaceTime, []Participant{
+		vp("u1", geo.Ashburn), vp("u2", geo.NewYork),
+	})
+	spatial.Duration = 6 * simtime.Second
+	spatial.Seed = 11
+	spatial.RateControl = &RateControlConfig{Controller: "gcc"}
 	for _, c := range []struct {
 		name string
 		run  func(*TelemetryConfig) *Results
@@ -127,6 +134,17 @@ func TestTraceSummarizeReproducesUserStats(t *testing.T) {
 				t.Fatal("three-party Zoom planned P2P; SFU path not exercised")
 			}
 			return res
+		}},
+		{"spatial-thinned", func(tc *TelemetryConfig) *Results {
+			cfg := spatial
+			cfg.Telemetry = tc
+			sess, err := NewSession(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Squeeze the uplink so the controller sheds rate by thinning.
+			sess.UplinkShaper(0).RateBps = 0.7e6
+			return sess.Run()
 		}},
 	} {
 		var trace bytes.Buffer
@@ -169,43 +187,8 @@ func TestTraceSummarizeReproducesUserStats(t *testing.T) {
 		if c.name == "sfu-downlink-loss" && undecodableAll == 0 {
 			t.Error("no undecodable frame traced under downlink loss — test lost its teeth")
 		}
-	}
-}
-
-// TestTelemetrySpatialSessionTraces covers the spatial-persona path
-// (FaceTime QUIC media: frame_sent/thinned/decoded flow through the
-// spatial emitters) and the summarize bridge on it.
-func TestTelemetrySpatialSessionTraces(t *testing.T) {
-	cfg := DefaultSessionConfig(FaceTime, []Participant{
-		vp("u1", geo.Ashburn), vp("u2", geo.NewYork),
-	})
-	cfg.Duration = 6 * simtime.Second
-	cfg.Seed = 11
-	cfg.RateControl = &RateControlConfig{Controller: "gcc"}
-	var trace bytes.Buffer
-	cfg.Telemetry = &TelemetryConfig{Trace: telemetry.NewTracer(&trace)}
-	sess, err := NewSession(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Squeeze the uplink so the controller sheds rate by thinning frames.
-	sess.UplinkShaper(0).RateBps = 0.7e6
-	res := sess.Run()
-
-	sum, err := telemetry.Summarize(bytes.NewReader(trace.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, u := range res.Users {
-		sent, thinned, decoded, undecodable, _, _ := sum.UserFrameCounts(i)
-		if sent != int64(u.FramesSent) || thinned != int64(u.FramesThinned) ||
-			decoded != int64(u.FramesDecoded) || undecodable != int64(u.FramesUndecodable) {
-			t.Errorf("u%d trace (%d,%d,%d,%d) != stats (%d,%d,%d,%d)", i,
-				sent, thinned, decoded, undecodable,
-				u.FramesSent, u.FramesThinned, u.FramesDecoded, u.FramesUndecodable)
+		if _, thinned, _, _, _, _ := sum.UserFrameCounts(0); c.name == "spatial-thinned" && thinned == 0 {
+			t.Error("capped spatial sender thinned no frames — thinning path untraced")
 		}
-	}
-	if _, thinned, _, _, _, _ := sum.UserFrameCounts(0); thinned == 0 {
-		t.Error("capped spatial sender thinned no frames — thinning path untraced")
 	}
 }
