@@ -120,13 +120,13 @@ func TestTraceSummarizeReproducesUserStats(t *testing.T) {
 	spatial.RateControl = &RateControlConfig{Controller: "gcc"}
 	for _, c := range []struct {
 		name string
-		run  func(*TelemetryConfig) *Results
+		run  func(*testing.T, *TelemetryConfig) *Results
 	}{
-		{"p2p-burst", func(tc *TelemetryConfig) *Results {
+		{"p2p-burst", func(t *testing.T, tc *TelemetryConfig) *Results {
 			_, res := telemetrySession(t, tc)
 			return res
 		}},
-		{"sfu-downlink-loss", func(tc *TelemetryConfig) *Results {
+		{"sfu-downlink-loss", func(t *testing.T, tc *TelemetryConfig) *Results {
 			cfg := sfu
 			cfg.Telemetry = tc
 			sess, res := runLossy(t, cfg, 2, nil)
@@ -135,7 +135,7 @@ func TestTraceSummarizeReproducesUserStats(t *testing.T) {
 			}
 			return res
 		}},
-		{"spatial-thinned", func(tc *TelemetryConfig) *Results {
+		{"spatial-thinned", func(t *testing.T, tc *TelemetryConfig) *Results {
 			cfg := spatial
 			cfg.Telemetry = tc
 			sess, err := NewSession(cfg)
@@ -147,48 +147,50 @@ func TestTraceSummarizeReproducesUserStats(t *testing.T) {
 			return sess.Run()
 		}},
 	} {
-		var trace bytes.Buffer
-		res := c.run(&TelemetryConfig{Trace: telemetry.NewTracer(&trace)})
-		sum, err := telemetry.Summarize(bytes.NewReader(trace.Bytes()))
-		if err != nil {
-			t.Fatalf("%s: trace does not summarize: %v", c.name, err)
-		}
-		if sum.Events == 0 {
-			t.Fatalf("%s: empty trace", c.name)
-		}
-		var undecodableAll int64
-		for i, u := range res.Users {
-			sent, thinned, decoded, undecodable, repaired, unrepaired := sum.UserFrameCounts(i)
-			if sent != int64(u.FramesSent) {
-				t.Errorf("%s: u%d FramesSent: trace %d, stats %d", c.name, i, sent, u.FramesSent)
+		t.Run(c.name, func(t *testing.T) {
+			var trace bytes.Buffer
+			res := c.run(t, &TelemetryConfig{Trace: telemetry.NewTracer(&trace)})
+			sum, err := telemetry.Summarize(bytes.NewReader(trace.Bytes()))
+			if err != nil {
+				t.Fatalf("trace does not summarize: %v", err)
 			}
-			if thinned != int64(u.FramesThinned) {
-				t.Errorf("%s: u%d FramesThinned: trace %d, stats %d", c.name, i, thinned, u.FramesThinned)
+			if sum.Events == 0 {
+				t.Fatal("empty trace")
 			}
-			if decoded != int64(u.FramesDecoded) {
-				t.Errorf("%s: u%d FramesDecoded: trace %d, stats %d", c.name, i, decoded, u.FramesDecoded)
+			var undecodableAll int64
+			for i, u := range res.Users {
+				sent, thinned, decoded, undecodable, repaired, unrepaired := sum.UserFrameCounts(i)
+				if sent != int64(u.FramesSent) {
+					t.Errorf("u%d FramesSent: trace %d, stats %d", i, sent, u.FramesSent)
+				}
+				if thinned != int64(u.FramesThinned) {
+					t.Errorf("u%d FramesThinned: trace %d, stats %d", i, thinned, u.FramesThinned)
+				}
+				if decoded != int64(u.FramesDecoded) {
+					t.Errorf("u%d FramesDecoded: trace %d, stats %d", i, decoded, u.FramesDecoded)
+				}
+				if undecodable != int64(u.FramesUndecodable) {
+					t.Errorf("u%d FramesUndecodable: trace %d, stats %d", i, undecodable, u.FramesUndecodable)
+				}
+				if repaired != int64(u.PacketsRepaired) {
+					t.Errorf("u%d PacketsRepaired: trace %d, stats %d", i, repaired, u.PacketsRepaired)
+				}
+				if unrepaired != int64(u.PacketsUnrepaired) {
+					t.Errorf("u%d PacketsUnrepaired: trace %d, stats %d", i, unrepaired, u.PacketsUnrepaired)
+				}
+				undecodableAll += undecodable
 			}
-			if undecodable != int64(u.FramesUndecodable) {
-				t.Errorf("%s: u%d FramesUndecodable: trace %d, stats %d", c.name, i, undecodable, u.FramesUndecodable)
+			// Each session must exercise the counters it is there for, or the
+			// equalities above are vacuous.
+			if _, _, _, _, repaired, _ := sum.UserFrameCounts(1); c.name == "p2p-burst" && repaired == 0 {
+				t.Error("no repairs traced under burst loss — test lost its teeth")
 			}
-			if repaired != int64(u.PacketsRepaired) {
-				t.Errorf("%s: u%d PacketsRepaired: trace %d, stats %d", c.name, i, repaired, u.PacketsRepaired)
+			if c.name == "sfu-downlink-loss" && undecodableAll == 0 {
+				t.Error("no undecodable frame traced under downlink loss — test lost its teeth")
 			}
-			if unrepaired != int64(u.PacketsUnrepaired) {
-				t.Errorf("%s: u%d PacketsUnrepaired: trace %d, stats %d", c.name, i, unrepaired, u.PacketsUnrepaired)
+			if _, thinned, _, _, _, _ := sum.UserFrameCounts(0); c.name == "spatial-thinned" && thinned == 0 {
+				t.Error("capped spatial sender thinned no frames — thinning path untraced")
 			}
-			undecodableAll += undecodable
-		}
-		// Each session must exercise the counters it is there for, or the
-		// equalities above are vacuous.
-		if _, _, _, _, repaired, _ := sum.UserFrameCounts(1); c.name == "p2p-burst" && repaired == 0 {
-			t.Error("no repairs traced under burst loss — test lost its teeth")
-		}
-		if c.name == "sfu-downlink-loss" && undecodableAll == 0 {
-			t.Error("no undecodable frame traced under downlink loss — test lost its teeth")
-		}
-		if _, thinned, _, _, _, _ := sum.UserFrameCounts(0); c.name == "spatial-thinned" && thinned == 0 {
-			t.Error("capped spatial sender thinned no frames — thinning path untraced")
-		}
+		})
 	}
 }
