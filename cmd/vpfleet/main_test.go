@@ -408,9 +408,14 @@ func TestSigtermResume(t *testing.T) {
 		t.Fatalf("interrupted run: err=%v, want exit 3\n%s", err, buf.String())
 	}
 
-	entries, err := filepath.Glob(filepath.Join(ck, "*.json"))
-	if err != nil || len(entries) == 0 {
-		t.Fatalf("nothing journaled before drain (%v): %v", err, entries)
+	segs, err := filepath.Glob(filepath.Join(ck, "segment-*.jsonl"))
+	records := 0
+	for _, seg := range segs {
+		data, _ := os.ReadFile(seg)
+		records += bytes.Count(data, []byte{'\n'})
+	}
+	if err != nil || records == 0 {
+		t.Fatalf("nothing journaled before drain (%v): %v", err, segs)
 	}
 
 	if code, out := runVpfleet(t, slowSweep("-workers", "2", "-out", resumed,

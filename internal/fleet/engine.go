@@ -43,11 +43,14 @@ type unit struct {
 
 // unitOutcome is a unit's result: its one live run, or a journal replay.
 type unitOutcome struct {
-	rows     []core.Row    // live success: the typed rows
-	entry    *JournalEntry // resumed: the pre-encoded rows (rows is nil)
+	rows []core.Row // live success: the typed rows
+	// entry is the pre-encoded rows: the journaled record of a live unit
+	// run under a checkpoint, or the replayed one of a resumed unit (whose
+	// rows are nil).
+	entry    *JournalEntry
 	err      error
 	stack    string // captured panic stack, when the failure was a panic
-	attempts int    // 1 for a unit that ran; the journaled count when resumed
+	attempts int    // 1 for a unit that ran or was resumed
 	wall     time.Duration
 	resumed  bool
 }
@@ -118,14 +121,18 @@ func executeUnit(i int, u unit, cfg Config) unitOutcome {
 //     in flight or completed-but-unemitted, so streamed memory is bounded
 //     by the window, not the run size.
 //   - Completed units journal immediately (order-independent, keyed
-//     writes), so an interrupt or crash never loses finished work even
-//     when emission hasn't reached the unit yet.
+//     records), so an interrupt or a killed process never loses finished
+//     work even when emission hasn't reached the unit yet. The journal's
+//     segment is synced once, when the run ends or drains.
 //   - With cfg.Resume, journaled units are served without running; they
 //     flow through emission in order like live ones.
 //   - On interrupt, no new units start; in-flight units finish, journal,
 //     and emit; never-started units emit with ErrInterrupted.
 //   - An emit error aborts the run: dispatch stops, in-flight work drains,
 //     and no further emit calls are made.
+//
+// The emit callback owns the error it returns; runOrdered returns only a
+// failure to sync the journal.
 func runOrdered(units []unit, scope string, cfg Config, emit func(i int, o unitOutcome) error) error {
 	n := len(units)
 	if n == 0 {
@@ -177,10 +184,8 @@ func runOrdered(units []unit, scope string, cfg Config, emit func(i int, o unitO
 			for i := range tasks {
 				o := executeUnit(i, units[i], cfg)
 				if o.err == nil && cfg.Checkpoint != nil {
-					if e, err := encodeEntry(units[i].key, scope, o.attempts, o.rows); err != nil {
-						o.err = err
-					} else if err := cfg.Checkpoint.Write(e); err != nil {
-						o.err = err
+					if o.entry, o.err = encodeEntry(units[i].key, scope, o.rows); o.err == nil {
+						o.err = cfg.Checkpoint.Write(o.entry)
 					}
 				}
 				cfg.publish(MonitorEvent{Kind: EventUnitDone, Unit: i, Key: units[i].key,
@@ -221,9 +226,9 @@ func runOrdered(units []unit, scope string, cfg Config, emit func(i int, o unitO
 				if e, ok := cfg.Checkpoint.Lookup(units[i].key, scope); ok {
 					dispatchedN.Add(1)
 					cfg.publish(MonitorEvent{Kind: EventJournalHit, Unit: i, Key: units[i].key,
-						Attempt: e.Attempts, Rows: e.Rows})
+						Attempt: 1, Rows: e.Rows})
 					select {
-					case done <- indexed{i, unitOutcome{entry: e, attempts: e.Attempts, resumed: true}}:
+					case done <- indexed{i, unitOutcome{entry: e, attempts: 1, resumed: true}}:
 					case <-stop:
 						return
 					}
@@ -296,9 +301,13 @@ func runOrdered(units []unit, scope string, cfg Config, emit func(i int, o unitO
 			}
 		}
 	}
-	cfg.publish(MonitorEvent{Kind: EventRunDone, Unit: -1, Err: emitErr})
+	var syncErr error
+	if cfg.Checkpoint != nil {
+		syncErr = cfg.Checkpoint.sync()
+	}
+	cfg.publish(MonitorEvent{Kind: EventRunDone, Unit: -1, Err: errors.Join(emitErr, syncErr)})
 	if cfg.onMaxBuffered != nil {
 		cfg.onMaxBuffered(maxBuffered)
 	}
-	return emitErr
+	return syncErr
 }

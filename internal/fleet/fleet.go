@@ -16,8 +16,8 @@
 // so one that panics, errors or hangs would do the same again. A
 // panicking runner is isolated (recovered, stack captured, its unit marked
 // failed) instead of killing the process; a per-cell watchdog fails a hung
-// unit; completed units checkpoint to a content-addressed Journal so an
-// interrupted or crashed run resumes without re-running finished work; and
+// unit; completed units checkpoint to an append-only Journal so an
+// interrupted or killed run resumes without re-running finished work; and
 // an interrupt drains gracefully. See DESIGN.md "Fault tolerance".
 package fleet
 
@@ -39,8 +39,8 @@ type Config struct {
 	// finish in the background and its result is discarded. 0 disables
 	// the watchdog.
 	CellTimeout time.Duration
-	// Checkpoint, when non-nil, journals every completed unit's rows
-	// (content-addressed, atomic) as soon as the unit finishes.
+	// Checkpoint, when non-nil, journals every completed unit's rows as
+	// one record appended to the journal as soon as the unit finishes.
 	Checkpoint *Journal
 	// Resume serves units already present in Checkpoint from the journal
 	// instead of re-running them. Journaled rows are pre-encoded bytes, so
@@ -86,8 +86,8 @@ type UnitResult struct {
 	// Wall is the unit's wall time (parallel units overlap these
 	// intervals).
 	Wall time.Duration
-	// Attempts is 1 for a unit that ran and the journaled count for a
-	// resumed one; 0 for a unit an interrupted run never started.
+	// Attempts is 1 for a unit that ran or was resumed; 0 for a unit an
+	// interrupted run never started.
 	Attempts int
 	// Resumed reports the unit was served from the checkpoint journal.
 	Resumed bool
@@ -168,9 +168,9 @@ func runSections(secs []section, opts core.Options, cfg Config) ([]UnitResult, e
 		sink = nil
 		return s.Close()
 	}
-	// runOrdered's error is the emit error that stopped the run, which the
-	// closure has already recorded on its unit's result.
-	_ = runOrdered(units, opts.Fingerprint(), cfg, func(i int, o unitOutcome) error {
+	// runOrdered's error is a failed journal sync; an emit error that
+	// stopped the run is already recorded on its unit's result.
+	syncErr := runOrdered(units, opts.Fingerprint(), cfg, func(i int, o unitOutcome) error {
 		for i >= ends[cur] {
 			cur++
 		}
@@ -197,7 +197,7 @@ func runSections(secs []section, opts core.Options, cfg Config) ([]UnitResult, e
 		return nil
 	})
 
-	var errs []error
+	errs := []error{syncErr}
 	interrupted := false
 	for _, r := range results {
 		switch {
@@ -243,15 +243,16 @@ func RunStream(exps []core.Experiment, opts core.Options, cfg Config, factory Si
 	return runSections(secs, opts, cfg)
 }
 
-// emitUnit writes one successful unit's rows to sink: a journal replay
-// goes through EntrySink verbatim; a live outcome writes its rows in order.
+// emitUnit writes one successful unit's rows to sink. A journaled unit —
+// resumed, or run live under a checkpoint — goes through EntrySink with
+// the rows its journal record already encoded, so they are encoded once;
+// otherwise a live outcome writes its rows in order.
 func emitUnit(sink Sink, o unitOutcome) error {
-	if o.entry != nil {
-		es, ok := sink.(EntrySink)
-		if !ok {
-			return fmt.Errorf("fleet: sink %T cannot replay journal entries (no EntrySink)", sink)
-		}
+	if es, ok := sink.(EntrySink); ok && o.entry != nil {
 		return es.WriteEntry(o.entry)
+	}
+	if o.resumed {
+		return fmt.Errorf("fleet: sink %T cannot replay journal entries (no EntrySink)", sink)
 	}
 	for _, row := range o.rows {
 		if err := sink.Write(row); err != nil {

@@ -153,7 +153,7 @@ func TestMonitorTimeout(t *testing.T) {
 
 // TestMonitorJournalHit: a resumed run publishes JournalHit (not
 // Dispatched/AttemptStarted) for every journaled unit, with the journaled
-// row and attempt counts.
+// row count and attempt 1.
 func TestMonitorJournalHit(t *testing.T) {
 	spec := testSweepSpec()
 	opts := core.Quick(7)

@@ -91,7 +91,9 @@ func (s *trippingSink) Write(row core.Row) error {
 
 // TestKillAndResume is the acceptance pin: a sweep killed mid-run, then
 // resumed from its journal, reassembles byte-identical output to an
-// uninterrupted run — at worker counts 1 and 8.
+// uninterrupted run — at worker counts 1 and 8. The killed run and the
+// resumes write through different Journals, as separate processes would,
+// so the last resume reads two segments.
 func TestKillAndResume(t *testing.T) {
 	spec := testSweepSpec()
 	opts := core.Quick(13)
@@ -100,7 +102,8 @@ func TestKillAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	journal, err := OpenJournal(t.TempDir())
+	dir := t.TempDir()
+	killed, err := OpenJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +115,7 @@ func TestKillAndResume(t *testing.T) {
 	sink := &trippingSink{Sink: NewJSONLSink(&buf), after: 3, interrupt: interrupt}
 	cfg := Config{
 		Workers: 2, Window: 4,
-		Checkpoint: journal,
+		Checkpoint: killed,
 		Interrupt:  interrupt,
 	}
 	results, runErr := RunSweepStream(spec, opts, cfg, sink)
@@ -128,7 +131,7 @@ func TestKillAndResume(t *testing.T) {
 	if skipped == 0 {
 		t.Fatal("kill skipped no cells; interrupt arrived too late to test resume")
 	}
-	if journal.Len() == 0 {
+	if killed.Len() == 0 {
 		t.Fatal("no cells journaled before the kill")
 	}
 	m := NewManifest(opts, 2, time.Second, results)
@@ -136,8 +139,13 @@ func TestKillAndResume(t *testing.T) {
 		t.Errorf("interrupted manifest: interrupted=%v failures=%+v, want true/none", m.Interrupted, m.Failures)
 	}
 
-	// Runs 2..: resume from the journal at both worker counts; bytes must
-	// match the uninterrupted run exactly.
+	// Runs 2..: resume from the journal at both worker counts, through one
+	// Journal, so the second resume must see the first one's writes; bytes
+	// must match the uninterrupted run exactly.
+	journal, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{1, 8} {
 		got, results, err := streamSweepJSONL(t, spec, opts, Config{
 			Workers: workers, Checkpoint: journal, Resume: true,
@@ -163,11 +171,19 @@ func TestKillAndResume(t *testing.T) {
 		}
 	}
 	// After a completed resume the journal holds every cell; a further
-	// resume runs nothing live and still reproduces the bytes.
+	// resume through a fresh Journal reads both segments, runs nothing live
+	// and still reproduces the bytes.
 	if journal.Len() != len(spec.Cells()) {
 		t.Fatalf("journal has %d entries after full resume, want %d", journal.Len(), len(spec.Cells()))
 	}
-	got, results, err := streamSweepJSONL(t, spec, opts, Config{Workers: 4, Checkpoint: journal, Resume: true})
+	if segs := segments(t, dir); len(segs) != 2 {
+		t.Fatalf("journal segments = %v, want the killed run's and the resumes'", segs)
+	}
+	fresh, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, results, err := streamSweepJSONL(t, spec, opts, Config{Workers: 4, Checkpoint: fresh, Resume: true})
 	if err != nil || !bytes.Equal(clean, got) {
 		t.Errorf("fully-journaled resume: err=%v, bytes equal=%v", err, bytes.Equal(clean, got))
 	}
@@ -304,7 +320,7 @@ func TestEntryReplayByteIdentical(t *testing.T) {
 		N     int
 	}
 	rows := []core.Row{row{"x", 1.5, 2}, row{"y", -0.25, 7}}
-	e, err := encodeEntry("u", "s", 1, rows)
+	e, err := encodeEntry("u", "s", rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,5 +358,49 @@ func TestEntryReplayByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(liveC.Bytes(), replayC.Bytes()) {
 		t.Errorf("CSV replay diverges\nlive:   %q\nreplay: %q", liveC.Bytes(), replayC.Bytes())
+	}
+}
+
+// entryCountingSink counts a sink's live row writes and entry writes.
+type entryCountingSink struct {
+	EntrySink
+	rows, entries int
+}
+
+func (s *entryCountingSink) Write(row core.Row) error { s.rows++; return s.EntrySink.Write(row) }
+
+func (s *entryCountingSink) WriteEntry(e *JournalEntry) error {
+	s.entries++
+	return s.EntrySink.WriteEntry(e)
+}
+
+// TestCheckpointedLiveUnitsEncodeOnce: under a checkpoint, a live unit's
+// rows reach an EntrySink as the entry just journaled, not encoded again
+// row by row; the unit is still live, not resumed, and the bytes are the
+// uncheckpointed run's.
+func TestCheckpointedLiveUnitsEncodeOnce(t *testing.T) {
+	spec := testSweepSpec()
+	opts := core.Quick(11)
+	clean, _, err := streamSweepJSONL(t, spec, opts, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, _ := OpenJournal(t.TempDir())
+	var buf bytes.Buffer
+	sink := &entryCountingSink{EntrySink: NewJSONLSink(&buf).(EntrySink)}
+	results, err := RunSweepStream(spec, opts, Config{Workers: 2, Checkpoint: j}, sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(clean, buf.Bytes()) {
+		t.Errorf("checkpointed bytes diverge\nclean: %s\ngot:   %s", clean, buf.Bytes())
+	}
+	if sink.rows != 0 || sink.entries != len(spec.Cells()) {
+		t.Errorf("sink saw %d row writes and %d entries, want 0 and %d", sink.rows, sink.entries, len(spec.Cells()))
+	}
+	for _, r := range results {
+		if r.Resumed || r.Attempts != 1 {
+			t.Errorf("%s: resumed=%v attempts=%d, want a live unit", r.Label, r.Resumed, r.Attempts)
+		}
 	}
 }

@@ -26,7 +26,8 @@ type SinkFactory func(e core.Experiment) (Sink, error)
 // EntrySink is implemented by sinks that can replay a checkpointed
 // journal entry's pre-encoded rows byte-identically to live writes.
 // Resuming a run (Config.Resume) requires the sink to implement it;
-// NewJSONLSink and NewCSVSink both do.
+// NewJSONLSink and NewCSVSink both do. Under a checkpoint, live units
+// also go through WriteEntry, so their rows are encoded once.
 type EntrySink interface {
 	Sink
 	WriteEntry(e *JournalEntry) error
@@ -49,19 +50,20 @@ func NewJSONLSink(w io.Writer) Sink {
 func (s jsonlSink) Write(row core.Row) error { return s.enc.Encode(row) }
 func (s jsonlSink) Close() error             { return nil }
 
-// WriteEntry replays a journal entry's pre-encoded JSONL lines. The
-// stored lines are json.Marshal output, which matches json.Encoder's
-// encoding exactly, so a resumed file is byte-identical to a live one.
+// WriteEntry writes a journal entry's pre-encoded JSONL lines in one
+// write. The stored lines are json.Marshal output, which matches
+// json.Encoder's encoding exactly, so a resumed file is byte-identical to
+// a live one.
 func (s jsonlSink) WriteEntry(e *JournalEntry) error {
+	var buf []byte
 	for _, line := range e.JSONL {
-		if _, err := s.w.Write(line); err != nil {
-			return err
-		}
-		if _, err := s.w.Write([]byte{'\n'}); err != nil {
-			return err
-		}
+		buf = append(append(buf, line...), '\n')
 	}
-	return nil
+	if len(buf) == 0 {
+		return nil
+	}
+	_, err := s.w.Write(buf)
+	return err
 }
 
 // ----------------------------------------------------------------- Memory
@@ -87,8 +89,9 @@ type UnitManifest struct {
 	Label  string  `json:"label"`
 	Rows   int     `json:"rows"`
 	WallMs float64 `json:"wall_ms"`
-	// Attempts is 1 for a unit that ran (a unit runs once; the field keeps
-	// the schema); omitted (0) for units an interrupted run never started.
+	// Attempts is 1 for a unit that ran or was resumed (a unit runs once;
+	// the field keeps the schema); omitted (0) for units an interrupted
+	// run never started.
 	Attempts int `json:"attempts,omitempty"`
 	// Resumed marks units replayed from the checkpoint journal.
 	Resumed bool `json:"resumed,omitempty"`
