@@ -1,18 +1,13 @@
-// Package analysis turns packet captures into the measurements the paper
-// reports: protocol classification (QUIC vs RTP, §4.1), throughput
-// distributions (Figure 5, Figure 7c), and inter-arrival statistics. It
-// works strictly from headers and sizes — payloads are end-to-end encrypted
-// (§5) — mirroring the paper's passive methodology.
+// Package analysis classifies captured traffic the way the paper does:
+// QUIC versus RTP (§4.1), strictly from header bytes, since payloads are
+// end-to-end encrypted (§5). The capture package calls ClassIndex at each
+// tap and measures rates from frame sizes, so classification and
+// measurement both happen online, with no packet retained.
 package analysis
 
 import (
-	"fmt"
-
-	"telepresence/internal/capture"
 	"telepresence/internal/quic"
 	"telepresence/internal/rtp"
-	"telepresence/internal/simtime"
-	"telepresence/internal/stats"
 )
 
 // Protocol is the classification result for a packet or flow.
@@ -52,140 +47,3 @@ func Classify(payload []byte) Protocol {
 // signature, so protocol counting happens online at the tap with no payload
 // retention.
 func ClassIndex(payload []byte) int { return int(Classify(payload)) }
-
-// ClassifyCapture classifies a whole capture by majority vote over frames
-// that carry enough payload to judge, returning the verdict and the per-
-// protocol packet counts.
-func ClassifyCapture(recs []capture.Record) (Protocol, map[Protocol]int) {
-	counts := map[Protocol]int{}
-	for _, r := range recs {
-		if len(r.Payload) == 0 {
-			continue
-		}
-		counts[Classify(r.Payload)]++
-	}
-	best, bestN := ProtoUnknown, 0
-	for p, n := range counts {
-		if p != ProtoUnknown && n > bestN {
-			best, bestN = p, n
-		}
-	}
-	return best, counts
-}
-
-// ThroughputSeries bins delivered bytes into fixed windows and returns one
-// Mbps sample per window — the time series behind the paper's box plots.
-func ThroughputSeries(recs []capture.Record, bin simtime.Duration) []float64 {
-	if bin <= 0 || len(recs) == 0 {
-		return nil
-	}
-	var start, end simtime.Time
-	start, end = recs[0].At, recs[0].At
-	for _, r := range recs {
-		if r.At < start {
-			start = r.At
-		}
-		if r.At > end {
-			end = r.At
-		}
-	}
-	n := int(end.Sub(start)/bin) + 1
-	bytesPerBin := make([]int64, n)
-	for _, r := range recs {
-		i := int(r.At.Sub(start) / bin)
-		bytesPerBin[i] += int64(r.Size)
-	}
-	out := make([]float64, n)
-	binSec := float64(bin) / float64(simtime.Second)
-	for i, b := range bytesPerBin {
-		out[i] = float64(b) * 8 / binSec / 1e6
-	}
-	return out
-}
-
-// ThroughputSample is ThroughputSeries collected into a stats.Sample,
-// dropping the first and last (partial) windows as the paper's tools do.
-func ThroughputSample(recs []capture.Record, bin simtime.Duration) *stats.Sample {
-	series := ThroughputSeries(recs, bin)
-	s := &stats.Sample{}
-	if len(series) > 2 {
-		s.Add(series[1 : len(series)-1]...)
-	} else {
-		s.Add(series...)
-	}
-	return s
-}
-
-// MeanMbps computes average goodput over the capture's span.
-func MeanMbps(recs []capture.Record) float64 {
-	if len(recs) == 0 {
-		return 0
-	}
-	var bytes int64
-	start, end := recs[0].At, recs[0].At
-	for _, r := range recs {
-		bytes += int64(r.Size)
-		if r.At < start {
-			start = r.At
-		}
-		if r.At > end {
-			end = r.At
-		}
-	}
-	sec := end.Sub(start).Seconds()
-	if sec <= 0 {
-		return 0
-	}
-	return float64(bytes) * 8 / sec / 1e6
-}
-
-// InterarrivalMs returns the inter-arrival gaps between consecutive records
-// in milliseconds — a packet-timing fingerprint usable without decryption
-// (§5's suggested direction).
-func InterarrivalMs(recs []capture.Record) *stats.Sample {
-	s := &stats.Sample{}
-	for i := 1; i < len(recs); i++ {
-		s.Add(float64(recs[i].At.Sub(recs[i-1].At)) / float64(simtime.Millisecond))
-	}
-	return s
-}
-
-// FlowSummary is a one-line description of a captured flow.
-type FlowSummary struct {
-	Link     string
-	Protocol Protocol
-	Packets  int
-	Bytes    int64
-	MeanMbps float64
-}
-
-// Summarize produces per-link flow summaries from delivered frames.
-func Summarize(recs []capture.Record) []FlowSummary {
-	byLink := map[string][]capture.Record{}
-	var order []string
-	for _, r := range recs {
-		if _, ok := byLink[r.Link]; !ok {
-			order = append(order, r.Link)
-		}
-		byLink[r.Link] = append(byLink[r.Link], r)
-	}
-	var out []FlowSummary
-	for _, link := range order {
-		rs := byLink[link]
-		proto, _ := ClassifyCapture(rs)
-		var bytes int64
-		for _, r := range rs {
-			bytes += int64(r.Size)
-		}
-		out = append(out, FlowSummary{
-			Link: link, Protocol: proto, Packets: len(rs),
-			Bytes: bytes, MeanMbps: MeanMbps(rs),
-		})
-	}
-	return out
-}
-
-// String formats a flow summary.
-func (f FlowSummary) String() string {
-	return fmt.Sprintf("%s: %v %d pkts %d B %.3f Mbps", f.Link, f.Protocol, f.Packets, f.Bytes, f.MeanMbps)
-}

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"math"
 	"testing"
 
 	"telepresence/internal/capture"
@@ -35,72 +34,9 @@ func TestProtocolString(t *testing.T) {
 	}
 }
 
-func mkRecords(times []simtime.Time, sizes []int) []capture.Record {
-	out := make([]capture.Record, len(times))
-	for i := range times {
-		out[i] = capture.Record{At: times[i], Size: sizes[i], Link: "l", Dir: netem.Egress}
-	}
-	return out
-}
-
-func TestThroughputSeries(t *testing.T) {
-	// 1250 bytes every 10 ms = 1 Mbps.
-	var times []simtime.Time
-	var sizes []int
-	for i := 0; i < 300; i++ {
-		times = append(times, simtime.Time(i*10*int(simtime.Millisecond)))
-		sizes = append(sizes, 1250)
-	}
-	series := ThroughputSeries(mkRecords(times, sizes), simtime.Second)
-	if len(series) != 3 {
-		t.Fatalf("%d bins, want 3", len(series))
-	}
-	for i, mbps := range series {
-		if math.Abs(mbps-1.0) > 0.02 {
-			t.Errorf("bin %d = %.3f Mbps, want 1.0", i, mbps)
-		}
-	}
-}
-
-func TestThroughputSeriesEmpty(t *testing.T) {
-	if ThroughputSeries(nil, simtime.Second) != nil {
-		t.Error("empty capture should yield nil series")
-	}
-	if ThroughputSeries(mkRecords([]simtime.Time{1}, []int{1}), 0) != nil {
-		t.Error("zero bin should yield nil")
-	}
-}
-
-func TestMeanMbps(t *testing.T) {
-	// 10 MB over 10 seconds = 8 Mbps.
-	recs := mkRecords(
-		[]simtime.Time{0, simtime.Time(10 * simtime.Second)},
-		[]int{5_000_000, 5_000_000},
-	)
-	if got := MeanMbps(recs); math.Abs(got-8) > 0.01 {
-		t.Errorf("MeanMbps = %v, want 8", got)
-	}
-	if MeanMbps(nil) != 0 {
-		t.Error("empty capture mean should be 0")
-	}
-}
-
-func TestInterarrival(t *testing.T) {
-	recs := mkRecords(
-		[]simtime.Time{0, simtime.Time(10 * simtime.Millisecond), simtime.Time(30 * simtime.Millisecond)},
-		[]int{1, 1, 1},
-	)
-	s := InterarrivalMs(recs)
-	if s.N() != 2 {
-		t.Fatalf("N = %d, want 2", s.N())
-	}
-	if s.Mean() != 15 {
-		t.Errorf("mean gap = %v ms, want 15", s.Mean())
-	}
-}
-
-// End-to-end: capture real QUIC traffic off a netem link and verify the
-// paper's methodology identifies it and measures its rate.
+// End-to-end: capture real QUIC traffic off a netem link through the
+// streaming path vca.Session uses (a classifier at the tap, no retained
+// records) and verify it identifies QUIC and measures its rate.
 func TestCaptureClassifyAndMeasureQUIC(t *testing.T) {
 	s := simtime.NewScheduler()
 	p := netem.NewPipe(s, simrand.New(1), netem.Config{Name: "ap", DelayMs: 5})
@@ -110,7 +46,7 @@ func TestCaptureClassifyAndMeasureQUIC(t *testing.T) {
 	p.BA.SetHandler(client.Deliver)
 
 	cap := capture.New("ap")
-	cap.SetRetain(true) // this test runs record-level analysis
+	cap.SetClassifier(ClassIndex)
 	cap.Attach(p.AB)
 
 	server.OnMessage(func(quic.Message) {})
@@ -125,24 +61,19 @@ func TestCaptureClassifyAndMeasureQUIC(t *testing.T) {
 	})
 	s.RunFor(3 * simtime.Second)
 
-	egress := cap.Egress()
-	if len(egress) == 0 {
-		t.Fatal("nothing captured")
+	if n := len(cap.Records()); cap.Retaining() || n != 0 {
+		t.Fatalf("streaming capture kept %d records", n)
 	}
-	proto, counts := ClassifyCapture(egress)
-	if proto != ProtoQUIC {
-		t.Fatalf("classified as %v (counts %v), want QUIC", proto, counts)
+	cls, counts := cap.DominantClass(p.AB.Name())
+	if Protocol(cls) != ProtoQUIC {
+		t.Fatalf("classified as %v (counts %v), want QUIC", Protocol(cls), counts)
 	}
-	mbps := MeanMbps(egress)
-	if mbps < 0.5 || mbps > 0.9 {
+	rate := cap.EgressThroughputSample(p.AB.Name())
+	if rate.N() == 0 {
+		t.Fatal("no full throughput window captured")
+	}
+	if mbps := rate.Mean(); mbps < 0.5 || mbps > 0.9 {
 		t.Errorf("measured %.2f Mbps, want ~0.67", mbps)
-	}
-	sum := Summarize(egress)
-	if len(sum) != 1 || sum[0].Protocol != ProtoQUIC {
-		t.Errorf("summary = %v", sum)
-	}
-	if sum[0].String() == "" {
-		t.Error("empty summary string")
 	}
 }
 
@@ -169,18 +100,5 @@ func TestCaptureSnapLen(t *testing.T) {
 	c.Reset()
 	if c.Len() != 0 {
 		t.Error("Reset did not clear")
-	}
-}
-
-func TestThroughputSampleDropsPartialWindows(t *testing.T) {
-	var times []simtime.Time
-	var sizes []int
-	for i := 0; i < 500; i++ {
-		times = append(times, simtime.Time(i*10*int(simtime.Millisecond)))
-		sizes = append(sizes, 1250)
-	}
-	sm := ThroughputSample(mkRecords(times, sizes), simtime.Second)
-	if sm.N() != 3 { // 5 bins minus first and last
-		t.Errorf("sample N = %d, want 3", sm.N())
 	}
 }

@@ -2,15 +2,15 @@
 // wiretap on the WiFi AP links recording every frame's timestamp, size,
 // direction and payload prefix (§3.2, "We use Wireshark on each AP to
 // capture and analyze network traffic"). Payloads stay encrypted; the
-// analysis package classifies and measures from headers and sizes alone,
-// exactly as the paper had to.
+// analysis package classifies from header bytes and the capture measures
+// from sizes alone, exactly as the paper had to.
 //
 // By default a Capture is a streaming aggregator: per link it maintains
 // online 1-second throughput bins, per-direction frame/byte counters and
 // (when a Classifier is installed) per-protocol packet counts, all computed
 // at the tap — O(session seconds) memory instead of O(packets), and no
 // payload copies. Full per-packet records are an opt-in (SetRetain) used by
-// tests and the passive-QoE experiments that genuinely need packet timing.
+// tests and the passive-QoE experiment, which needs packet timing.
 package capture
 
 import (
@@ -52,7 +52,7 @@ type LinkAgg struct {
 	Frames [nDirections]int64
 	Bytes  [nDirections]int64
 
-	// Egress throughput binning (online ThroughputSample).
+	// Egress throughput binning (EgressThroughputSample).
 	haveEgress  bool
 	first, last simtime.Time
 	bins        []int64
@@ -153,8 +153,7 @@ func (c *Capture) Agg(linkName string) *LinkAgg { return c.byLink[linkName] }
 
 // EgressThroughputSample bins the link's delivered bytes into BinWidth
 // windows and returns one Mbps sample per full window, dropping the first
-// and last (partial) windows as the paper's tools do. It reproduces
-// analysis.ThroughputSample over the link's egress records, computed online.
+// and last (partial) windows as the paper's tools do.
 func (c *Capture) EgressThroughputSample(linkName string) *stats.Sample {
 	a := c.byLink[linkName]
 	if a == nil || !a.haveEgress {

@@ -152,9 +152,9 @@ func TestStreamingModeKeepsNoRecords(t *testing.T) {
 	}
 }
 
-// TestStreamingThroughputMatchesRecordScan pins the online binning to the
-// record-based reference computation (ThroughputSample semantics: 1-second
-// bins, first and last windows dropped).
+// TestStreamingThroughputMatchesRecordScan pins the online binning to what a
+// scan of the records would compute: 1-second bins, first and last windows
+// dropped.
 func TestStreamingThroughputMatchesRecordScan(t *testing.T) {
 	s := simtime.NewScheduler()
 	l := netem.NewLink(s, simrand.New(5), netem.Config{Name: "tp"})

@@ -50,7 +50,6 @@ var (
 	London    = Location{"London", 51.51, -0.13}
 	Frankfurt = Location{"Frankfurt", 50.11, 8.68}
 	Singapore = Location{"Singapore", 1.35, 103.82}
-	Tokyo     = Location{"Tokyo", 35.68, 139.69}
 )
 
 // VantagePoints returns the paper's nine US client locations, west to east.

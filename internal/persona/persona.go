@@ -31,11 +31,6 @@ type Config struct {
 	BindK int
 }
 
-// DefaultConfig returns the production persona configuration.
-func DefaultConfig(name string) Config {
-	return Config{Name: name, TargetTriangles: mesh.PersonaTriangles, BuildLODs: true, BindK: 3}
-}
-
 // Asset is a rig-bound persona ready for reconstruction.
 type Asset struct {
 	Name string

@@ -21,7 +21,6 @@ package quic
 import (
 	"crypto/subtle"
 	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"telepresence/internal/netem"
@@ -46,12 +45,6 @@ const (
 	frameAck    = 0x02
 	frameCrypto = 0x06
 	frameStream = 0x08 // with OFF|LEN|FIN bits -> 0x08..0x0F
-)
-
-// Errors.
-var (
-	ErrClosed    = errors.New("quic: connection closed")
-	ErrMalformed = errors.New("quic: malformed packet")
 )
 
 // Message is a fully reassembled stream payload delivered to the

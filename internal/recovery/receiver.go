@@ -100,9 +100,6 @@ func NewReceiver(kind string, cfg Config) (*Receiver, error) {
 	return &Receiver{cfg: cfg.withDefaults(), plan: plan, missing: map[uint16]*missState{}}, nil
 }
 
-// Plan returns the wiring plan of the receiver's strategy.
-func (r *Receiver) Plan() Plan { return r.plan }
-
 // Stats returns a snapshot of the receiver counters. The delay slice is
 // shared with the receiver: read it only after the session has run.
 func (r *Receiver) Stats() ReceiverStats { return r.stats }

@@ -76,9 +76,6 @@ func NewSender(kind string, cfg Config) (*Sender, error) {
 	return s, nil
 }
 
-// Plan returns the wiring plan of the sender's strategy.
-func (s *Sender) Plan() Plan { return s.plan }
-
 // Stats returns a snapshot of the sender counters.
 func (s *Sender) Stats() SenderStats {
 	st := s.stats

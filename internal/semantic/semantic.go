@@ -113,9 +113,6 @@ func NewEncoder(mode Mode) *Encoder {
 	return &Encoder{mode: mode, KeyframeInterval: 90, cmp: entropy.NewCompressor()}
 }
 
-// Mode reports the encoder's wire mode.
-func (e *Encoder) Mode() Mode { return e.mode }
-
 func quantize(v float64) int32 {
 	if v > quantRange {
 		v = quantRange

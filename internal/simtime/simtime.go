@@ -33,7 +33,6 @@ type Duration = time.Duration
 
 // Common duration constants, re-exported so callers need not import time.
 const (
-	Nanosecond  = time.Nanosecond
 	Microsecond = time.Microsecond
 	Millisecond = time.Millisecond
 	Second      = time.Second

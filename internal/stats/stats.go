@@ -89,15 +89,6 @@ func (s *Sample) Max() float64 {
 	return sorted[len(sorted)-1]
 }
 
-// Sum returns the total of all observations.
-func (s *Sample) Sum() float64 {
-	var t float64
-	for _, x := range s.xs {
-		t += x
-	}
-	return t
-}
-
 // sort returns the observations in ascending order without touching the
 // insertion-ordered backing array: Values() documents raw observations, so
 // quantile queries sort a separate buffer.

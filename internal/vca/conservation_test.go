@@ -16,11 +16,15 @@ import (
 // Gilbert–Elliott burst plus 5% loss on user 0's uplink):
 //
 //   - per stream, decoded + undecodable ≤ the sender's FramesSent;
+//   - per stream with recovery, RepairedRtx + RepairedFec + Unrepaired ≤
+//     Missed (the rest are gaps still within their deadline), and each
+//     repair records one delay;
 //   - per user, FramesDecoded and FramesUndecodable are the sums over
 //     the user's incoming streams;
 //   - per link, DeliveredFrames + DroppedLoss + DroppedQueue ≤ SentFrames
 //     (the rest is in flight at session end);
-//   - per link, DroppedBurst ≤ DroppedLoss.
+//   - per link, DroppedBurst ≤ DroppedLoss;
+//   - per link, DeliveredB ≤ SentBytes.
 //
 // The apps take turns, and the 2D cells take the strategies in a seeded
 // order; spatial sessions reject active recovery, so their cells run
@@ -36,7 +40,7 @@ func TestStreamConservation(t *testing.T) {
 	rng := simrand.New(2024)
 	order := rng.Perm(len(strategies)) // 2D cells take the strategies in this order, cyclically
 	var video int
-	var lossy, dropped int64
+	var lossy, dropped, repaired int64
 	for c := 0; c < cells; c++ {
 		app := apps[c%len(apps)]
 		strategy := "none"
@@ -85,6 +89,18 @@ func TestStreamConservation(t *testing.T) {
 				}
 				decoded += st.decoded
 				undecodable += st.undecodable
+				if st.rec != nil {
+					rs := st.rec.Stats()
+					if settled := rs.RepairedRtx + rs.RepairedFec + rs.Unrepaired; settled > rs.Missed {
+						t.Errorf("%s: stream %d->%d: %d rtx + %d fec repaired + %d unrepaired > %d missed",
+							name, i, j, rs.RepairedRtx, rs.RepairedFec, rs.Unrepaired, rs.Missed)
+					}
+					fixed := rs.RepairedRtx + rs.RepairedFec
+					if n := len(rs.RepairDelaysMs); int64(n) != fixed {
+						t.Errorf("%s: stream %d->%d: %d repair delays for %d repairs", name, i, j, n, fixed)
+					}
+					repaired += fixed
+				}
 			}
 			if u.FramesDecoded != decoded || u.FramesUndecodable != undecodable {
 				t.Errorf("%s: u%d stats (%d decoded, %d undecodable), its streams (%d, %d)",
@@ -109,6 +125,9 @@ func TestStreamConservation(t *testing.T) {
 				if ls.DroppedBurst > ls.DroppedLoss {
 					t.Errorf("%s: %s%d: %d burst drops > %d losses", name, dir, k, ls.DroppedBurst, ls.DroppedLoss)
 				}
+				if ls.DeliveredB > ls.SentBytes {
+					t.Errorf("%s: %s%d: %d bytes delivered > %d sent", name, dir, k, ls.DeliveredB, ls.SentBytes)
+				}
 				dropped += ls.DroppedLoss
 			}
 		}
@@ -118,5 +137,8 @@ func TestStreamConservation(t *testing.T) {
 	}
 	if lossy == 0 || dropped == 0 {
 		t.Errorf("%d lossy cells, %d frames lost: the grid never exercised loss", lossy, dropped)
+	}
+	if repaired == 0 {
+		t.Error("no stream repaired a packet: the recovery laws are vacuous")
 	}
 }

@@ -35,7 +35,7 @@ func NewRTTProbe() *RTTProbe {
 func (p *RTTProbe) Measure(app App, server, vantage geo.Location, rng *simrand.Source, reps int) *stats.Sample {
 	extra := p.ExtraServerMs[fmt.Sprintf("%v/%v", app, server)]
 	base := p.Model.BaseRTTMs(vantage, server)
-	s := &stats.Sample{}
+	s := stats.NewSampleCap(reps)
 	for i := 0; i < reps; i++ {
 		s.Add(base + p.Model.JitterMs(rng) + extra)
 	}
@@ -59,13 +59,14 @@ func (k SeriesKey) Label() string {
 // by the paper's series labels.
 func Fig4Series(rng *simrand.Source, repsPerVantage int) map[string]*stats.Sample {
 	probe := NewRTTProbe()
+	vantages := geo.VantagePoints()
 	out := map[string]*stats.Sample{}
 	for _, app := range Apps() {
 		spec := SpecFor(app)
 		for _, srv := range spec.Servers {
 			key := SeriesKey{App: app, Server: srv}
-			agg := &stats.Sample{}
-			for _, vp := range geo.VantagePoints() {
+			agg := stats.NewSampleCap(len(vantages) * repsPerVantage)
+			for _, vp := range vantages {
 				s := probe.Measure(app, srv, vp, rng.Split(key.Label()+vp.Name), repsPerVantage)
 				agg.Add(s.Values()...)
 			}

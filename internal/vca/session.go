@@ -49,7 +49,7 @@ type SessionConfig struct {
 	// RetainPackets keeps full per-packet capture records (O(packets)
 	// memory). The default streaming mode aggregates throughput and
 	// protocol counts online at the AP tap; enable retention only for
-	// analyses that need packet-level records (UplinkRecords etc.).
+	// analyses that need packet-level records (UplinkRecords).
 	RetainPackets bool
 	// RateControl, when non-nil, closes the feedback loop: every receiver
 	// periodically sends RTCP-style receiver reports back across the
@@ -742,14 +742,6 @@ func (s *Session) handleRecoveryFrame(me int, payload []byte, now simtime.Time) 
 func (s *Session) UplinkRecords(i int) []capture.Record {
 	return s.caps[i].Filter(func(r capture.Record) bool {
 		return r.Dir == netem.Egress && r.Link == s.up[i].Name()
-	})
-}
-
-// DownlinkRecords returns the delivered frames of user i's downlink only.
-// Requires SessionConfig.RetainPackets, like UplinkRecords.
-func (s *Session) DownlinkRecords(i int) []capture.Record {
-	return s.caps[i].Filter(func(r capture.Record) bool {
-		return r.Dir == netem.Egress && r.Link == s.down[i].Name()
 	})
 }
 

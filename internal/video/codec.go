@@ -255,9 +255,6 @@ func NewEncoder(cfg Config) (*Encoder, error) {
 	return &Encoder{cfg: cfg, qscale: cfg.Quality, cmp: entropy.NewCompressor()}, nil
 }
 
-// Config returns the encoder configuration (with defaults applied).
-func (e *Encoder) Config() Config { return e.cfg }
-
 // SetTargetBps retargets the closed-loop rate controller mid-stream: the
 // next Encode's quantizer adaptation steers frame sizes toward the new
 // target. This is the knob a congestion controller turns (see

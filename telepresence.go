@@ -2,11 +2,12 @@
 // simulation framework reproducing "A First Look at Immersive Telepresence
 // on Apple Vision Pro" (IMC 2024).
 //
-// The package exposes four layers:
+// The package exposes three layers:
 //
 //   - Sessions: build and run simulated telepresence calls on any of the
 //     four modeled applications (FaceTime, Zoom, Webex, Teams), with
-//     tc-style impairments, packet captures and per-user statistics.
+//     tc-style impairments, scenario timelines, packet captures and
+//     per-user statistics, traced or metered through TelemetryConfig.
 //   - Experiments: one registry experiment per figure/analysis in the
 //     paper, run through the fleet below, plus direct runners for library
 //     use (Fig7, MeshStreaming, KeypointStreaming, RateAdaptation,
@@ -18,8 +19,15 @@
 //     driver that shards units across a worker pool, streams rows in order
 //     to pluggable sinks (JSONL, CSV, in-memory), and returns one result
 //     per unit for one manifest schema (NewFleetManifest).
-//   - Building blocks, re-exported for direct use: the semantic codec, the
-//     mesh codec, the renderer cost model, and the geography/RTT model.
+//
+// The facade exports only what its callers use. A name is exported here
+// only if (a) an example program, this package's tests, cmd/vpfleet,
+// README.md or DESIGN.md names it; (b) it belongs to the same enum or set
+// as a kept name (every app, device, media kind, transport and vantage
+// city); or (c) it is the parameter or result type of a kept function
+// (SessionConfig, Plan, Schedule, Tracer, SweepTarget and the rows of the
+// direct runners). Every other experiment row is read back as JSONL from
+// the fleet's sinks.
 //
 // Everything is deterministic given a seed; nothing touches the wall clock
 // or the real network.
@@ -30,12 +38,9 @@ import (
 	"telepresence/internal/fleet"
 	"telepresence/internal/geo"
 	"telepresence/internal/ratecontrol"
-	"telepresence/internal/recovery"
 	"telepresence/internal/render"
 	"telepresence/internal/scenario"
-	"telepresence/internal/semantic"
 	"telepresence/internal/simtime"
-	"telepresence/internal/stats"
 	"telepresence/internal/telemetry"
 	"telepresence/internal/vca"
 	"telepresence/internal/vprof"
@@ -89,45 +94,20 @@ type (
 	SessionConfig = vca.SessionConfig
 	// SessionResults is a session's measurement outcome.
 	SessionResults = vca.Results
-	// UserStats is one participant's measurements.
-	UserStats = vca.UserStats
 	// RateControlConfig closes the congestion-control feedback loop on a
 	// session (SessionConfig.RateControl); nil keeps the paper's
 	// open-loop behavior.
 	RateControlConfig = vca.RateControlConfig
-	// RateController is the sender-side congestion-control contract.
-	RateController = ratecontrol.Controller
-	// RateControllerConfig parameterizes a standalone controller.
-	RateControllerConfig = ratecontrol.Config
 )
 
-// Rate-control entry points (internal/ratecontrol).
-var (
-	// RateControllerKinds lists the controller kinds in the ccrate/ccramp
-	// grid order: "fixed" (open loop), "loss", "gcc".
-	RateControllerKinds = ratecontrol.Kinds
-	// NewRateController builds a controller by kind.
-	NewRateController = ratecontrol.New
-)
+// RateControllerKinds lists the controller kinds in the ccrate/ccramp grid
+// order: "fixed" (open loop), "loss", "gcc".
+var RateControllerKinds = ratecontrol.Kinds
 
-// Loss recovery (internal/recovery): NACK/RTX, XOR-parity FEC and adaptive
-// hybrid redundancy on the RTP media path (SessionConfig.Recovery).
-type (
-	// RecoveryConfig wires a loss-recovery strategy into a session.
-	RecoveryConfig = vca.RecoveryConfig
-	// RecoverySenderStats counts parity, retransmissions and cache work.
-	RecoverySenderStats = recovery.SenderStats
-	// RecoveryReceiverStats counts gaps, repairs and repair delays.
-	RecoveryReceiverStats = recovery.ReceiverStats
-)
-
-// RecoveryKinds lists the strategy kinds in the recovery/recramp grid
-// order: "none", "nack", "fec", "hybrid".
-var RecoveryKinds = recovery.Kinds
-
-// DefaultFrameTimeout is the depacketizer's default incomplete-frame
-// timeout, configurable per session via SessionConfig.FrameTimeout.
-const DefaultFrameTimeout = vca.DefaultFrameTimeout
+// RecoveryConfig wires a loss-recovery strategy (NACK/RTX, XOR-parity FEC
+// or adaptive hybrid redundancy) into a session's RTP media path
+// (SessionConfig.Recovery).
+type RecoveryConfig = vca.RecoveryConfig
 
 // Telemetry (internal/telemetry): virtual-time session tracing, metrics
 // timeseries and the profiler, the session's one observer attachment
@@ -161,34 +141,26 @@ var (
 	NewTraceMetrics = telemetry.NewMetrics
 	// SummarizeTrace validates and aggregates one JSONL trace stream.
 	SummarizeTrace = telemetry.Summarize
-	// ValidateTraceLine checks one trace line against the event schema.
-	ValidateTraceLine = telemetry.ValidateLine
 	// TraceSchemaDoc renders the event schema as a sorted listing.
 	TraceSchemaDoc = telemetry.SchemaDoc
 )
 
-// Virtual-time profiling (internal/vprof): per-site scheduler attribution
-// (TelemetryConfig.Prof, Options.ProfDir). A nil profiler is provably inert;
-// an attached one observes but never steers, so rows stay byte-identical.
-// Deterministic counters export as byte-stable JSONL; pprof exports
-// additionally carry wall-CPU attribution and open with `go tool pprof`.
+// Virtual-time profiling (internal/vprof): a run with Options.ProfDir set
+// writes each unit's per-site scheduler attribution; these read, merge and
+// rank it. The profiler observes but never steers, so rows stay
+// byte-identical. Deterministic counters export as byte-stable JSONL; pprof
+// exports additionally carry wall-CPU attribution and open with
+// `go tool pprof`.
 type (
-	// VProfiler attributes scheduler events to named sites
-	// (TelemetryConfig.Prof).
-	VProfiler = vprof.Profiler
 	// VProfReport is a profile snapshot: per-site counters over a virtual
 	// duration.
 	VProfReport = vprof.Report
-	// VProfSiteReport is one scheduling site's aggregated profile.
-	VProfSiteReport = vprof.SiteReport
 	// FleetHotSite is one entry of a manifest's hot_sites ranking.
 	FleetHotSite = fleet.HotSite
 )
 
 // Virtual-time profiling entry points.
 var (
-	// NewVProfiler returns an idle profiler; attach via TelemetryConfig.Prof.
-	NewVProfiler = vprof.New
 	// ParseVProfReport reads a deterministic JSONL site report.
 	ParseVProfReport = vprof.ParseReport
 	// ParseVProfPprof reads a (gzipped or raw) pprof profile back into a
@@ -201,10 +173,8 @@ var (
 	FleetMergeProfiles = fleet.MergeProfiles
 )
 
-// Profile artifact names: per-cell suffixes and the run-level merges.
+// Run-level merged profile artifact names.
 const (
-	ProfJSONLSuffix      = core.ProfJSONLSuffix
-	ProfPprofSuffix      = core.ProfPprofSuffix
 	FleetMergedProfJSONL = fleet.MergedProfJSONL
 	FleetMergedProfPprof = fleet.MergedProfPprof
 )
@@ -240,49 +210,14 @@ var (
 type (
 	// Options scales experiments (Quick for CI, Full for paper scale).
 	Options = core.Options
-	// Experiment row types, one per figure.
-	Fig4Row                 = core.Fig4Row
-	Fig5Row                 = core.Fig5Row
-	Fig6Row                 = core.Fig6Row
+	// Rows of the direct runners below.
 	Fig7Row                 = core.Fig7Row
-	ProtocolCase            = core.ProtocolCase
-	DisplayLatencyRow       = core.DisplayLatencyRow
 	RateAdaptationRow       = core.RateAdaptationRow
 	RemoteRenderRow         = core.RemoteRenderRow
 	MeshStreamingResult     = core.MeshStreamingResult
 	KeypointStreamingResult = core.KeypointStreamingResult
-	AnycastVerdict          = vca.AnycastVerdict
-	MultiServerRow          = core.MultiServerRow
-	ServerPolicy            = core.ServerPolicy
-	ViewportDeliveryRow     = core.ViewportDeliveryRow
-	QoESweepRow             = core.QoESweepRow
-	// Scenario-experiment rows (time-varying impairment schedules).
-	HandoverRow   = core.HandoverRow
-	BurstLossRow  = core.BurstLossRow
-	CongestionRow = core.CongestionRow
-	// Closed-loop congestion-control rows (internal/ratecontrol).
-	CCRateRow = core.CCRateRow
-	CCRampRow = core.CCRampRow
-	// Loss-recovery rows (internal/recovery).
-	RecoveryRow = core.RecoveryRow
-	RecRampRow  = core.RecRampRow
-)
-
-// Server policies for the Implications-1 ablation.
-const (
-	PolicyInitiator      = core.PolicyInitiator
-	PolicyCentral        = core.PolicyCentral
-	PolicyGeoDistributed = core.PolicyGeoDistributed
-)
-
-// Default sweeps used by the registry's scenario experiments.
-var (
-	DefaultHandoverDelaysMs     = core.DefaultHandoverDelaysMs
-	DefaultCongestionFloorsMbps = core.DefaultCongestionFloorsMbps
-	DefaultCCRateCaps           = core.DefaultCCRateCaps
-	DefaultCCRateControllers    = core.DefaultCCRateControllers
-	DefaultRecoveryStrategies   = core.DefaultRecoveryStrategies
-	DefaultRecRampFloorsMbps    = core.DefaultRecRampFloorsMbps
+	// HandoverRow is one handover-scenario row.
+	HandoverRow = core.HandoverRow
 )
 
 // Quick returns CI-scale experiment options.
@@ -305,8 +240,6 @@ var (
 type (
 	// Experiment is one registry entry: a named, rep-shardable runner.
 	Experiment = core.Experiment
-	// RepRunner runs one independent repetition of an experiment.
-	RepRunner = core.RepRunner
 	// ExperimentRow is one emitted row (a concrete row struct).
 	ExperimentRow = core.Row
 	// FleetConfig bounds the scheduler's worker pool.
@@ -319,44 +252,12 @@ type (
 	// EntrySink is a sink that can replay checkpointed journal entries
 	// (required for resuming; the JSONL and CSV sinks implement it).
 	EntrySink = fleet.EntrySink
-	// MemorySink collects rows in memory (for tests and pipelines).
-	MemorySink = fleet.MemorySink
 
 	// Fault tolerance (see DESIGN.md "Fault tolerance"):
 	// FleetJournal is a per-run checkpoint directory of completed units.
 	FleetJournal = fleet.Journal
 	// FleetJournalEntry is one checkpointed unit's pre-encoded rows.
 	FleetJournalEntry = fleet.JournalEntry
-	// UnitFailure is one failed rep/cell in a manifest's failures section.
-	UnitFailure = fleet.UnitFailure
-
-	// Live observability (see DESIGN.md "Live observability"):
-	// FleetMonitor receives unit-lifecycle events from a running fleet
-	// (FleetConfig.Monitor). Monitors observe but never steer; a nil
-	// monitor is provably inert. internal/fleetobs builds the HTTP and
-	// terminal views on this.
-	FleetMonitor = fleet.Monitor
-	// FleetMonitorEvent is one engine notification.
-	FleetMonitorEvent = fleet.MonitorEvent
-	// FleetEventKind enumerates the notification kinds.
-	FleetEventKind = fleet.EventKind
-
-	// Per-unit fleet row types (aggregated runners emit these per rep).
-	MeshHeadRow = core.MeshHeadRow
-	KeypointRow = core.KeypointRow
-)
-
-// Fleet monitor event kinds (FleetMonitorEvent.Kind).
-const (
-	FleetEventRunStarted     = fleet.EventRunStarted
-	FleetEventUnitDispatched = fleet.EventUnitDispatched
-	FleetEventAttemptStarted = fleet.EventAttemptStarted
-	FleetEventJournalHit     = fleet.EventJournalHit
-	FleetEventUnitDone       = fleet.EventUnitDone
-	FleetEventRowsEmitted    = fleet.EventRowsEmitted
-	FleetEventWindow         = fleet.EventWindow
-	FleetEventInterrupted    = fleet.EventInterrupted
-	FleetEventRunDone        = fleet.EventRunDone
 )
 
 // Scenario engine: declarative timelines of network impairment (steps,
@@ -370,20 +271,14 @@ type (
 	Impairment = scenario.Impairment
 	// BurstParams parameterize Gilbert-Elliott burst loss declaratively.
 	BurstParams = scenario.BurstParams
-	// ScheduleAction is one flattened shaper write of a schedule.
-	ScheduleAction = scenario.Action
 )
 
 // Scenario construction and trace import.
 var (
 	// NewSchedule returns an empty impairment timeline.
 	NewSchedule = scenario.New
-	// Preset §4.3-shaped timelines.
-	DelayStepSchedule     = scenario.DelayStep
-	BandwidthRampSchedule = scenario.BandwidthRamp
-	BurstLossSchedule     = scenario.BurstLoss
-	// ParseTraceCSV imports a "time_s,delay_ms,rate_kbps,loss" timeline.
-	ParseTraceCSV = scenario.ParseCSV
+	// BurstLossSchedule is the preset Gilbert-Elliott burst-loss timeline.
+	BurstLossSchedule = scenario.BurstLoss
 	// ParseMahimahiTrace imports a mahimahi/VideoTransDemo-style
 	// packet-opportunity trace as a piecewise rate schedule.
 	ParseMahimahiTrace = scenario.ParseMahimahi
@@ -394,16 +289,10 @@ var (
 type (
 	// SweepTarget is a parameterized experiment registered for sweeps.
 	SweepTarget = core.SweepTarget
-	// SweepParam is one recognized target parameter with its default.
-	SweepParam = core.SweepParam
-	// CellRunner executes one sweep cell.
-	CellRunner = core.CellRunner
 	// SweepAxis is one swept parameter with its grid values.
 	SweepAxis = fleet.Axis
 	// SweepSpec is a cartesian grid over one sweep target.
 	SweepSpec = fleet.SweepSpec
-	// SweepCell is one enumerated grid point.
-	SweepCell = fleet.SweepCell
 )
 
 // Fleet entry points.
@@ -436,12 +325,8 @@ var (
 	NewMemorySink = fleet.NewMemorySink
 
 	// Sweep entry points: the sweep-target registry and the grid runner.
-	SweepTargets        = core.SweepTargets
-	LookupSweepTarget   = core.LookupSweep
-	RegisterSweepTarget = core.RegisterSweep
-	// SweepCellOptions derives a cell's options from the run seed and the
-	// cell's parameter values (for custom CellRunner implementations).
-	SweepCellOptions = core.SweepCellOptions
+	SweepTargets      = core.SweepTargets
+	LookupSweepTarget = core.LookupSweep
 	// FleetRunSweepStream shards a sweep grid's cells across a worker pool
 	// and streams rows per completed cell to one sink, in grid order
 	// (byte-identical for any worker count, bounded memory, checkpoint
@@ -449,38 +334,8 @@ var (
 	FleetRunSweepStream = fleet.RunSweepStream
 )
 
-// Statistics helpers (re-exported for consumers of experiment rows).
-type (
-	// Sample is an accumulating set of observations.
-	Sample = stats.Sample
-	// Box is the five-number summary used by the paper's plots.
-	Box = stats.Box
-)
-
-// Rendering model (§4.4, §4.5).
-type (
-	// CostModel holds the calibrated GPU/CPU constants.
-	CostModel = render.CostModel
-	// Optimizations selects visibility-aware optimizations.
-	Optimizations = render.Optimizations
-)
-
-// Rendering helpers.
-var (
-	DefaultCostModel      = render.DefaultCostModel
-	FaceTimeOptimizations = render.FaceTimeOptimizations
-)
-
 // RenderDeadlineMs is the 90 FPS frame budget (~11.1 ms, §3.2).
 const RenderDeadlineMs = render.DeadlineMs
-
-// Semantic codec modes (§4.3).
-const (
-	// SemanticFloat32 is the paper-faithful raw-float encoding.
-	SemanticFloat32 = semantic.ModeFloat32
-	// SemanticQuantized is the quantized-delta ablation encoding.
-	SemanticQuantized = semantic.ModeQuantized
-)
 
 // Simulated-duration units (schedule offsets, session lengths), re-exported
 // so callers need not import simtime.
