@@ -233,7 +233,6 @@ func remoteRenderUsers(opts Options, n int) (RemoteRenderRow, error) {
 	// one fixed-resolution video; its bitrate is set by the encoder's
 	// rate controller, independent of n.
 	remote := func(seed int64) (float64, error) {
-		scene := video.NewScene(simrand.New(seed), 960, 540, 30)
 		enc, err := video.NewEncoder(video.DefaultConfig(960, 540, 2.0e6))
 		if err != nil {
 			return 0, err
@@ -242,28 +241,40 @@ func remoteRenderUsers(opts Options, n int) (RemoteRenderRow, error) {
 		if frames < 90 {
 			frames = 90
 		}
+		src, err := video.NewSource(video.NewScene(simrand.New(seed), 960, 540, 30), enc, frames)
+		if err != nil {
+			return 0, err
+		}
 		var bytes int
 		for i := 0; i < frames; i++ {
-			ef, err := enc.Encode(scene.Next())
-			if err != nil {
-				return 0, err
-			}
+			ef := src.Next()
 			bytes += len(ef.Data) + 40*((len(ef.Data)/1200)+1) // RTP+IP overhead
 		}
 		return float64(bytes) * 8 / (float64(frames) / 30) / 1e6, nil
 	}
+	// The remote-render stream shares no state with the fan-out session,
+	// so it is coded on its own goroutine while the session runs.
+	type remoteResult struct {
+		mbps float64
+		err  error
+	}
+	rrc := make(chan remoteResult, 1)
+	go func() {
+		mbps, err := remote(opts.Seed + int64(n))
+		rrc <- remoteResult{mbps, err}
+	}()
 	res, err := fig7Session(opts, n)
+	rr := <-rrc
 	if err != nil {
 		return RemoteRenderRow{}, err
 	}
-	rr, err := remote(opts.Seed + int64(n))
-	if err != nil {
-		return RemoteRenderRow{}, err
+	if rr.err != nil {
+		return RemoteRenderRow{}, rr.err
 	}
 	return RemoteRenderRow{
 		Users:            n,
 		FanoutMbps:       res.Users[0].Downlink.Mean(),
-		RemoteRenderMbps: rr,
+		RemoteRenderMbps: rr.mbps,
 	}, nil
 }
 

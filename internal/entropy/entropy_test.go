@@ -2,7 +2,10 @@ package entropy
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -268,6 +271,59 @@ func benchCompress(b *testing.B, frames [][]byte) {
 	for i := 0; i < b.N; i++ {
 		dst = c.Compress(dst[:0], frames[i%len(frames)])
 	}
+}
+
+// BenchmarkCompressParallel compresses 60 KB bodies shaped like the video
+// encoder's (skip flags, varint run/level pairs, end-of-block markers) on
+// every P at once, one Compressor per goroutine. The compressors are
+// allocated back to back on one goroutine, as two senders' are, so coder
+// state that shared a cache line would show as a speedup well below the
+// P count. Run it at -cpu 1,2.
+func BenchmarkCompressParallel(b *testing.B) {
+	rng := simrand.New(12)
+	frames := make([][]byte, 8)
+	for k := range frames {
+		frames[k] = videoLikeBody(rng, 60<<10)
+	}
+	cs := make([]*Compressor, runtime.GOMAXPROCS(0))
+	for i := range cs {
+		cs[i] = NewCompressor()
+	}
+	var next atomic.Int32
+	b.SetBytes(int64(len(frames[0])))
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		c := cs[int(next.Add(1)-1)%len(cs)]
+		var dst []byte
+		for i := 0; pb.Next(); i++ {
+			dst = c.Compress(dst[:0], frames[i%len(frames)])
+		}
+	})
+}
+
+// videoLikeBody returns about n bytes in the layout of a video encoder's
+// coefficient stream: per 8x8 block a skip flag, and for a coded block a
+// few (run, zigzag level) varint pairs and an end-of-block run.
+func videoLikeBody(rng *simrand.Source, n int) []byte {
+	body := make([]byte, 0, n+64)
+	for len(body) < n {
+		if rng.Intn(10) < 6 {
+			body = append(body, 0)
+			continue
+		}
+		body = append(body, 1)
+		for k := rng.Intn(6); k > 0; k-- {
+			body = binary.AppendUvarint(body, uint64(rng.Intn(4)))
+			level := 1 + int64(rng.Exponential(2))
+			if rng.Intn(2) == 0 {
+				level = -level
+			}
+			body = binary.AppendUvarint(body, uint64(level<<1^level>>63))
+		}
+		body = binary.AppendUvarint(body, uint64(rng.Intn(8))|1<<20)
+	}
+	return body
 }
 
 func BenchmarkDecompress(b *testing.B) {

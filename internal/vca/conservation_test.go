@@ -15,6 +15,8 @@ import (
 // 3), recovery strategy, rate control (off or gcc) and loss (none, or a
 // Gilbert–Elliott burst plus 5% loss on user 0's uplink):
 //
+//   - per 2D sender, FramesSent is the frame-tick count its video.Source
+//     was given, so the Source coded no frame ahead that nobody sent;
 //   - per stream, decoded + undecodable ≤ the sender's FramesSent;
 //   - per stream with recovery, RepairedRtx + RepairedFec + Unrepaired ≤
 //     Missed (the rest are gaps still within their deadline), and each
@@ -75,6 +77,11 @@ func TestStreamConservation(t *testing.T) {
 		}
 		res := sess.Run()
 
+		for i, u := range res.Users {
+			if sess.senders[i].src != nil && u.FramesSent != sess.frameTicks {
+				t.Errorf("%s: u%d sent %d frames, its source was told %d", name, i, u.FramesSent, sess.frameTicks)
+			}
+		}
 		var reached int
 		for j, u := range res.Users {
 			var decoded, undecodable int

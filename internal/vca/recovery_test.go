@@ -174,7 +174,7 @@ func TestRecoveryChargedAgainstRateTarget(t *testing.T) {
 	// charged ratio are both as of the last report.
 	charged := sess.senders[0].rec.ChargedOverheadRatio()
 	want := ratecontrol.ApplyOverhead(raw, charged, ratecontrol.DefaultMinBps)
-	if enc := sess.senders[0].enc.TargetBps(); enc != want {
+	if enc := sess.senders[0].src.TargetBps(); enc != want {
 		t.Errorf("encoder target %.0f, want %.0f (raw %.0f, charged overhead %.3f)", enc, want, raw, charged)
 	}
 }

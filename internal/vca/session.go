@@ -279,6 +279,10 @@ type Session struct {
 	dueScr  []uint16 // reused due-seq scratch
 	gcTicks uint32   // frame-timeout horizon in 90 kHz RTP ticks
 
+	// frameTicks is how many times a 2D sender's frame ticker fires in
+	// Duration: the frames each video.Source is asked for.
+	frameTicks int
+
 	// tr is the event tracer, nil unless SessionConfig.Telemetry carries
 	// one (the inertness contract: a nil tracer costs one pointer test per
 	// emission site and nothing else).
@@ -294,8 +298,7 @@ type sender struct {
 	quicUp *quic.Conn // spatial: the uplink conn to the server
 
 	// 2D video.
-	scene  *video.Scene
-	enc    *video.Encoder
+	src    *video.Source
 	packer *rtp.Packetizer
 
 	sent    int // frames sent
@@ -654,8 +657,8 @@ func (s *Session) onFeedback(i int, rep *rtp.ReceiverReport, now simtime.Time) {
 		}
 		s.tr.RateTarget(now, i, raw, target, reason)
 	}
-	if snd.enc != nil {
-		snd.enc.SetTargetBps(target)
+	if snd.src != nil {
+		snd.src.SetTargetBps(target)
 	}
 	snd.ctrlSum += target
 	snd.ctrlN++
@@ -1075,6 +1078,11 @@ func (s *Session) wireVideo() error {
 		pt = rtp.PTFaceTimeVideo
 	}
 	rcv := s.cfg.Recovery
+	// The sender ticker fires one interval after the start and every
+	// interval after, and Run includes its deadline, so a sender is asked
+	// for Duration/interval frames.
+	interval := simtime.Duration(float64(simtime.Second) / s.cfg.VideoFPS)
+	s.frameTicks = int(s.cfg.Duration / interval)
 	for i := 0; i < n; i++ {
 		snd := &s.senders[i]
 		enc, err := video.NewEncoder(video.Config{
@@ -1085,8 +1093,10 @@ func (s *Session) wireVideo() error {
 		if err != nil {
 			return err
 		}
-		snd.enc = enc
-		snd.scene = video.NewScene(s.rng.Split(fmt.Sprintf("scene%d", i)), spec.VideoW, spec.VideoH, s.cfg.VideoFPS)
+		scene := video.NewScene(s.rng.Split(fmt.Sprintf("scene%d", i)), spec.VideoW, spec.VideoH, s.cfg.VideoFPS)
+		if snd.src, err = video.NewSource(scene, enc, s.frameTicks); err != nil {
+			return err
+		}
 		snd.packer = rtp.NewPacketizer(pt, rtp.VideoSSRC(i))
 		if s.recPlan.Active() {
 			if snd.rec, err = recovery.NewSender(rcv.strategy(), rcv.engineConfig()); err != nil {
@@ -1217,7 +1227,6 @@ func (s *Session) wireVideo() error {
 
 	// Senders. The stamp buffer is per-sender scratch (Packetize copies
 	// frame bytes into each packet); the audio payload is a constant.
-	interval := simtime.Duration(float64(simtime.Second) / s.cfg.VideoFPS)
 	for i := 0; i < n; i++ {
 		i, snd := i, &s.senders[i]
 		audio := rtp.NewPacketizer(rtp.PTGenericAudio, rtp.AudioSSRC(i))
@@ -1226,10 +1235,7 @@ func (s *Session) wireVideo() error {
 		}
 		var stamped []byte
 		simtime.NewTicker(s.sched, interval, s.sched.Site("vca/rtp.frame"), func(now simtime.Time) {
-			ef, err := snd.enc.Encode(snd.scene.Next())
-			if err != nil {
-				return
-			}
+			ef := snd.src.Next()
 			snd.sent++
 			// Record the frame's checksum on every edge it travels, keyed
 			// by its send stamp; receivers check it in acceptVideo.

@@ -19,6 +19,11 @@
 // reusable entropy coders. Encode's returned EncodedFrame and Decode's
 // returned Frame are therefore owned by the codec and valid only until the
 // next call — callers that retain them must copy.
+//
+// A sender drives its scene and encoder through a Source, which renders
+// and codes each frame one tick ahead on an idle core. Its frames are
+// byte-identical to Encode(scene.Next()) called in order on one goroutine
+// (see Source). The Source's coder goroutines are the package's only pool.
 package video
 
 import (
@@ -215,8 +220,8 @@ func DefaultConfig(w, h int, targetBps float64) Config {
 
 // EncodedFrame is one compressed frame.
 type EncodedFrame struct {
-	// Data is owned by the encoder and valid until the next Encode call;
-	// copy to retain.
+	// Data is owned by the encoder and valid until the next Encode call (or
+	// the next Source.Next); copy to retain.
 	Data []byte
 	Key  bool
 	// QScale records the quantizer used (for diagnostics/ABR tests).
@@ -232,9 +237,11 @@ type Encoder struct {
 	qscale  float64
 	bitDebt float64 // rate-control integrator
 
-	body  []byte       // coefficient stream scratch
-	out   []byte       // header + compressed output scratch
-	frame EncodedFrame // returned by Encode
+	body []byte // coefficient stream scratch
+	// out and frame are double-buffered, alternating per frame, so that a
+	// Source can code frame k+1 while its caller still reads frame k.
+	out   [2][]byte       // header + compressed output scratch
+	frame [2]EncodedFrame // returned by Encode
 	cmp   *entropy.Compressor
 }
 
@@ -256,9 +263,11 @@ func NewEncoder(cfg Config) (*Encoder, error) {
 }
 
 // SetTargetBps retargets the closed-loop rate controller mid-stream: the
-// next Encode's quantizer adaptation steers frame sizes toward the new
-// target. This is the knob a congestion controller turns (see
-// internal/ratecontrol); <= 0 disables rate control (fixed quality).
+// next rate step (the end of the next Encode) steers frame sizes toward
+// the new target. This is the knob a congestion controller turns (see
+// internal/ratecontrol); <= 0 disables rate control (fixed quality). Only
+// the rate step reads the target, so a Source may code a frame on another
+// goroutine while its caller retargets.
 func (e *Encoder) SetTargetBps(bps float64) { e.cfg.TargetBps = bps }
 
 // TargetBps returns the current rate-control target.
@@ -273,18 +282,35 @@ const (
 // returned EncodedFrame (and its Data) is owned by the encoder and
 // overwritten by the next Encode call; copy what must outlive it.
 //
+// Encode is two halves: code, which compresses f against the reference,
+// and the rate step, adaptRate, which sets the next frame's quantizer from
+// this frame's size and the current target. After the rate step, the next
+// frame's bytes depend only on that frame's pixels and the encoder's
+// state; Source runs code for the next frame ahead on that basis.
+func (e *Encoder) Encode(f *Frame) (*EncodedFrame, error) {
+	if f.W != e.cfg.W || f.H != e.cfg.H {
+		return nil, fmt.Errorf("video: frame %dx%d vs config %dx%d", f.W, f.H, e.cfg.W, e.cfg.H)
+	}
+	ef := e.code(f)
+	e.adaptRate(len(ef.Data))
+	return ef, nil
+}
+
+// code compresses f, whose dimensions match the configuration, into the
+// next of the two output buffers. It reads the reference, the frame counter
+// and qscale, and of the configuration only the fields that never change;
+// never the rate target.
+//
 // The reconstruction overwrites the reference block by block. Prediction is
 // co-located, so a block reads only its own reference pixels, and it reads
 // each of them before writing it; a skipped block's reconstruction is the
 // reference it already holds. An edge block's out-of-frame positions clamp
 // onto edge pixels that may already be overwritten, but Set discards
-// exactly those positions. Encode cannot fail after its size check, so the
-// reference is never left half-written.
-func (e *Encoder) Encode(f *Frame) (*EncodedFrame, error) {
-	if f.W != e.cfg.W || f.H != e.cfg.H {
-		return nil, fmt.Errorf("video: frame %dx%d vs config %dx%d", f.W, f.H, e.cfg.W, e.cfg.H)
-	}
+// exactly those positions. code cannot fail, so the reference is never
+// left half-written.
+func (e *Encoder) code(f *Frame) *EncodedFrame {
 	key := e.n%e.cfg.GOP == 0 || e.ref == nil
+	buf := e.n & 1
 	e.n++
 
 	bw := (f.W + 7) / 8
@@ -415,7 +441,7 @@ func (e *Encoder) Encode(f *Frame) (*EncodedFrame, error) {
 	}
 	e.body = body
 
-	hdr := e.out[:0]
+	hdr := e.out[buf][:0]
 	if key {
 		hdr = append(hdr, frameKey)
 	} else {
@@ -426,11 +452,10 @@ func (e *Encoder) Encode(f *Frame) (*EncodedFrame, error) {
 	binary.LittleEndian.PutUint16(d[2:], uint16(f.H))
 	binary.LittleEndian.PutUint32(d[4:], math.Float32bits(qs))
 	hdr = append(hdr, d[:]...)
-	e.out = e.cmp.Compress(hdr, body)
+	e.out[buf] = e.cmp.Compress(hdr, body)
 
-	e.frame = EncodedFrame{Data: e.out, Key: key, QScale: float64(qs)}
-	e.adaptRate(len(e.out))
-	return &e.frame, nil
+	e.frame[buf] = EncodedFrame{Data: e.out[buf], Key: key, QScale: float64(qs)}
+	return &e.frame[buf]
 }
 
 // descale rounds an inverse-transform output to grey levels.

@@ -2,8 +2,6 @@ package video
 
 import (
 	"math"
-	"runtime"
-	"sync"
 
 	"telepresence/internal/simrand"
 )
@@ -14,10 +12,9 @@ import (
 // blobs while gesturing, and mild camera sensor noise — the content mix that
 // determines videoconferencing bitrates.
 //
-// A scene renders one frame ahead: once Next has returned frame k, an idle
-// renderer goroutine draws frame k+1 into the scene's second render target
-// while the caller encodes frame k. Frame k+1 depends only on the scene's
-// own seeded state, so which goroutine draws it changes no pixel.
+// A scene renders on its caller's goroutine, one frame per Next, into one
+// render target. A Source renders and codes a scene's frames ahead on an
+// idle core.
 type Scene struct {
 	W, H int
 
@@ -28,10 +25,7 @@ type Scene struct {
 	headS    *simrand.OU
 	handAmp  *simrand.OU
 	bg       []uint8
-	frames   [2]*Frame             // render targets, allocated by the first Next
-	next     int                   // index into frames of the frame render draws
-	ahead    bool                  // a renderer owns the scene until done delivers
-	done     chan struct{}         // capacity 1: a renderer's finished frame
+	frame    *Frame                // render target, allocated by the first Next
 	noiseTab *[noiseTableLen]int16 // sensor-noise quantiles; nil without noise
 	pcg      uint64                // noise index generator state
 	pcgInc   uint64                // and its odd increment
@@ -40,28 +34,6 @@ type Scene struct {
 	// NoiseLevel is the camera noise std dev in grey levels. Set it before
 	// the first Next; later writes are ignored.
 	NoiseLevel float64
-}
-
-// renderq hands scenes to the renderer pool. It is unbuffered, so a send
-// succeeds only when a renderer is idle; Next never waits on it.
-var (
-	renderOnce sync.Once
-	renderq    chan *Scene
-)
-
-// startRenderers starts one renderer goroutine per CPU. They live for the
-// process: a scene abandoned while its frame renders costs that one render,
-// after which done holds the frame and nothing references the scene.
-func startRenderers() {
-	renderq = make(chan *Scene)
-	for i := 0; i < runtime.GOMAXPROCS(0); i++ {
-		go func() {
-			for s := range renderq {
-				s.render()
-				s.done <- struct{}{}
-			}
-		}()
-	}
 }
 
 // NewScene builds a scene of the given dimensions at fps.
@@ -76,7 +48,6 @@ func NewScene(rng *simrand.Source, w, h int, fps float64) *Scene {
 		handAmp:    simrand.NewOU(rng.Split("ha"), 0.3, 0.4, 0.3),
 		NoiseLevel: 1.2,
 	}
-	renderOnce.Do(startRenderers)
 	// Static background: soft diagonal gradient with some furniture-like
 	// rectangles.
 	s.bg = make([]uint8, w*h)
@@ -99,42 +70,24 @@ func NewScene(rng *simrand.Source, w, h int, fps float64) *Scene {
 	return s
 }
 
-// Next returns the following frame. The returned Frame is one of the
-// scene's two render targets: it is valid until the next call to Next;
-// Clone it to retain. Before returning, Next offers the rendering of the
-// frame after it to an idle renderer goroutine; if none is idle, the next
-// call renders inline. Either way every frame is drawn by render in order,
-// so the sequence is the same as a scene rendered on one goroutine.
+// Next renders and returns the following frame. The returned Frame is the
+// scene's render target: it is valid until the next call to Next; Clone it
+// to retain.
 func (s *Scene) Next() *Frame {
-	switch {
-	case s.done == nil: // first call
+	if s.frame == nil { // first call
 		s.initNoise()
-		s.done = make(chan struct{}, 1)
-		s.frames = [2]*Frame{NewFrame(s.W, s.H), NewFrame(s.W, s.H)}
-		s.render()
-	case s.ahead:
-		<-s.done
-	default:
-		s.render()
+		s.frame = NewFrame(s.W, s.H)
 	}
-	f := s.frames[s.next]
-	s.next ^= 1
-	select {
-	case renderq <- s:
-		s.ahead = true
-	default:
-		s.ahead = false
-	}
-	return f
+	s.render()
+	return s.frame
 }
 
-// render draws the following frame into frames[next]. It is the only code
-// that advances the scene's state, and it runs on one goroutine at a time:
-// the caller's (inline) or a renderer's, which the caller waits for.
+// render draws the following frame into the render target. It is the only
+// code that advances the scene's state.
 func (s *Scene) render() {
 	dt := 1 / s.fps
 	s.t += dt
-	f := s.frames[s.next]
+	f := s.frame
 	copy(f.Pix, s.bg)
 
 	cx := float64(s.W)/2 + s.headX.Step(dt)*float64(s.W)/4

@@ -3,6 +3,7 @@ package video
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -592,8 +593,8 @@ func TestSetTargetBpsRetargetsMidStream(t *testing.T) {
 
 // TestSteadyStateAllocs pins the "allocation-free in steady state" contract
 // of the capture path: once the scene's render target and the encoder's
-// reference frames and scratch exist, Scene.Next and Encode allocate
-// nothing per frame.
+// reference frame and scratch exist, Scene.Next, Encode and Source.Next
+// allocate nothing per frame, whichever goroutine codes the frame.
 func TestSteadyStateAllocs(t *testing.T) {
 	scene := NewScene(simrand.New(15), 320, 180, 30)
 	cfg := DefaultConfig(320, 180, 1e6)
@@ -618,6 +619,25 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}); a != 0 {
 		t.Errorf("Encode allocates %.1f times per frame, want 0", a)
 	}
+
+	src, err := NewSource(NewScene(simrand.New(15), 320, 180, 30), mustEncoder(t, cfg), 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2*cfg.GOP; i++ {
+		src.Next()
+	}
+	if a := testing.AllocsPerRun(50, func() { src.Next() }); a != 0 {
+		t.Errorf("Source.Next allocates %.1f times per frame, want 0", a)
+	}
+}
+
+func mustEncoder(tb testing.TB, cfg Config) *Encoder {
+	enc, err := NewEncoder(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return enc
 }
 
 func BenchmarkSceneNext(b *testing.B) {
@@ -637,29 +657,36 @@ func BenchmarkSceneNext(b *testing.B) {
 	}
 }
 
-// BenchmarkSceneEncode renders and encodes one frame per iteration, the
-// order a session's sender runs them in, so the render of the next frame
-// overlaps the encode of this one.
-func BenchmarkSceneEncode(b *testing.B) {
+// BenchmarkSource codes one frame of each of one or two sources per
+// iteration, the way one or two senders' tickers call Next in a session, so
+// the coding of a source's next frame overlaps the caller's other work.
+func BenchmarkSource(b *testing.B) {
 	for _, r := range []struct {
 		name string
 		w, h int
 		bps  float64
 	}{{"360p", 640, 360, 1.4e6}, {"1080p", 1920, 1080, 4.3e6}} {
-		b.Run(r.name, func(b *testing.B) {
-			scene := NewScene(simrand.New(18), r.w, r.h, 30)
-			enc, _ := NewEncoder(DefaultConfig(r.w, r.h, r.bps))
-			if _, err := enc.Encode(scene.Next()); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := enc.Encode(scene.Next()); err != nil {
-					b.Fatal(err)
+		for _, n := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/sources=%d", r.name, n), func(b *testing.B) {
+				srcs := make([]*Source, n)
+				for k := range srcs {
+					src, err := NewSource(NewScene(simrand.New(int64(18+k)), r.w, r.h, 30),
+						mustEncoder(b, DefaultConfig(r.w, r.h, r.bps)), b.N+1)
+					if err != nil {
+						b.Fatal(err)
+					}
+					src.Next()
+					srcs[k] = src
 				}
-			}
-		})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for _, src := range srcs {
+						src.Next()
+					}
+				}
+			})
+		}
 	}
 }
 
