@@ -185,6 +185,10 @@ type LinkStats struct {
 	SentFrames, SentBytes       int64
 	DeliveredFrames, DeliveredB int64
 	DroppedQueue, DroppedLoss   int64
+	// DroppedB counts the bytes of the frames in DroppedQueue and
+	// DroppedLoss, so DeliveredB + DroppedB never exceeds SentBytes (the
+	// rest is in flight).
+	DroppedB int64
 	// DroppedBurst counts frames lost to the shaper's Gilbert-Elliott burst
 	// model. They are counted in DroppedLoss too, so DroppedBurst never
 	// exceeds it.
@@ -243,6 +247,16 @@ func (l *Link) tap(f Frame, dir Direction) {
 	}
 }
 
+// drop accounts a frame Send refused for reason (the caller counts it in
+// DroppedLoss or DroppedQueue): its bytes, the taps and the tracer.
+func (l *Link) drop(now simtime.Time, f Frame, reason string) {
+	l.stats.DroppedB += int64(f.Size)
+	l.tap(f, Dropped)
+	if l.tr != nil {
+		l.tr.NetemDrop(now, l.cfg.Name, f.Size, reason)
+	}
+}
+
 // Send enqueues a frame. It returns false if the frame was dropped at entry
 // (queue overflow or random loss); delivery itself is asynchronous.
 func (l *Link) Send(f Frame) bool {
@@ -275,10 +289,7 @@ func (l *Link) Send(f Frame) bool {
 	// Shaper-imposed random loss (tc netem loss).
 	if sh != nil && sh.LossProb > 0 && l.rng.Bernoulli(sh.LossProb) {
 		l.stats.DroppedLoss++
-		l.tap(f, Dropped)
-		if l.tr != nil {
-			l.tr.NetemDrop(now, l.cfg.Name, f.Size, "loss")
-		}
+		l.drop(now, f, "loss")
 		return false
 	}
 	// Shaper-imposed burst loss (Gilbert-Elliott two-state model).
@@ -291,20 +302,14 @@ func (l *Link) Send(f Frame) bool {
 		if lost {
 			l.stats.DroppedLoss++
 			l.stats.DroppedBurst++
-			l.tap(f, Dropped)
-			if l.tr != nil {
-				l.tr.NetemDrop(now, l.cfg.Name, f.Size, "burst")
-			}
+			l.drop(now, f, "burst")
 			return false
 		}
 	}
 	// Intrinsic random loss.
 	if l.cfg.LossProb > 0 && l.rng.Bernoulli(l.cfg.LossProb) {
 		l.stats.DroppedLoss++
-		l.tap(f, Dropped)
-		if l.tr != nil {
-			l.tr.NetemDrop(now, l.cfg.Name, f.Size, "loss")
-		}
+		l.drop(now, f, "loss")
 		return false
 	}
 
@@ -332,10 +337,7 @@ func (l *Link) Send(f Frame) bool {
 			// Serializer busy: the frame queues.
 			if l.queued+f.Size > l.cfg.QueueBytes {
 				l.stats.DroppedQueue++
-				l.tap(f, Dropped)
-				if l.tr != nil {
-					l.tr.NetemDrop(now, l.cfg.Name, f.Size, "queue")
-				}
+				l.drop(now, f, "queue")
 				return false
 			}
 			l.queued += f.Size

@@ -74,6 +74,9 @@ func TestQueueOverflowDrops(t *testing.T) {
 	if got := l.Stats().DroppedQueue; got != 8 {
 		t.Errorf("DroppedQueue = %d, want 8", got)
 	}
+	if got := l.Stats().DroppedB; got != 8000 {
+		t.Errorf("DroppedB = %d, want 8000", got)
+	}
 }
 
 func TestQueueDrainsOverTime(t *testing.T) {
@@ -113,6 +116,10 @@ func TestRandomLoss(t *testing.T) {
 	st := l.Stats()
 	if st.DroppedLoss+int64(delivered) != n {
 		t.Errorf("accounting mismatch: %d lost + %d delivered != %d", st.DroppedLoss, delivered, n)
+	}
+	if st.DroppedB+st.DeliveredB != st.SentBytes || st.DroppedB != 100*st.DroppedLoss {
+		t.Errorf("byte accounting: %d dropped + %d delivered, %d sent, %d lost frames of 100 B",
+			st.DroppedB, st.DeliveredB, st.SentBytes, st.DroppedLoss)
 	}
 }
 

@@ -92,6 +92,7 @@ type DecodedFrame struct {
 // state (coordinate flattening, quantization, the LZ hash chains and range-
 // coder models) is reused across frames, so the steady-state cost of Encode
 // is a single allocation: the returned wire frame, which the caller owns.
+// AppendEncode, into a reused buffer, allocates nothing.
 type Encoder struct {
 	mode Mode
 	// KeyframeInterval controls how often ModeQuantized emits a keyframe
@@ -153,16 +154,23 @@ func coordsInto(dst []float64, f *keypoints.Frame) []float64 {
 
 // Encode produces the wire frame for f. The returned slice is freshly
 // allocated and owned by the caller (it may be handed to the network layer
-// without copying).
+// without copying). It is AppendEncode into a fresh buffer sized from the
+// previous frame, so growth reallocation is rare.
 func (e *Encoder) Encode(f *keypoints.Frame) []byte {
+	return e.AppendEncode(make([]byte, 0, headerLen+e.lastOut+64), f)
+}
+
+// AppendEncode appends the wire frame for f to dst and returns the
+// extended slice. Everything but dst is reused across frames, so a caller
+// that reuses dst codes without allocating once dst has grown.
+func (e *Encoder) AppendEncode(dst []byte, f *keypoints.Frame) []byte {
 	cs := coordsInto(e.cs[:0], f)
 	e.cs = cs
 	kind := byte(kindKeyframe)
 
-	// The returned buffer is fresh; everything else is reused. Compress
-	// appends the body straight after the header, sized from the previous
-	// frame so growth reallocation is rare.
-	out := make([]byte, headerLen, headerLen+e.lastOut+64)
+	// Compress appends the body straight after the header.
+	start := len(dst)
+	dst = append(dst, make([]byte, headerLen)...)
 
 	switch e.mode {
 	case ModeFloat32:
@@ -173,7 +181,7 @@ func (e *Encoder) Encode(f *keypoints.Frame) []byte {
 			raw = append(raw, b4[:]...)
 		}
 		e.scratch = raw
-		out = e.cmp.Compress(out, raw)
+		dst = e.cmp.Compress(dst, raw)
 	case ModeQuantized:
 		qs := e.qs[:0]
 		for _, v := range cs {
@@ -199,17 +207,18 @@ func (e *Encoder) Encode(f *keypoints.Frame) []byte {
 		e.scratch = raw
 		e.prev = append(e.prev[:0], qs...)
 		e.havePrev = true
-		out = e.cmp.Compress(out, raw)
+		dst = e.cmp.Compress(dst, raw)
 	default:
 		panic(fmt.Sprintf("semantic: unknown mode %v", e.mode))
 	}
 
+	out := dst[start:]
 	out[0] = kind
 	out[1] = byte(e.mode)
 	binary.BigEndian.PutUint32(out[2:], f.Seq)
 	binary.BigEndian.PutUint32(out[6:], crc32.ChecksumIEEE(out[headerLen:]))
 	e.lastOut = len(out)
-	return out
+	return dst
 }
 
 // Decoder reconstructs semantic frames. It refuses partial data: any

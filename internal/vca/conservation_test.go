@@ -17,6 +17,9 @@ import (
 //
 //   - per 2D sender, FramesSent is the frame-tick count its video.Source
 //     was given, so the Source coded no frame ahead that nobody sent;
+//   - per spatial sender, FramesSent + FramesThinned is the frame-tick
+//     count, which a sender that does not thin gives its semantic.Source,
+//     so no batch was coded ahead that nobody sent;
 //   - per stream, decoded + undecodable ≤ the sender's FramesSent;
 //   - per stream with recovery, RepairedRtx + RepairedFec + Unrepaired ≤
 //     Missed (the rest are gaps still within their deadline), and each
@@ -26,7 +29,7 @@ import (
 //   - per link, DeliveredFrames + DroppedLoss + DroppedQueue ≤ SentFrames
 //     (the rest is in flight at session end);
 //   - per link, DroppedBurst ≤ DroppedLoss;
-//   - per link, DeliveredB ≤ SentBytes.
+//   - per link, DeliveredB + DroppedB ≤ SentBytes.
 //
 // The apps take turns, and the 2D cells take the strategies in a seeded
 // order; spatial sessions reject active recovery, so their cells run
@@ -41,7 +44,7 @@ func TestStreamConservation(t *testing.T) {
 	}
 	rng := simrand.New(2024)
 	order := rng.Perm(len(strategies)) // 2D cells take the strategies in this order, cyclically
-	var video int
+	var video, spatial, thinned int
 	var lossy, dropped, repaired int64
 	for c := 0; c < cells; c++ {
 		app := apps[c%len(apps)]
@@ -49,6 +52,8 @@ func TestStreamConservation(t *testing.T) {
 		if app != FaceTime {
 			strategy = strategies[order[video%len(order)]]
 			video++
+		} else {
+			spatial++
 		}
 		users := 2 + rng.Intn(2)
 		gcc := rng.Intn(2) == 1
@@ -81,6 +86,11 @@ func TestStreamConservation(t *testing.T) {
 			if sess.senders[i].src != nil && u.FramesSent != sess.frameTicks {
 				t.Errorf("%s: u%d sent %d frames, its source was told %d", name, i, u.FramesSent, sess.frameTicks)
 			}
+			if sess.senders[i].kp != nil && u.FramesSent+u.FramesThinned != sess.frameTicks {
+				t.Errorf("%s: u%d sent %d and thinned %d frames in %d frame ticks",
+					name, i, u.FramesSent, u.FramesThinned, sess.frameTicks)
+			}
+			thinned += u.FramesThinned
 		}
 		var reached int
 		for j, u := range res.Users {
@@ -132,8 +142,13 @@ func TestStreamConservation(t *testing.T) {
 				if ls.DroppedBurst > ls.DroppedLoss {
 					t.Errorf("%s: %s%d: %d burst drops > %d losses", name, dir, k, ls.DroppedBurst, ls.DroppedLoss)
 				}
-				if ls.DeliveredB > ls.SentBytes {
-					t.Errorf("%s: %s%d: %d bytes delivered > %d sent", name, dir, k, ls.DeliveredB, ls.SentBytes)
+				if ls.DeliveredB+ls.DroppedB > ls.SentBytes {
+					t.Errorf("%s: %s%d: %d bytes delivered + %d dropped > %d sent",
+						name, dir, k, ls.DeliveredB, ls.DroppedB, ls.SentBytes)
+				}
+				if (ls.DroppedB == 0) != (ls.DroppedLoss+ls.DroppedQueue == 0) {
+					t.Errorf("%s: %s%d: %d bytes dropped in %d frames",
+						name, dir, k, ls.DroppedB, ls.DroppedLoss+ls.DroppedQueue)
 				}
 				dropped += ls.DroppedLoss
 			}
@@ -148,4 +163,8 @@ func TestStreamConservation(t *testing.T) {
 	if repaired == 0 {
 		t.Error("no stream repaired a packet: the recovery laws are vacuous")
 	}
+	if spatial == 0 {
+		t.Error("no spatial cell: the spatial frame law is vacuous")
+	}
+	t.Logf("%d spatial cells thinned %d frames in all", spatial, thinned)
 }

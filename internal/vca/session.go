@@ -279,8 +279,9 @@ type Session struct {
 	dueScr  []uint16 // reused due-seq scratch
 	gcTicks uint32   // frame-timeout horizon in 90 kHz RTP ticks
 
-	// frameTicks is how many times a 2D sender's frame ticker fires in
-	// Duration: the frames each video.Source is asked for.
+	// frameTicks is how many times a sender's frame ticker fires in
+	// Duration: the frames each video.Source is asked for, and each
+	// semantic.Source whose sender does not thin.
 	frameTicks int
 
 	// tr is the event tracer, nil unless SessionConfig.Telemetry carries
@@ -296,6 +297,8 @@ type Session struct {
 // sender is one participant's outgoing media.
 type sender struct {
 	quicUp *quic.Conn // spatial: the uplink conn to the server
+
+	kp *semantic.Source // spatial: keypoint capture and coder
 
 	// 2D video.
 	src    *video.Source
@@ -809,8 +812,9 @@ func (s *Session) wireSpatial() {
 
 	// Senders: keypoint generators at SpatialFPS plus 24 kbps audio. The
 	// stamp and audio buffers are per-sender scratch: SendMessage copies
-	// into pooled connection buffers, so reuse here is safe and the steady
-	// state allocates nothing but the encoder's wire frame.
+	// into pooled connection buffers, so reuse here is safe, and the
+	// source codes into its own reused buffers: the steady state
+	// allocates nothing.
 	//
 	// Under RateControl the sender thins: semantic frames are
 	// all-or-nothing (§4.3 — they cannot shed bits per frame), so the only
@@ -818,7 +822,14 @@ func (s *Session) wireSpatial() {
 	// accumulator keeps every k-th frame so the sent rate tracks the
 	// controller target, floored at 1/9 of nominal (a 10 fps persona at
 	// the default 90) so the stream never starves feedback entirely.
+	//
+	// A sender that does not thin takes every frame, so its source codes
+	// ahead, in batches, on an idle core. A thinning sender's source codes
+	// each frame inline at its tick: a thinned frame advances the motion
+	// without reaching the encoder, whose ModeQuantized deltas depend on
+	// the last frame sent.
 	interval := simtime.Duration(float64(simtime.Second) / s.cfg.SpatialFPS)
+	s.frameTicks = int(s.cfg.Duration / interval)
 	for i := 0; i < n; i++ {
 		i, snd := i, &s.senders[i]
 		snd.thinAcc = 1 // always send the first frame
@@ -826,10 +837,13 @@ func (s *Session) wireSpatial() {
 			FPS: s.cfg.SpatialFPS, Expressiveness: 1, SpeakingFraction: 1 / float64(n),
 			SensorNoise: 0.0004,
 		})
-		enc := semantic.NewEncoder(s.cfg.SemanticMode)
+		ahead := s.frameTicks
+		if snd.ctrl != nil {
+			ahead = 0
+		}
+		snd.kp = semantic.NewSource(gen, semantic.NewEncoder(s.cfg.SemanticMode), ahead)
 		var stamped []byte
 		simtime.NewTicker(s.sched, interval, s.sched.Site("vca/quic.frame"), func(now simtime.Time) {
-			f := gen.Next() // motion advances even for thinned frames
 			if snd.ctrl != nil {
 				keep := 1.0
 				if nom := snd.nominal; nom > 0 {
@@ -843,6 +857,7 @@ func (s *Session) wireSpatial() {
 				}
 				snd.thinAcc += keep
 				if snd.thinAcc < 1 {
+					snd.kp.Skip() // motion advances even for thinned frames
 					snd.thinned++
 					if s.tr != nil {
 						s.tr.FrameThinned(now, i)
@@ -852,7 +867,7 @@ func (s *Session) wireSpatial() {
 				snd.thinAcc--
 			}
 			snd.sent++
-			wire := enc.Encode(&f)
+			wire := snd.kp.Next()
 			if cap(stamped) < 8+len(wire) {
 				stamped = make([]byte, 8+len(wire))
 			}

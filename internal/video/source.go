@@ -2,15 +2,16 @@ package video
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
+
+	"telepresence/internal/idle"
 )
 
 // Source is a scene paired with the encoder that codes it: a sender's
 // camera and codec. It codes one frame ahead. Once Next has returned frame
 // k and run k's rate step, an idle coder goroutine renders frame k+1 and
 // codes it while the caller sends frame k; if no coder is idle, the next
-// Next renders and codes inline. Frame k+1's bytes depend only on the
+// Next renders and codes inline (the coders are the idle package's pool,
+// shared with semantic.Source). Frame k+1's bytes depend only on the
 // scene's state and on the encoder's reference, frame counter and
 // quantizer, and all of those are fixed once k's rate step has run. The
 // rate step itself, the only reader of the rate target, runs on the caller
@@ -29,26 +30,14 @@ type Source struct {
 	coded *EncodedFrame // the frame the coder delivered
 }
 
-// codeq hands sources to the coder pool. It is unbuffered, so a send
-// succeeds only when a coder is idle; Next never waits on it.
-var (
-	coderOnce sync.Once
-	codeq     chan *Source
-)
+// sourceJob is a Source as the idle pool sees it: Run renders and codes
+// the next frame, then signals done. The conversion keeps Run off Source's
+// API and costs no allocation.
+type sourceJob Source
 
-// startCoders starts one coder goroutine per CPU. They live for the
-// process; a coder keeps no reference to a source after delivering its
-// frame.
-func startCoders() {
-	codeq = make(chan *Source)
-	for i := 0; i < runtime.GOMAXPROCS(0); i++ {
-		go func() {
-			for s := range codeq {
-				s.coded = s.enc.code(s.scene.Next())
-				s.done <- struct{}{}
-			}
-		}()
-	}
+func (j *sourceJob) Run() {
+	j.coded = j.enc.code(j.scene.Next())
+	j.done <- struct{}{}
 }
 
 // NewSource pairs scene with enc, whose configured dimensions must match.
@@ -59,7 +48,6 @@ func NewSource(scene *Scene, enc *Encoder, frames int) (*Source, error) {
 	if scene.W != enc.cfg.W || scene.H != enc.cfg.H {
 		return nil, fmt.Errorf("video: scene %dx%d vs config %dx%d", scene.W, scene.H, enc.cfg.W, enc.cfg.H)
 	}
-	coderOnce.Do(startCoders)
 	return &Source{scene: scene, enc: enc, left: frames, done: make(chan struct{}, 1)}, nil
 }
 
@@ -80,11 +68,7 @@ func (s *Source) Next() *EncodedFrame {
 	s.left--
 	s.ahead = false
 	if s.left > 0 {
-		select {
-		case codeq <- s:
-			s.ahead = true
-		default:
-		}
+		s.ahead = idle.Offer((*sourceJob)(s))
 	}
 	return ef
 }
