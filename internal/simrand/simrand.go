@@ -7,9 +7,11 @@
 // generator (rng.go), so every seed yields exactly the stream
 // rand.NewSource would; the simulator's golden outputs depend on that.
 // Owning the concrete generator lets the hot normal samplers (ziggurat.go)
-// skip the rand.Source interface call per draw, and lets New compute the
-// seeded register by jump-ahead, a third of what stepping math/rand's
-// seeding LCG costs.
+// skip the rand.Source interface call per draw, and lets New seed a stream
+// without building its 607-word register: the first draws are computed
+// from the seed alone, and the register is built by jump-ahead, a third of
+// what stepping math/rand's seeding LCG costs, only once a stream draws
+// past that window (rng.go).
 package simrand
 
 import (
@@ -22,14 +24,18 @@ import (
 // uniform helpers; the generator itself is kept alongside so the hot normal
 // samplers (ziggurat.go) draw from the same stream without the wrapper.
 type Source struct {
-	r *rand.Rand
-	g *rngSource
+	r   *rand.Rand         // over windowSource, then over g once it is built
+	g   *rngSource         // the register; nil until draw rngWindow+1
+	pow *[rngLen][3]uint32 // seedPowers, fetched once per stream
+	x0  uint32             // the seeding LCG's start state
+	n   int32              // window draws served
 }
 
 // New returns a source seeded with seed.
 func New(seed int64) *Source {
-	g := newRngSource(seed)
-	return &Source{r: rand.New(g), g: g}
+	s := new(Source)
+	(*windowSource)(s).Seed(seed)
+	return s
 }
 
 // Split derives a sub-stream identified by label. It draws one Int63 from
@@ -40,13 +46,23 @@ func New(seed int64) *Source {
 // experiment seed fan out to many subsystems without shared-stream
 // coupling; use ChildSeed where the order must not matter.
 func (s *Source) Split(label string) *Source {
+	return New(splitSeed(label, s.r.Int63()))
+}
+
+// splitSeed is the seed Split derives from label and the parent's next
+// Int63.
+func splitSeed(label string, word int64) int64 {
+	return int64(splitmix64(fnv1a(label) ^ uint64(word)))
+}
+
+// fnv1a returns label's 64-bit FNV-1a hash.
+func fnv1a(label string) uint64 {
 	h := uint64(1469598103934665603) // FNV-1a offset basis
 	for i := 0; i < len(label); i++ {
 		h ^= uint64(label[i])
 		h *= 1099511628211
 	}
-	h ^= uint64(s.r.Int63())
-	return New(int64(splitmix64(h)))
+	return h
 }
 
 func splitmix64(x uint64) uint64 {
@@ -62,12 +78,7 @@ func splitmix64(x uint64) uint64 {
 // always obtain the same seeds. This is what the fleet scheduler uses to
 // shard an experiment's repetitions across workers deterministically.
 func ChildSeed(seed int64, label string) int64 {
-	h := uint64(1469598103934665603) // FNV-1a offset basis
-	for i := 0; i < len(label); i++ {
-		h ^= uint64(label[i])
-		h *= 1099511628211
-	}
-	return int64(splitmix64(h ^ splitmix64(uint64(seed))))
+	return int64(splitmix64(fnv1a(label) ^ splitmix64(uint64(seed))))
 }
 
 // Child returns a source seeded with ChildSeed(seed, label).

@@ -12,14 +12,23 @@ import "math"
 
 const zigRn = 3.442619855899
 
+// int63 draws the stream's next Int63 from the register once it exists,
+// else from the window.
+func (s *Source) int63() int64 {
+	if s.g != nil {
+		return s.g.Int63()
+	}
+	return (*windowSource)(s).Int63()
+}
+
 // zigUint32 replicates rand.Rand.Uint32.
-func (s *Source) zigUint32() uint32 { return uint32(s.g.Int63() >> 31) }
+func (s *Source) zigUint32() uint32 { return uint32(s.int63() >> 31) }
 
 // zigFloat64 replicates rand.Rand.Float64, including the round-up-retry
 // quirk Go 1 shipped with.
 func (s *Source) zigFloat64() float64 {
 again:
-	f := float64(s.g.Int63()) / (1 << 63)
+	f := float64(s.int63()) / (1 << 63)
 	if f == 1 {
 		goto again
 	}
@@ -33,9 +42,16 @@ func zigAbsInt32(i int32) uint32 {
 	return uint32(i)
 }
 
-// normFloat64 is rand.Rand.NormFloat64 over the Source's stream.
+// normFloat64 is rand.Rand.NormFloat64 over the Source's stream. Once the
+// stream has its register, the first sample steps it inline; the rarer
+// draws (the window, normTail) go through int63.
 func (s *Source) normFloat64() float64 {
-	j := int32(s.zigUint32()) // Possibly negative
+	var j int32 // Possibly negative
+	if g := s.g; g != nil {
+		j = int32(uint32(g.Int63() >> 31))
+	} else {
+		j = int32(s.zigUint32())
+	}
 	i := j & 0x7F
 	if zigAbsInt32(j) < kn[i] {
 		// This case should be hit better than 99% of the time.

@@ -33,13 +33,24 @@ func NewRTTProbe() *RTTProbe {
 // jitter draw plus the server's extra delay, added in that order (the rows'
 // bytes depend on it).
 func (p *RTTProbe) Measure(app App, server, vantage geo.Location, rng *simrand.Source, reps int) *stats.Sample {
-	extra := p.ExtraServerMs[fmt.Sprintf("%v/%v", app, server)]
-	base := p.Model.BaseRTTMs(vantage, server)
 	s := stats.NewSampleCap(reps)
-	for i := 0; i < reps; i++ {
-		s.Add(base + p.Model.JitterMs(rng) + extra)
-	}
+	p.sample(s, p.extraMs(app, server), server, vantage, rng, reps)
 	return s
+}
+
+// extraMs returns the server's provider-specific extra delay, keyed
+// "app/server" in ExtraServerMs.
+func (p *RTTProbe) extraMs(app App, server geo.Location) float64 {
+	return p.ExtraServerMs[app.String()+"/"+server.Name]
+}
+
+// sample appends Measure's reps RTT draws to dst, with the server's extra
+// delay given.
+func (p *RTTProbe) sample(dst *stats.Sample, extra float64, server, vantage geo.Location, rng *simrand.Source, reps int) {
+	base := p.Model.BaseRTTMs(vantage, server)
+	for i := 0; i < reps; i++ {
+		dst.Add(base + p.Model.JitterMs(rng) + extra)
+	}
 }
 
 // SeriesKey names one CDF line of Figure 4, e.g. "CA-F".
@@ -64,13 +75,13 @@ func Fig4Series(rng *simrand.Source, repsPerVantage int) map[string]*stats.Sampl
 	for _, app := range Apps() {
 		spec := SpecFor(app)
 		for _, srv := range spec.Servers {
-			key := SeriesKey{App: app, Server: srv}
+			label := SeriesKey{App: app, Server: srv}.Label()
+			extra := probe.extraMs(app, srv)
 			agg := stats.NewSampleCap(len(vantages) * repsPerVantage)
 			for _, vp := range vantages {
-				s := probe.Measure(app, srv, vp, rng.Split(key.Label()+vp.Name), repsPerVantage)
-				agg.Add(s.Values()...)
+				probe.sample(agg, extra, srv, vp, rng.Split(label+vp.Name), repsPerVantage)
 			}
-			out[key.Label()] = agg
+			out[label] = agg
 		}
 	}
 	return out
