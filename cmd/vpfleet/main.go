@@ -32,11 +32,10 @@
 // `vpfleet serve -addr :8090 run|sweep ...` executes the fleet while
 // serving GET /api/runs, /api/runs/{id}, /api/runs/{id}/rows (NDJSON
 // tail-follow of the sink stream), /metrics (Prometheus text) and
-// /debug/pprof over HTTP; `-monitor-addr :8090` attaches the same server
-// to a plain run/sweep; and `-progress` renders a single-line live
+// /debug/pprof over HTTP, and `-progress` renders a single-line live
 // terminal view (cells done/total, failures, rows/sec, ETA).
-// All three views read one Monitor — they can never disagree — and none
-// of them changes a single emitted row byte.
+// Both views read one Monitor — they can never disagree — and neither
+// changes a single emitted row byte.
 //
 // The prof subcommand introspects virtual-time profiles (see DESIGN.md
 // "Virtual-time profiling"): scenario cells profiled with -vprof DIR write
@@ -147,7 +146,7 @@ func usage() {
 run and sweep share the flags:
   [-seed N] [-full] [-workers N] [-out DIR] [-format jsonl|csv]
   [-checkpoint DIR] [-resume] [-cell-timeout D] [-trace DIR]
-  [-metrics DIR] [-vprof DIR] [-monitor-addr ADDR] [-progress]
+  [-metrics DIR] [-vprof DIR] [-progress]
 run additionally takes [-cpuprofile FILE] [-memprofile FILE].
 
 -vprof DIR writes per-cell virtual-time profiles (<cell>.vprof.jsonl
@@ -157,8 +156,8 @@ top/merge accept both formats (.jsonl by extension, pprof otherwise).
 
 serve executes the run/sweep while exposing live introspection over HTTP:
 GET /api/runs, /api/runs/{id}, /api/runs/{id}/rows (NDJSON tail),
-/metrics (Prometheus text), /debug/pprof. -monitor-addr attaches the same
-server to a plain run/sweep; -progress renders a live terminal line.
+/metrics (Prometheus text), /debug/pprof. -progress renders a live
+terminal line.
 
 exit codes: 0 ok; 1 cell or claim failures; 2 usage; 3 interrupted (resumable)`)
 	os.Exit(exitUsage)
@@ -209,7 +208,6 @@ type commonFlags struct {
 	checkpoint  *string
 	resume      *bool
 	cellTimeout *time.Duration
-	monitorAddr *string
 	progress    *bool
 
 	// serveLis is the pre-bound introspection listener in serve mode
@@ -233,7 +231,6 @@ func newCommonFlags(name string) *commonFlags {
 		checkpoint:  fs.String("checkpoint", "", "journal completed cells to this directory (enables -resume)"),
 		resume:      fs.Bool("resume", false, "skip cells already journaled in -checkpoint DIR"),
 		cellTimeout: fs.Duration("cell-timeout", 0, "fail a cell still running after this long (0 = no watchdog)"),
-		monitorAddr: fs.String("monitor-addr", "", "serve live HTTP introspection on this address while the fleet runs"),
 		progress:    fs.Bool("progress", false, "render a single-line live progress view on stderr"),
 	}
 }
@@ -388,18 +385,11 @@ type obsSession struct {
 }
 
 // attachObs wires the observability requested by the flags into cfg: the
-// serve-mode listener (when serveCmd bound one), a -monitor-addr server,
-// and/or the -progress renderer, all reading one Monitor so the views
-// cannot disagree. Returns nil when nothing was requested.
+// serve-mode listener (when serveCmd bound one) and/or the -progress
+// renderer, both reading one Monitor so the views cannot disagree. Returns
+// nil when nothing was requested.
 func (c *commonFlags) attachObs(id, kind string, cfg *tp.FleetConfig) *obsSession {
 	lis := c.serveLis
-	if lis == nil && *c.monitorAddr != "" {
-		l, err := net.Listen("tcp", *c.monitorAddr)
-		if err != nil {
-			failUsage(fmt.Errorf("-monitor-addr %q: %v", *c.monitorAddr, err))
-		}
-		lis = l
-	}
 	if lis == nil && !*c.progress {
 		return nil
 	}

@@ -101,7 +101,6 @@ func TestExitCodes(t *testing.T) {
 		{"serve without subcommand", []string{"serve", "-addr", "127.0.0.1:0"}, 2},
 		{"serve unknown subcommand", []string{"serve", "-addr", "127.0.0.1:0", "frob"}, 2},
 		{"serve bad addr", []string{"serve", "-addr", "999.999.999.999:http", "run", "protocols", "-out", out}, 2},
-		{"serve bad monitor addr", []string{"run", "protocols", "-monitor-addr", "999.999.999.999:http", "-out", out}, 2},
 		{"serve clean run", []string{"serve", "-addr", "127.0.0.1:0", "run", "protocols", "-out", out}, 0},
 		{"serve timed-out run", []string{"serve", "-addr", "127.0.0.1:0", "run", "protocols", "-cell-timeout", "1us", "-out", out}, 1},
 		{"progress clean run", []string{"run", "protocols", "-progress", "-out", out}, 0},

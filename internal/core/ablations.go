@@ -150,8 +150,8 @@ func ViewportDeliveryAblation(opts Options) (ViewportDeliveryRow, error) {
 	oneWay := geo.DefaultPathModel().BaseRTTMs(geo.Ashburn, geo.NewYork) / 2
 	pipe := netem.NewPipe(sched, rng.Split("pipe"), netem.Config{Name: "vp", DelayMs: oneWay})
 
-	gen := keypoints.NewGenerator(rng.Split("kp"), keypoints.DefaultMotionConfig())
-	enc := semantic.NewEncoder(semantic.ModeFloat32)
+	gen := keypoints.NewGenerator(rng.Split("kp"), 0.5)
+	enc := semantic.NewEncoder()
 
 	// Receiver-side viewport state: the remote persona drifts in and out
 	// of view as the local user looks around. Dwell times ~ exponential.
@@ -167,8 +167,8 @@ func ViewportDeliveryAblation(opts Options) (ViewportDeliveryRow, error) {
 
 	var baselineBytes, gatedBytes int64
 	heartbeatLeft := 0.0
-	const dt = 1.0 / 90
-	frame := simtime.Duration(simtime.Second / 90)
+	const dt = 1 / keypoints.FPS
+	frame := simtime.Second / simtime.Duration(keypoints.FPS)
 	simtime.NewTicker(sched, frame, sched.Site("core/viewport.frame"), func(now simtime.Time) {
 		// Viewport process.
 		flipLeft -= dt
@@ -270,7 +270,7 @@ func qoeApp(opts Options, i int) (QoESweepRow, error) {
 	est := estimateQoE(sess, sc)
 	trueFPS := sc.VideoFPS
 	if sess.Plan().Media == vca.MediaSpatialPersona {
-		trueFPS = sc.SpatialFPS
+		trueFPS = keypoints.FPS
 	}
 	return QoESweepRow{
 		App: app, TrueFPS: trueFPS,

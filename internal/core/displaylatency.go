@@ -65,13 +65,13 @@ func displayLatencyCase(opts Options, inj float64) (DisplayLatencyRow, error) {
 		return DisplayLatencyRow{}, err
 	}
 	rec := persona.NewReconstructor(asset)
-	gen := keypoints.NewGenerator(rng.Split("kp"), keypoints.DefaultMotionConfig())
-	enc := semantic.NewEncoder(semantic.ModeFloat32)
+	gen := keypoints.NewGenerator(rng.Split("kp"), 0.5)
+	enc := semantic.NewEncoder()
 	pipe.AB.SetHandler(func(_ simtime.Time, f netem.Frame) {
 		_ = rec.Feed(f.Payload)
 	})
-	frame := simtime.Time(simtime.Second) / 90
-	simtime.NewTicker(sched, simtime.Duration(frame), sched.Site("core/latency.keypoints"), func(simtime.Time) {
+	frame := simtime.Second / simtime.Duration(keypoints.FPS)
+	simtime.NewTicker(sched, frame, sched.Site("core/latency.keypoints"), func(simtime.Time) {
 		kf := gen.Next()
 		pipe.AB.Send(netem.Frame{Payload: enc.Encode(&kf)})
 	})
@@ -88,7 +88,7 @@ func displayLatencyCase(opts Options, inj float64) (DisplayLatencyRow, error) {
 	pipe.BA.SetHandler(func(now simtime.Time, f netem.Frame) {
 		// Sender receives the viewport request, renders (one frame
 		// budget), ships the new view back.
-		sched.At(sched.Now().Add(simtime.Duration(frame)), renderSite, func() {
+		sched.At(sched.Now().Add(frame), renderSite, func() {
 			pipe.AB.Send(netem.Frame{Size: 20000, Payload: []byte("VIEW")})
 		})
 	})

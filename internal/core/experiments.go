@@ -317,8 +317,8 @@ func keypointRep(opts Options, rep int) (KeypointRow, error) {
 	if err != nil {
 		return KeypointRow{}, err
 	}
-	gen := keypoints.NewGenerator(simrand.New(opts.Seed+int64(rep)), keypoints.DefaultMotionConfig())
-	enc := semantic.NewEncoder(semantic.ModeFloat32)
+	gen := keypoints.NewGenerator(simrand.New(opts.Seed+int64(rep)), 0.5)
+	enc := semantic.NewEncoder()
 	var total int
 	const frames = 2000
 	for i := 0; i < frames; i++ {
@@ -328,7 +328,7 @@ func keypointRep(opts Options, rep int) (KeypointRow, error) {
 	return KeypointRow{
 		Rep:       rep,
 		Keypoints: keypoints.TrackedTotal,
-		Mbps:      semantic.BitrateBps(float64(total)/frames, 90) / 1e6,
+		Mbps:      semantic.BitrateBps(float64(total)/frames, keypoints.FPS) / 1e6,
 	}, nil
 }
 

@@ -55,7 +55,7 @@ func TestCCRampClosedLoopBeatsOpenLoop(t *testing.T) {
 				floor, closed.UnavailableFrac, open.UnavailableFrac)
 		}
 		// Achieved rate at the floor: within one multiplicative backoff
-		// (Beta = 0.85) below the cap; the upper slack covers the backlog
+		// (beta = 0.85) below the cap; the upper slack covers the backlog
 		// serialized at pre-ramp rates still draining into the window.
 		if lo, hi := 0.85*floor, floor+0.15; closed.FloorAchievedMbps < lo || closed.FloorAchievedMbps > hi {
 			t.Errorf("floor %g: gcc achieved %.3f Mbps outside [%.3f, %.3f]",

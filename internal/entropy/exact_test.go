@@ -75,10 +75,10 @@ func TestCompressDigest(t *testing.T) {
 }
 
 // keypointFrames returns n distinct generator frames laid out as the
-// semantic encoder's ModeFloat32 body: the 74 tracked points and the three
+// semantic encoder's body: the 74 tracked points and the three
 // head angles as little-endian float32, 900 bytes a frame.
 func keypointFrames(seed int64, n int) [][]byte {
-	g := keypoints.NewGenerator(simrand.New(seed), keypoints.DefaultMotionConfig())
+	g := keypoints.NewGenerator(simrand.New(seed), 0.5)
 	out := make([][]byte, n)
 	for i := range out {
 		f := g.Next()

@@ -7,7 +7,7 @@ import (
 )
 
 // LZ parameters. Window and match bounds are fixed for the whole repository;
-// the streams we compress (delta-coded keypoints, quantized mesh residuals)
+// the streams we compress (float32 keypoints, quantized mesh residuals)
 // are small per frame, so a 64 KiB window always covers them.
 const (
 	minMatch    = 3

@@ -113,6 +113,11 @@ func executeUnit(i int, u unit, cfg Config) unitOutcome {
 	return o
 }
 
+// windowPerWorker sets the reorder window: at most windowPerWorker units
+// per worker may be in flight or completed but not yet emitted. The bound
+// is what keeps streaming memory constant in grid size.
+const windowPerWorker = 4
+
 // runOrdered executes units under cfg's pool and journal, calling emit
 // exactly once per unit in index order as soon as the unit and all its
 // predecessors have resolved. Guarantees:
@@ -145,15 +150,7 @@ func runOrdered(units []unit, scope string, cfg Config, emit func(i int, o unitO
 	if workers > n {
 		workers = n
 	}
-	window := cfg.Window
-	if window <= 0 {
-		window = 4 * workers
-	}
-	// The window is a hard memory bound; extra workers beyond it could
-	// never all be in flight, so shrink the pool rather than the promise.
-	if workers > window {
-		workers = window
-	}
+	window := windowPerWorker * workers
 
 	interrupt := cfg.Interrupt
 	stop := make(chan struct{}) // closed on emit error: stop dispatching

@@ -51,10 +51,6 @@ type Config struct {
 	// journal, and the run returns an error satisfying
 	// errors.Is(err, ErrInterrupted).
 	Interrupt <-chan struct{}
-	// Window bounds how many units may be in flight or completed but not
-	// yet emitted (the reorder buffer); <=0 selects 4x workers. The bound
-	// is what keeps streaming memory constant in grid size.
-	Window int
 	// Monitor, when non-nil, receives unit-lifecycle events (dispatch,
 	// start, completion, journal hits, ordered emission, window
 	// occupancy) from every goroutine of the run; implementations must be
@@ -122,7 +118,8 @@ type section struct {
 // streams each successful unit's rows to its section's sink as soon as the
 // unit and all earlier ones have resolved. Rows reach each sink in unit
 // order, byte-identical for any worker count, and memory stays bounded by
-// the reorder window (Config.Window) instead of the whole run.
+// the reorder window (windowPerWorker units per worker) instead of the
+// whole run.
 //
 // A failing unit (error, panic, or watchdog timeout) does not suppress
 // its siblings: it leaves a gap in the stream exactly where its rows

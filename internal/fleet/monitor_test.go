@@ -229,11 +229,12 @@ func TestMonitorInterrupted(t *testing.T) {
 }
 
 // TestMonitorWindowGauges: window events report non-negative occupancy
-// bounded by the configured window.
+// bounded by the window two workers get (8 of the sweep's 12 cells).
 func TestMonitorWindowGauges(t *testing.T) {
 	mon := &recordingMonitor{}
 	spec := testSweepSpec()
-	cfg := Config{Workers: 4, Window: 6, Monitor: mon}
+	const window = windowPerWorker * 2
+	cfg := Config{Workers: 2, Monitor: mon}
 	if _, _, err := streamSweepJSONL(t, spec, core.Quick(7), cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -242,8 +243,8 @@ func TestMonitorWindowGauges(t *testing.T) {
 		t.Fatal("no EventWindow published")
 	}
 	for _, ev := range windows {
-		if ev.InFlight < 0 || ev.Buffered < 0 || ev.InFlight+ev.Buffered > 6 {
-			t.Errorf("window gauges InFlight=%d Buffered=%d exceed window 6", ev.InFlight, ev.Buffered)
+		if ev.InFlight < 0 || ev.Buffered < 0 || ev.InFlight+ev.Buffered > window {
+			t.Errorf("window gauges InFlight=%d Buffered=%d exceed window %d", ev.InFlight, ev.Buffered, window)
 		}
 	}
 }

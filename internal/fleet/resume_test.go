@@ -28,9 +28,10 @@ func streamSweepJSONL(t *testing.T, spec SweepSpec, opts core.Options, cfg Confi
 	return buf.Bytes(), results, err
 }
 
-// TestStreamWindowBoundsBuffer is the bounded-memory pin: with an
-// explicit window, the reorder buffer's high-water mark never exceeds it,
-// no matter how large the grid is or how out-of-order workers finish.
+// TestStreamWindowBoundsBuffer is the bounded-memory pin: the reorder
+// buffer's high-water mark never exceeds the window of windowPerWorker
+// units per worker, no matter how large the grid is or how out-of-order
+// workers finish.
 func TestStreamWindowBoundsBuffer(t *testing.T) {
 	// 60 units finishing in adversarial (reverse) order.
 	var units []unit
@@ -44,11 +45,12 @@ func TestStreamWindowBoundsBuffer(t *testing.T) {
 			},
 		})
 	}
-	const window = 5
+	const workers = 2
+	const window = windowPerWorker * workers
 	var mu sync.Mutex
 	var maxBuffered int
 	cfg := Config{
-		Workers: 8, Window: window,
+		Workers:       workers,
 		onMaxBuffered: func(n int) { mu.Lock(); maxBuffered = n; mu.Unlock() },
 	}
 	next := 0
@@ -107,14 +109,14 @@ func TestKillAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Run 1: kill after the 3rd row reaches the sink. The window of 4
-	// keeps at most 4 cells dispatched past the last emitted one, so the
-	// drain skips some of the 12.
+	// Run 1: kill after the 3rd row reaches the sink. One worker's window
+	// of 4 keeps at most 4 cells dispatched past the last emitted one, so
+	// the drain skips some of the 12.
 	interrupt := make(chan struct{})
 	var buf bytes.Buffer
 	sink := &trippingSink{Sink: NewJSONLSink(&buf), after: 3, interrupt: interrupt}
 	cfg := Config{
-		Workers: 2, Window: 4,
+		Workers:    1,
 		Checkpoint: killed,
 		Interrupt:  interrupt,
 	}
@@ -134,7 +136,7 @@ func TestKillAndResume(t *testing.T) {
 	if killed.Len() == 0 {
 		t.Fatal("no cells journaled before the kill")
 	}
-	m := NewManifest(opts, 2, time.Second, results)
+	m := NewManifest(opts, 1, time.Second, results)
 	if !m.Interrupted || len(m.Failures) != 0 {
 		t.Errorf("interrupted manifest: interrupted=%v failures=%+v, want true/none", m.Interrupted, m.Failures)
 	}

@@ -9,7 +9,6 @@
 package keypoints
 
 import (
-	"fmt"
 	"math"
 
 	"telepresence/internal/simrand"
@@ -159,34 +158,23 @@ func NeutralHand(mirror float64) [HandCount]Point {
 	return hand
 }
 
-// MotionConfig tunes the synthetic conversation behaviour.
-type MotionConfig struct {
-	// FPS is the capture rate (the paper streams at 90 FPS).
-	FPS float64
-	// Expressiveness scales all motion amplitudes (1 = typical meeting).
-	Expressiveness float64
-	// SpeakingFraction is the fraction of time this user talks.
-	SpeakingFraction float64
-	// SensorNoise is the per-point, per-frame tracking jitter (meters,
-	// std dev). Real keypoint extractors (dlib/OpenPose on RGB-D) have
-	// sub-millimeter jitter; it is what makes raw float coordinates
-	// nearly incompressible, the effect behind the paper's 0.64 Mbps.
-	SensorNoise float64
-}
+// FPS is the capture rate: the paper streams keypoints at 90 FPS, and the
+// session layer ticks each spatial sender at it.
+const FPS float64 = 90
 
-// DefaultMotionConfig matches the paper's setup: 90 FPS natural
-// conversation.
-func DefaultMotionConfig() MotionConfig {
-	return MotionConfig{FPS: 90, Expressiveness: 1, SpeakingFraction: 0.5, SensorNoise: 0.0004}
-}
+// sensorNoise is the per-point, per-frame tracking jitter (meters, std
+// dev). Real keypoint extractors (dlib/OpenPose on RGB-D) have
+// sub-millimeter jitter; it is what makes raw float coordinates nearly
+// incompressible, the effect behind the paper's 0.64 Mbps.
+const sensorNoise float64 = 0.0004
 
 // Generator synthesizes a temporally coherent keypoint stream: head pose
 // follows Ornstein-Uhlenbeck drift, blinks arrive as a Poisson process,
 // mouth motion follows a speech envelope, and hands gesture while speaking.
 type Generator struct {
-	cfg  MotionConfig
-	rng  *simrand.Source
-	base Frame
+	speakingFraction float64 // fraction of time this user talks
+	rng              *simrand.Source
+	base             Frame
 
 	yaw, pitch, roll *simrand.OU
 	handAmp          *simrand.OU
@@ -200,19 +188,17 @@ type Generator struct {
 	seq              uint32
 }
 
-// NewGenerator returns a generator seeded from rng.
-func NewGenerator(rng *simrand.Source, cfg MotionConfig) *Generator {
-	if cfg.FPS <= 0 {
-		panic(fmt.Sprintf("keypoints: bad FPS %v", cfg.FPS))
-	}
-	g := &Generator{cfg: cfg, rng: rng}
+// NewGenerator returns a generator of a typical meeting participant, seeded
+// from rng, who talks speakingFraction of the time.
+func NewGenerator(rng *simrand.Source, speakingFraction float64) *Generator {
+	g := &Generator{speakingFraction: speakingFraction, rng: rng}
 	g.base.Face = NeutralFace()
 	g.base.LeftHand = NeutralHand(-1)
 	g.base.RightHand = NeutralHand(1)
-	g.yaw = simrand.NewOU(rng.Split("yaw"), 0, 0.8, 0.15*cfg.Expressiveness)
-	g.pitch = simrand.NewOU(rng.Split("pitch"), 0, 1.0, 0.08*cfg.Expressiveness)
-	g.roll = simrand.NewOU(rng.Split("roll"), 0, 1.2, 0.05*cfg.Expressiveness)
-	g.handAmp = simrand.NewOU(rng.Split("hand"), 0, 0.5, 0.4*cfg.Expressiveness)
+	g.yaw = simrand.NewOU(rng.Split("yaw"), 0, 0.8, 0.15)
+	g.pitch = simrand.NewOU(rng.Split("pitch"), 0, 1.0, 0.08)
+	g.roll = simrand.NewOU(rng.Split("roll"), 0, 1.2, 0.05)
+	g.handAmp = simrand.NewOU(rng.Split("hand"), 0, 0.5, 0.4)
 	g.noise = rng.Split("noise")
 	g.speakLeft = rng.Exponential(4)
 	g.blinkLeft = rng.Exponential(3.5)
@@ -221,7 +207,7 @@ func NewGenerator(rng *simrand.Source, cfg MotionConfig) *Generator {
 
 // Next produces the following frame of the stream.
 func (g *Generator) Next() Frame {
-	dt := 1 / g.cfg.FPS
+	dt := 1 / FPS
 	g.t += dt
 	f := g.base
 	f.Seq = g.seq
@@ -236,9 +222,9 @@ func (g *Generator) Next() Frame {
 	g.speakLeft -= dt
 	if g.speakLeft <= 0 {
 		g.speaking = !g.speaking
-		mean := 4.0 * g.cfg.SpeakingFraction
+		mean := 4.0 * g.speakingFraction
 		if !g.speaking {
-			mean = 4.0 * (1 - g.cfg.SpeakingFraction)
+			mean = 4.0 * (1 - g.speakingFraction)
 		}
 		if mean < 0.5 {
 			mean = 0.5
@@ -251,7 +237,7 @@ func (g *Generator) Next() Frame {
 	amp := 0.002
 	if g.speaking {
 		g.mouthPhase += dt * 2 * math.Pi * 5
-		amp = 0.010 * g.cfg.Expressiveness * (0.6 + 0.4*math.Sin(g.mouthPhase*0.31))
+		amp = 0.010 * (0.6 + 0.4*math.Sin(g.mouthPhase*0.31))
 	}
 	open := amp * (0.5 + 0.5*math.Sin(g.mouthPhase))
 	for k := 0; k < 12; k++ { // outer ring
@@ -304,21 +290,19 @@ func (g *Generator) Next() Frame {
 
 	// Sensor noise: independent per point per frame, as a real extractor
 	// produces.
-	if s := g.cfg.SensorNoise; s > 0 {
-		jit := func(p *Point) {
-			p.X += g.noise.Normal(0, s)
-			p.Y += g.noise.Normal(0, s)
-			p.Z += g.noise.Normal(0, s)
-		}
-		for i := range f.Face {
-			jit(&f.Face[i])
-		}
-		for i := range f.LeftHand {
-			jit(&f.LeftHand[i])
-		}
-		for i := range f.RightHand {
-			jit(&f.RightHand[i])
-		}
+	jit := func(p *Point) {
+		p.X += g.noise.Normal(0, sensorNoise)
+		p.Y += g.noise.Normal(0, sensorNoise)
+		p.Z += g.noise.Normal(0, sensorNoise)
+	}
+	for i := range f.Face {
+		jit(&f.Face[i])
+	}
+	for i := range f.LeftHand {
+		jit(&f.LeftHand[i])
+	}
+	for i := range f.RightHand {
+		jit(&f.RightHand[i])
 	}
 	return f
 }

@@ -73,8 +73,8 @@ func TestNeutralHandStructure(t *testing.T) {
 }
 
 func TestGeneratorDeterminism(t *testing.T) {
-	g1 := NewGenerator(simrand.New(5), DefaultMotionConfig())
-	g2 := NewGenerator(simrand.New(5), DefaultMotionConfig())
+	g1 := NewGenerator(simrand.New(5), 0.5)
+	g2 := NewGenerator(simrand.New(5), 0.5)
 	for i := 0; i < 200; i++ {
 		a, b := g1.Next(), g2.Next()
 		if a != b {
@@ -84,7 +84,7 @@ func TestGeneratorDeterminism(t *testing.T) {
 }
 
 func TestGeneratorSeqIncrements(t *testing.T) {
-	g := NewGenerator(simrand.New(1), DefaultMotionConfig())
+	g := NewGenerator(simrand.New(1), 0.5)
 	for i := 0; i < 10; i++ {
 		if f := g.Next(); f.Seq != uint32(i) {
 			t.Fatalf("Seq = %d, want %d", f.Seq, i)
@@ -94,8 +94,8 @@ func TestGeneratorSeqIncrements(t *testing.T) {
 
 func TestGeneratorTemporalCoherence(t *testing.T) {
 	// Consecutive frames at 90 FPS must move each keypoint by far less
-	// than the head scale: this is what makes delta coding effective.
-	g := NewGenerator(simrand.New(2), DefaultMotionConfig())
+	// than the head scale, as natural motion does.
+	g := NewGenerator(simrand.New(2), 0.5)
 	prev := g.Next()
 	var maxStep float64
 	for i := 0; i < 900; i++ { // 10 seconds
@@ -117,7 +117,7 @@ func TestGeneratorTemporalCoherence(t *testing.T) {
 }
 
 func TestGeneratorHeadPoseBounded(t *testing.T) {
-	g := NewGenerator(simrand.New(3), DefaultMotionConfig())
+	g := NewGenerator(simrand.New(3), 0.5)
 	for i := 0; i < 9000; i++ {
 		f := g.Next()
 		if math.Abs(f.HeadYaw) > 1.2 || math.Abs(f.HeadPitch) > 1.0 || math.Abs(f.HeadRoll) > 1.0 {
@@ -127,7 +127,7 @@ func TestGeneratorHeadPoseBounded(t *testing.T) {
 }
 
 func TestGeneratorBlinksHappen(t *testing.T) {
-	g := NewGenerator(simrand.New(4), DefaultMotionConfig())
+	g := NewGenerator(simrand.New(4), 0.5)
 	neutral := NeutralFace()
 	eyeClosed := 0
 	for i := 0; i < 90*60; i++ { // one minute
@@ -151,7 +151,7 @@ func TestGeneratorBlinksHappen(t *testing.T) {
 }
 
 func TestGeneratorSpeakingAlternates(t *testing.T) {
-	g := NewGenerator(simrand.New(6), DefaultMotionConfig())
+	g := NewGenerator(simrand.New(6), 0.5)
 	speakFrames := 0
 	const n = 90 * 120 // two minutes
 	for i := 0; i < n; i++ {
@@ -164,15 +164,6 @@ func TestGeneratorSpeakingAlternates(t *testing.T) {
 	if frac < 0.2 || frac > 0.8 {
 		t.Errorf("speaking fraction = %.2f over 2 min, want 0.2-0.8", frac)
 	}
-}
-
-func TestGeneratorBadFPSPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("FPS=0 accepted")
-		}
-	}()
-	NewGenerator(simrand.New(1), MotionConfig{FPS: 0})
 }
 
 func TestPointOps(t *testing.T) {

@@ -73,9 +73,6 @@ type Config struct {
 	QueueBytes int
 	// LossProb drops each frame independently with this probability.
 	LossProb float64
-	// ReorderProb, when >0, delivers a frame with an extra random delay,
-	// modeling occasional out-of-order arrival.
-	ReorderProb float64
 }
 
 // Link is a unidirectional emulated path. Create with NewLink; attach the
@@ -203,8 +200,7 @@ func NewLink(sched *simtime.Scheduler, rng *simrand.Source, cfg Config) *Link {
 	// Inverted comparisons so NaN (which fails every ordered comparison)
 	// counts as invalid rather than slipping through.
 	if !(cfg.DelayMs >= 0) || !(cfg.RateBps >= 0) || !(cfg.JitterMs >= 0) || cfg.QueueBytes < 0 ||
-		!(cfg.LossProb >= 0 && cfg.LossProb <= 1) ||
-		!(cfg.ReorderProb >= 0 && cfg.ReorderProb <= 1) {
+		!(cfg.LossProb >= 0 && cfg.LossProb <= 1) {
 		panic(fmt.Sprintf("netem: invalid config %+v", cfg))
 	}
 	l := &Link{cfg: cfg, sched: sched, rng: rng, deliverSite: sched.Site("netem.deliver")}
@@ -361,9 +357,6 @@ func (l *Link) Send(f Frame) bool {
 	if l.cfg.JitterMs > 0 {
 		j := l.rng.LogNormal(l.lnJitter, 0.5)
 		delay += simtime.Duration(j * float64(simtime.Millisecond))
-	}
-	if l.cfg.ReorderProb > 0 && l.rng.Bernoulli(l.cfg.ReorderProb) {
-		delay += simtime.Duration(l.rng.Uniform(0, 2*l.cfg.DelayMs+1) * float64(simtime.Millisecond))
 	}
 
 	d := l.getDelivery()

@@ -206,8 +206,6 @@ func TestInvalidConfigPanics(t *testing.T) {
 		{QueueBytes: -1},
 		{LossProb: -0.1},
 		{LossProb: 1.5},
-		{ReorderProb: -0.1},
-		{ReorderProb: 1.01},
 	}
 	for _, cfg := range bad {
 		cfg := cfg
@@ -228,7 +226,7 @@ func TestNaNRejectedEverywhere(t *testing.T) {
 	nan := math.NaN()
 	for _, cfg := range []Config{
 		{DelayMs: nan}, {JitterMs: nan}, {RateBps: nan},
-		{LossProb: nan}, {ReorderProb: nan},
+		{LossProb: nan},
 	} {
 		cfg := cfg
 		func() {
@@ -388,39 +386,6 @@ func TestMidBacklogRateChange(t *testing.T) {
 		if times[i] != want[i] {
 			t.Errorf("frame %d delivered at %v, want %v", i, times[i], want[i])
 		}
-	}
-}
-
-func TestReorderDelivery(t *testing.T) {
-	// ReorderProb 1 adds a uniform extra delay to every frame; frames sent
-	// 1 ms apart with a 2*25+1 ms reorder window must arrive out of order
-	// at least once in 200 sends, and nothing may be lost.
-	s, l := newLink(t, Config{DelayMs: 25, ReorderProb: 1})
-	var order []int
-	l.SetHandler(func(_ simtime.Time, f Frame) { order = append(order, int(f.Payload[0])<<8|int(f.Payload[1])) })
-	const n = 200
-	for i := 0; i < n; i++ {
-		i := i
-		s.At(simtime.Time(i*int(simtime.Millisecond)), 0, func() {
-			l.Send(Frame{Payload: []byte{byte(i >> 8), byte(i)}})
-		})
-	}
-	s.Run()
-	if len(order) != n {
-		t.Fatalf("delivered %d/%d frames", len(order), n)
-	}
-	inversions := 0
-	for i := 1; i < len(order); i++ {
-		if order[i] < order[i-1] {
-			inversions++
-		}
-	}
-	if inversions == 0 {
-		t.Error("ReorderProb=1 produced perfectly ordered delivery")
-	}
-	st := l.Stats()
-	if st.DroppedLoss != 0 || st.DroppedQueue != 0 {
-		t.Errorf("reordering dropped frames: %+v", st)
 	}
 }
 

@@ -143,8 +143,8 @@ func TestReconstructorEndToEnd(t *testing.T) {
 	if _, err := rec.CurrentMesh(); err == nil {
 		t.Error("CurrentMesh before any frame should error")
 	}
-	gen := keypoints.NewGenerator(simrand.New(7), keypoints.DefaultMotionConfig())
-	enc := semantic.NewEncoder(semantic.ModeFloat32)
+	gen := keypoints.NewGenerator(simrand.New(7), 0.5)
+	enc := semantic.NewEncoder()
 	for i := 0; i < 10; i++ {
 		f := gen.Next()
 		if err := rec.Feed(enc.Encode(&f)); err != nil {
@@ -166,8 +166,8 @@ func TestReconstructorEndToEnd(t *testing.T) {
 func TestReconstructorRejectsCorrupt(t *testing.T) {
 	a := smallAsset(t, 8)
 	rec := NewReconstructor(a)
-	gen := keypoints.NewGenerator(simrand.New(9), keypoints.DefaultMotionConfig())
-	enc := semantic.NewEncoder(semantic.ModeFloat32)
+	gen := keypoints.NewGenerator(simrand.New(9), 0.5)
+	enc := semantic.NewEncoder()
 	f := gen.Next()
 	wire := enc.Encode(&f)
 	wire[len(wire)-1] ^= 0xFF
@@ -185,8 +185,8 @@ func TestReconstructorRejectsCorrupt(t *testing.T) {
 func TestViewpointChangeIsLocal(t *testing.T) {
 	a := smallAsset(t, 10)
 	rec := NewReconstructor(a)
-	gen := keypoints.NewGenerator(simrand.New(11), keypoints.DefaultMotionConfig())
-	enc := semantic.NewEncoder(semantic.ModeFloat32)
+	gen := keypoints.NewGenerator(simrand.New(11), 0.5)
+	enc := semantic.NewEncoder()
 	f := gen.Next()
 	if err := rec.Feed(enc.Encode(&f)); err != nil {
 		t.Fatal(err)
@@ -246,9 +246,9 @@ func BenchmarkPose(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	gen := keypoints.NewGenerator(simrand.New(13), keypoints.DefaultMotionConfig())
+	gen := keypoints.NewGenerator(simrand.New(13), 0.5)
 	f := gen.Next()
-	enc := semantic.NewEncoder(semantic.ModeFloat32)
+	enc := semantic.NewEncoder()
 	dec := semantic.NewDecoder()
 	df, _ := dec.Decode(enc.Encode(&f))
 	b.ResetTimer()

@@ -11,7 +11,7 @@
 //   - "gcc": a GCC-style delay-gradient controller — a trendline estimator
 //     over per-report one-way-delay samples detects queue growth before
 //     loss occurs, and an AIMD loop (multiplicative increase, backoff to
-//     Beta x the measured receive rate) converges near the bottleneck.
+//     beta x the measured receive rate) converges near the bottleneck.
 //   - "loss": a loss-based AIMD controller, blind to delay. On a drop-tail
 //     queue it only reacts after the queue overflows, which is exactly the
 //     standing-latency failure the delay-based controller avoids.
@@ -52,7 +52,7 @@ type Controller interface {
 
 // Reason codes explain a controller's last decision, for telemetry traces.
 // They name the decision actually taken: a backoff suppressed by the
-// BackoffGapMs rate limit reads as "hold".
+// backoffGapMs rate limit reads as "hold".
 const (
 	// ReasonOpenLoop: the controller ignores feedback (fixed).
 	ReasonOpenLoop = "open-loop"
@@ -64,7 +64,7 @@ const (
 	ReasonBackoffLoss = "backoff-loss"
 	// ReasonBackoffDelay: the one-way-delay trendline signaled queue growth.
 	ReasonBackoffDelay = "backoff-delay"
-	// ReasonBackoffQueue: standing queuing delay exceeded QueueDelayMs.
+	// ReasonBackoffQueue: standing queuing delay exceeded queueDelayMs.
 	ReasonBackoffQueue = "backoff-queue"
 	// ReasonStarved: consecutive empty reports; emergency halving.
 	ReasonStarved = "starved"
@@ -79,49 +79,52 @@ type Reasoner interface {
 	LastReason() string
 }
 
-// Config parameterizes a controller. The zero value of every field selects
-// a sane default (see withDefaults); InitialBps is the only field callers
-// typically set.
+// Config parameterizes a controller: its starting target and bounds. The
+// zero value of every field selects a default (see withDefaults).
 type Config struct {
 	// InitialBps is the starting target (default: MaxBps).
 	InitialBps float64
 	// MinBps / MaxBps bound the target (defaults 150 kbps / 6 Mbps).
 	MinBps, MaxBps float64
-	// Beta is the multiplicative backoff factor applied to the measured
-	// receive rate on overuse (default 0.85, as in GCC).
-	Beta float64
-	// IncreasePerSec is the multiplicative increase rate while the path is
-	// underused (default 0.08: +8%/s).
-	IncreasePerSec float64
-	// AdditiveBpsPerSec is the loss controller's additive increase slope
-	// (default 100 kbps/s).
-	AdditiveBpsPerSec float64
-	// LossBackoff / LossIncrease are the loss controller's thresholds:
-	// back off above the first, grow below the second (defaults 0.10 and
-	// 0.02, the classic GCC loss-controller bands).
-	LossBackoff, LossIncrease float64
-	// SlopeMsPerSec is the delay controller's overuse threshold on the
-	// fitted one-way-delay slope (default 25 ms/s).
-	SlopeMsPerSec float64
-	// QueueDelayMs is the standing-queue guard: queuing delay (OWD above
-	// the running baseline) beyond this triggers backoff even when the
-	// trend is flat (default 75 ms).
-	QueueDelayMs float64
-	// TrendWindow is how many report samples the trendline fits over
-	// (default 20).
-	TrendWindow int
-	// BackoffGapMs is the minimum spacing between consecutive backoffs,
-	// letting one rate cut take effect before the next (default 300 ms).
-	// It is counted in receiver time, as the IntervalMs the reports since
-	// the last cut cover, so reverse-path jitter cannot stretch it by a
-	// whole report interval.
-	BackoffGapMs float64
 }
 
 // DefaultMinBps is the default lower bound on a controller target; callers
 // flooring derived targets (ratecontrol.ApplyOverhead in the session layer)
 // share it so their floor and the controller's clamp cannot diverge.
 const DefaultMinBps = 150e3
+
+// The controllers' tuning: the published GCC values (Carlucci et al.,
+// "Analysis and design of the Google congestion control for WebRTC",
+// MMSys 2016) where GCC has one.
+const (
+	// beta is the multiplicative backoff factor applied to the measured
+	// receive rate on overuse.
+	beta float64 = 0.85
+	// increasePerSec is the multiplicative increase rate while the path
+	// is underused (+8%/s).
+	increasePerSec float64 = 0.08
+	// additiveBpsPerSec is the loss controller's additive increase slope.
+	additiveBpsPerSec float64 = 100e3
+	// lossBackoff and lossIncrease are the loss controller's bands: back
+	// off above the first, grow below the second.
+	lossBackoff  float64 = 0.10
+	lossIncrease float64 = 0.02
+	// slopeMsPerSec is the delay controller's overuse threshold on the
+	// fitted one-way-delay slope.
+	slopeMsPerSec float64 = 25
+	// queueDelayMs is the standing-queue guard: queuing delay (OWD above
+	// the running baseline) beyond this triggers backoff even when the
+	// trend is flat.
+	queueDelayMs float64 = 75
+	// trendWindow is how many report samples the trendline fits over.
+	trendWindow = 20
+	// backoffGapMs is the minimum spacing between consecutive backoffs,
+	// letting one rate cut take effect before the next. It is counted in
+	// receiver time, as the IntervalMs the reports since the last cut
+	// cover, so reverse-path jitter cannot stretch it by a whole report
+	// interval.
+	backoffGapMs float64 = 300
+)
 
 func (c Config) withDefaults() Config {
 	if c.MinBps <= 0 {
@@ -136,42 +139,14 @@ func (c Config) withDefaults() Config {
 	if c.InitialBps <= 0 {
 		c.InitialBps = c.MaxBps
 	}
-	if c.Beta <= 0 || c.Beta >= 1 {
-		c.Beta = 0.85
-	}
-	if c.IncreasePerSec <= 0 {
-		c.IncreasePerSec = 0.08
-	}
-	if c.AdditiveBpsPerSec <= 0 {
-		c.AdditiveBpsPerSec = 100e3
-	}
-	if c.LossBackoff <= 0 {
-		c.LossBackoff = 0.10
-	}
-	if c.LossIncrease <= 0 {
-		c.LossIncrease = 0.02
-	}
-	if c.SlopeMsPerSec <= 0 {
-		c.SlopeMsPerSec = 25
-	}
-	if c.QueueDelayMs <= 0 {
-		c.QueueDelayMs = 75
-	}
-	if c.TrendWindow <= 1 {
-		c.TrendWindow = 20
-	}
-	if c.BackoffGapMs <= 0 {
-		c.BackoffGapMs = 300
-	}
 	return c
 }
 
-// backoffGap rate-limits a controller's backoffs to one per
-// Config.BackoffGapMs of report coverage. Measured between report
-// arrivals, the gap would hinge on jitter: with 100 ms reports a cut
-// three reports later arrives 300 ms after the last one give or take a
-// fraction of a millisecond, and the slightly early arrival waited a
-// fourth report.
+// backoffGap rate-limits a controller's backoffs to one per backoffGapMs
+// of report coverage. Measured between report arrivals, the gap would
+// hinge on jitter: with 100 ms reports a cut three reports later arrives
+// 300 ms after the last one give or take a fraction of a millisecond, and
+// the slightly early arrival waited a fourth report.
 type backoffGap struct {
 	sinceMs float64 // IntervalMs covered by the reports since the last cut
 	cut     bool    // a cut has happened
@@ -183,8 +158,8 @@ func (g *backoffGap) observe(rep rtp.ReceiverReport) { g.sinceMs += rep.Interval
 // ready reports whether a backoff is allowed now. IntervalMs values are
 // differences of float millisecond clocks, so three 100 ms intervals may
 // sum to a hair under 300; the tolerance absorbs that.
-func (g *backoffGap) ready(gapMs float64) bool {
-	return !g.cut || g.sinceMs >= gapMs-1e-6
+func (g *backoffGap) ready() bool {
+	return !g.cut || g.sinceMs >= backoffGapMs-1e-6
 }
 
 // reset starts the gap at a backoff.
@@ -261,8 +236,8 @@ func (f *Fixed) LastReason() string { return ReasonOpenLoop }
 // --------------------------------------------------------------- LossAIMD
 
 // LossAIMD adapts on reported loss alone: back off multiplicatively when
-// the interval loss fraction exceeds LossBackoff, grow additively when it
-// is below LossIncrease, hold in between. Blind to delay, it tolerates any
+// the interval loss fraction exceeds lossBackoff, grow additively when it
+// is below lossIncrease, hold in between. Blind to delay, it tolerates any
 // standing queue a drop-tail buffer can hold — the contrast the ccrate and
 // ccramp experiments quantify against the delay-gradient controller.
 type LossAIMD struct {
@@ -287,14 +262,14 @@ func (l *LossAIMD) OnFeedback(fb Feedback) {
 	l.reason = ReasonHold
 	loss := fb.Report.FractionLost
 	switch {
-	case loss > l.cfg.LossBackoff:
-		if l.gap.ready(l.cfg.BackoffGapMs) {
+	case loss > lossBackoff:
+		if l.gap.ready() {
 			l.target = l.cfg.clamp(l.target * (1 - 0.5*loss))
 			l.gap.reset()
 			l.reason = ReasonBackoffLoss
 		}
-	case loss < l.cfg.LossIncrease:
-		if next := l.cfg.clamp(l.target + l.cfg.AdditiveBpsPerSec*dtSec); next > l.target {
+	case loss < lossIncrease:
+		if next := l.cfg.clamp(l.target + additiveBpsPerSec*dtSec); next > l.target {
 			l.target = next
 			l.reason = ReasonIncrease
 		}
@@ -320,7 +295,7 @@ func (l *LossAIMD) LastReason() string {
 // DelayGradient is the GCC-style delay-based controller: a least-squares
 // trendline over the per-report mean one-way delay estimates the queue's
 // growth rate; a positive slope past the threshold (or a standing queue
-// past QueueDelayMs) signals overuse, and the target backs off to Beta x
+// past queueDelayMs) signals overuse, and the target backs off to beta x
 // the measured receive rate. While the path is underused the target grows
 // multiplicatively, capped at 1.5x the receive rate so an app-limited
 // sender cannot run the estimate away from reality.
@@ -387,7 +362,7 @@ func (d *DelayGradient) OnFeedback(fb Feedback) {
 		}
 		d.tSec = append(d.tSec, fb.AtMs/1e3)
 		d.owdMs = append(d.owdMs, rep.MeanOwdMs)
-		if n := len(d.tSec) - d.cfg.TrendWindow; n > 0 {
+		if n := len(d.tSec) - trendWindow; n > 0 {
 			d.tSec = append(d.tSec[:0], d.tSec[n:]...)
 			d.owdMs = append(d.owdMs[:0], d.owdMs[n:]...)
 		}
@@ -404,13 +379,13 @@ func (d *DelayGradient) OnFeedback(fb Feedback) {
 	case rep.FractionLost > 0.25:
 		// Heavy loss: the delay signal alone cannot see a policer.
 		overuse = ReasonBackoffLoss
-	case queueMs > d.cfg.QueueDelayMs:
+	case queueMs > queueDelayMs:
 		overuse = ReasonBackoffQueue
-	case len(d.tSec) >= 4 && slope > d.cfg.SlopeMsPerSec && queueMs > 5:
+	case len(d.tSec) >= 4 && slope > slopeMsPerSec && queueMs > 5:
 		overuse = ReasonBackoffDelay
 	}
 	if overuse != "" {
-		if d.cut(d.cfg.Beta * rep.RecvRateBps) {
+		if d.cut(beta * rep.RecvRateBps) {
 			d.reason = overuse
 		}
 		return
@@ -418,7 +393,7 @@ func (d *DelayGradient) OnFeedback(fb Feedback) {
 
 	// Underuse / normal: multiplicative increase, bounded by what is
 	// actually flowing so an app-limited estimate cannot run away.
-	next := d.target * (1 + d.cfg.IncreasePerSec*dtSec)
+	next := d.target * (1 + increasePerSec*dtSec)
 	if lim := 1.5 * rep.RecvRateBps; next > lim {
 		next = lim
 	}
@@ -428,11 +403,11 @@ func (d *DelayGradient) OnFeedback(fb Feedback) {
 	}
 }
 
-// cut applies one backoff, rate-limited to one per BackoffGapMs, and resets
+// cut applies one backoff, rate-limited to one per backoffGapMs, and resets
 // the trendline so the pre-cut queue growth cannot re-trigger immediately.
 // It reports whether the backoff was applied.
 func (d *DelayGradient) cut(toBps float64) bool {
-	if !d.gap.ready(d.cfg.BackoffGapMs) {
+	if !d.gap.ready() {
 		return false
 	}
 	if toBps > d.target {

@@ -113,7 +113,7 @@ func TestBackoffGapIgnoresArrivalJitter(t *testing.T) {
 func TestDelayGradientBacksOffOnRisingOwd(t *testing.T) {
 	c, _ := New("gcc", Config{InitialBps: 2e6, MaxBps: 2e6})
 	// OWD climbing 100 ms/s at a measured receive rate of 1 Mbps: the
-	// trendline must detect overuse and back off toward Beta x 1 Mbps.
+	// trendline must detect overuse and back off toward beta x 1 Mbps.
 	for i := 1; i <= 20; i++ {
 		c.OnFeedback(fb(float64(i*100), 30+10*float64(i), 1e6, 0))
 	}

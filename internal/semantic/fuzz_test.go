@@ -10,15 +10,20 @@ import (
 // panic, and requires Validate to accept every frame Decode accepts: the
 // session layer counts decodable frames through Validate. Each input runs
 // as given and again with its CRC recomputed, so mutated bodies get past
-// the checksum into the entropy decoder and the coordinate parsers.
+// the checksum into the entropy decoder and the coordinate parsers. Each
+// seed frame also goes in with a nonzero mode byte, which both must
+// refuse, and with a kind byte other than 'K', which both ignore.
 func FuzzDecode(f *testing.F) {
 	frames := genFrames(13, 3)
-	for _, mode := range []Mode{ModeFloat32, ModeQuantized} {
-		enc := NewEncoder(mode)
-		for i := range frames {
-			wire := enc.Encode(&frames[i])
-			f.Add(wire)
-			f.Add(wire[:len(wire)/2])
+	enc := NewEncoder()
+	for i := range frames {
+		wire := enc.Encode(&frames[i])
+		f.Add(wire)
+		f.Add(wire[:len(wire)/2])
+		for _, hdr := range [][2]byte{{kindKeyframe, 1}, {'D', modeFloat32}} {
+			mut := append([]byte(nil), wire...)
+			mut[0], mut[1] = hdr[0], hdr[1]
+			f.Add(mut)
 		}
 	}
 	f.Fuzz(func(t *testing.T, wire []byte) {

@@ -19,19 +19,19 @@ type batch struct {
 	ends []int // ends[i] is where frame i ends in data
 }
 
-// Source is a keypoint generator paired with the encoder that codes it: a
+// Source is a keypoint generator paired with an encoder of its own: a
 // spatial sender's capture and codec, the counterpart of video.Source. It
 // codes ahead in batches of batchFrames. Once Next has handed out the
 // first frame of a batch, it offers "generate and encode the next batch"
 // to an idle coder of the idle package's pool, and keeps offering at each
 // Next until a coder takes it; if the batch has not been coded by the time
 // the caller needs it, Next codes it inline. A frame's bytes depend only on
-// the generator's state and on the encoder's (the previous frame, in
-// ModeQuantized), so which goroutine codes a batch changes no byte: a
-// Source's frames are those of Encode(gen.Next()) called in the same order.
+// the generator's state, so which goroutine codes a batch changes no byte:
+// a Source's frames are those of Encode(gen.Next()) called in the same
+// order.
 //
-// The Source owns its generator and encoder: after NewSource, call
-// neither's Next or Encode directly.
+// The Source owns its generator: after NewSource, do not call its Next
+// directly.
 type Source struct {
 	gen   *keypoints.Generator
 	enc   *Encoder
@@ -53,14 +53,15 @@ func (j *sourceJob) Run() {
 	j.done <- struct{}{}
 }
 
-// NewSource pairs gen with enc. frames is how many frames the caller will
+// NewSource pairs gen with a new Encoder. frames is how many frames the caller will
 // take by Next (a session's frame ticks): no batch is coded past them, and
 // Next past them still works, one inline frame per call. A caller that
 // thins its stream with Skip passes 0, so that every frame is coded inline
-// at its Next: a skipped frame must advance the generator without reaching
-// the encoder, whose ModeQuantized deltas depend on the last frame sent.
-func NewSource(gen *keypoints.Generator, enc *Encoder, frames int) *Source {
-	return &Source{gen: gen, enc: enc, todo: frames, done: make(chan struct{}, 1)}
+// at its Next: which frames it sends is decided tick by tick from feedback,
+// and a batch coded ahead would spend coder time on frames Skip then
+// throws away.
+func NewSource(gen *keypoints.Generator, frames int) *Source {
+	return &Source{gen: gen, enc: NewEncoder(), todo: frames, done: make(chan struct{}, 1)}
 }
 
 // code generates and encodes the next batch into b: batchFrames frames, or

@@ -10,21 +10,18 @@ import (
 	"telepresence/internal/simrand"
 )
 
-func sourceParts(k int) (*keypoints.Generator, *Encoder) {
-	mode := []Mode{ModeFloat32, ModeQuantized}[k%2]
-	enc := NewEncoder(mode)
-	enc.KeyframeInterval = 50 // keyframes and delta frames both inside the run
-	return keypoints.NewGenerator(simrand.New(int64(300+k)), keypoints.DefaultMotionConfig()), enc
+func sourceGen(k int) *keypoints.Generator {
+	return keypoints.NewGenerator(simrand.New(int64(300+k)), 0.5)
 }
 
 // TestSourcesConcurrentMatchSequential drives more sources than there are
 // coders from several goroutines at once, so batches are coded both by the
 // idle pool and inline, and pins every wire frame to Encode(gen.Next())
-// called inline. Sources alternate between the two modes, and every other
-// pair of sources is told half the frames it is asked for, so past that
-// count every frame is coded inline whatever the pool's load. Run it under
-// -race: a coder and its source's caller share the generator, encoder and
-// batch buffers, ordered only by the pool and done channels.
+// called inline. Every other pair of sources is told half the frames it is
+// asked for, so past that count every frame is coded inline whatever the
+// pool's load. Run it under -race: a coder and its source's caller share
+// the generator, encoder and batch buffers, ordered only by the pool and
+// done channels.
 func TestSourcesConcurrentMatchSequential(t *testing.T) {
 	const frames = 3*batchFrames + 17 // a partial last batch
 	drivers := 2*runtime.GOMAXPROCS(0) + 1
@@ -34,7 +31,7 @@ func TestSourcesConcurrentMatchSequential(t *testing.T) {
 
 	want := make([][][sha256.Size]byte, n)
 	for k := range want {
-		gen, enc := sourceParts(k)
+		gen, enc := sourceGen(k), NewEncoder()
 		for i := 0; i < frames; i++ {
 			f := gen.Next()
 			want[k] = append(want[k], sha256.Sum256(enc.Encode(&f)))
@@ -43,8 +40,7 @@ func TestSourcesConcurrentMatchSequential(t *testing.T) {
 
 	srcs := make([]*Source, n)
 	for k := range srcs {
-		gen, enc := sourceParts(k)
-		srcs[k] = NewSource(gen, enc, told(k))
+		srcs[k] = NewSource(sourceGen(k), told(k))
 	}
 	got := make([][][sha256.Size]byte, n)
 	pooled := make([]int, drivers)
@@ -110,23 +106,21 @@ func TestSourcesConcurrentMatchSequential(t *testing.T) {
 // generator, so its frames are Encode(gen.Next()) of the frames it did not
 // skip. Skip on a source holding coded frames panics.
 func TestSourceSkipCodesInline(t *testing.T) {
-	for _, mode := range []Mode{ModeFloat32, ModeQuantized} {
-		gen := keypoints.NewGenerator(simrand.New(9), keypoints.DefaultMotionConfig())
-		enc := NewEncoder(mode)
-		src := NewSource(keypoints.NewGenerator(simrand.New(9), keypoints.DefaultMotionConfig()), NewEncoder(mode), 0)
-		for i := 0; i < 200; i++ {
-			f := gen.Next()
-			if i%3 == 1 {
-				src.Skip()
-				continue
-			}
-			if sha256.Sum256(src.Next()) != sha256.Sum256(enc.Encode(&f)) {
-				t.Fatalf("%v: frame %d differs from the frame coded inline", mode, i)
-			}
+	gen := keypoints.NewGenerator(simrand.New(9), 0.5)
+	enc := NewEncoder()
+	src := NewSource(keypoints.NewGenerator(simrand.New(9), 0.5), 0)
+	for i := 0; i < 200; i++ {
+		f := gen.Next()
+		if i%3 == 1 {
+			src.Skip()
+			continue
+		}
+		if sha256.Sum256(src.Next()) != sha256.Sum256(enc.Encode(&f)) {
+			t.Fatalf("frame %d differs from the frame coded inline", i)
 		}
 	}
 
-	src := NewSource(keypoints.NewGenerator(simrand.New(9), keypoints.DefaultMotionConfig()), NewEncoder(ModeFloat32), 10)
+	src = NewSource(keypoints.NewGenerator(simrand.New(9), 0.5), 10)
 	src.Next()
 	defer func() {
 		if recover() == nil {
@@ -141,14 +135,11 @@ func TestSourceSkipCodesInline(t *testing.T) {
 // buffers have grown, Next allocates nothing, whichever goroutine codes the
 // batch.
 func TestSourceSteadyStateAllocs(t *testing.T) {
-	for _, mode := range []Mode{ModeFloat32, ModeQuantized} {
-		gen, enc := sourceParts(int(mode))
-		src := NewSource(gen, enc, 1<<20)
-		for i := 0; i < 4*batchFrames; i++ { // both batch buffers grown
-			src.Next()
-		}
-		if a := testing.AllocsPerRun(3*batchFrames, func() { src.Next() }); a != 0 {
-			t.Errorf("%v: Source.Next allocates %.2f times per frame, want 0", mode, a)
-		}
+	src := NewSource(sourceGen(0), 1<<20)
+	for i := 0; i < 4*batchFrames; i++ { // both batch buffers grown
+		src.Next()
+	}
+	if a := testing.AllocsPerRun(3*batchFrames, func() { src.Next() }); a != 0 {
+		t.Errorf("Source.Next allocates %.2f times per frame, want 0", a)
 	}
 }

@@ -201,41 +201,27 @@ func TestRecoveryRejectsSpatial(t *testing.T) {
 	}
 }
 
-// TestFrameTimeoutCoordination pins the satellite contract: the
-// depacketizer horizon honors SessionConfig.FrameTimeout, and under NACK
-// recovery it can never undercut the NACK deadline plus two scan intervals
-// — a NACK'd frame must survive its retry budget.
+// TestFrameTimeoutCoordination pins the derived depacketizer horizon:
+// frameTimeout (200 ms) without NACK recovery, and under NACK never less
+// than the NACK deadline plus two scan intervals — a NACK'd frame must
+// survive its retry budget: max(200, 160 + 2 x 25) = 210 ms.
 func TestFrameTimeoutCoordination(t *testing.T) {
-	mk := func(mut func(*SessionConfig)) *Session {
-		cfg := zoomP2P(1, nil)
-		mut(&cfg)
-		sess, err := NewSession(cfg)
+	for _, c := range []struct {
+		rec  *RecoveryConfig
+		want uint32
+	}{
+		{nil, 18000},
+		{&RecoveryConfig{Strategy: "none"}, 18000},
+		{&RecoveryConfig{Strategy: "fec"}, 18000},
+		{&RecoveryConfig{Strategy: "nack"}, 18900},
+		{&RecoveryConfig{Strategy: "hybrid"}, 18900},
+	} {
+		sess, err := NewSession(zoomP2P(1, c.rec))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sess
-	}
-	if got := mk(func(*SessionConfig) {}).gcTicks; got != 200*90 {
-		t.Errorf("default horizon %d ticks, want %d (DefaultFrameTimeout)", got, 200*90)
-	}
-	if got := mk(func(c *SessionConfig) { c.FrameTimeout = 500 * simtime.Millisecond }).gcTicks; got != 500*90 {
-		t.Errorf("custom horizon %d ticks, want %d", got, 500*90)
-	}
-	// A short frame timeout is stretched to cover the NACK budget:
-	// deadline 160 ms + 2 x 25 ms scans = 210 ms > the configured 100 ms.
-	short := mk(func(c *SessionConfig) {
-		c.FrameTimeout = 100 * simtime.Millisecond
-		c.Recovery = &RecoveryConfig{Strategy: "nack"}
-	})
-	if got := short.gcTicks; got != 210*90 {
-		t.Errorf("nack-coordinated horizon %d ticks, want %d", got, 210*90)
-	}
-	// FEC-only recovery leaves the configured timeout alone.
-	fec := mk(func(c *SessionConfig) {
-		c.FrameTimeout = 100 * simtime.Millisecond
-		c.Recovery = &RecoveryConfig{Strategy: "fec"}
-	})
-	if got := fec.gcTicks; got != 100*90 {
-		t.Errorf("fec horizon %d ticks, want %d", got, 100*90)
+		if got := sess.gcTicks; got != c.want {
+			t.Errorf("recovery %+v: horizon %d ticks, want %d", c.rec, got, c.want)
+		}
 	}
 }

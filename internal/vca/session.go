@@ -20,40 +20,29 @@ import (
 	"telepresence/internal/video"
 )
 
-// SessionConfig describes one telepresence session to simulate.
+// SessionConfig describes one telepresence session to simulate. The first
+// participant initiates the call: server allocation follows them.
 type SessionConfig struct {
 	App          App
 	Participants []Participant
-	// Initiator indexes Participants; server allocation follows it.
-	Initiator int
-	Seed      int64
+	Seed         int64
 	// Duration is the simulated session length (the paper uses >=120 s;
 	// tests use less).
 	Duration simtime.Duration
-	// SpatialFPS is the persona frame rate (90 on Vision Pro).
-	SpatialFPS float64
-	// VideoFPS is the 2D-persona frame rate.
+	// VideoFPS is the 2D-persona frame rate. Spatial personas run at
+	// keypoints.FPS.
 	VideoFPS float64
-	// PathModel converts geography to delays.
-	PathModel geo.PathModel
 	// FreshnessLimit is how stale the newest decoded persona frame may be
 	// before the UI shows "poor connection" (persona unavailable).
 	FreshnessLimit simtime.Duration
-	// LatencyLimit is the end-to-end media age beyond which a delivered
-	// frame no longer counts as live (queueing delay under a bandwidth
-	// cap drives frames past this and the persona goes unavailable).
-	LatencyLimit simtime.Duration
-	// SemanticMode selects the spatial-persona encoding (default:
-	// paper-faithful float32).
-	SemanticMode semantic.Mode
 	// RetainPackets keeps full per-packet capture records (O(packets)
 	// memory). The default streaming mode aggregates throughput and
 	// protocol counts online at the AP tap; enable retention only for
 	// analyses that need packet-level records (UplinkRecords).
 	RetainPackets bool
 	// RateControl, when non-nil, closes the feedback loop: every receiver
-	// periodically sends RTCP-style receiver reports back across the
-	// reverse network path, and every sender runs a
+	// sends RTCP-style receiver reports back across the reverse network
+	// path every reportInterval, and every sender runs a
 	// ratecontrol.Controller that retargets its encoder (2D video) or
 	// thins its frame stream (spatial persona) from that feedback. Nil —
 	// the default — keeps the paper's open-loop behavior: no reports are
@@ -69,12 +58,6 @@ type SessionConfig struct {
 	// Spatial sessions reject active recovery: their QUIC streams already
 	// retransmit, so there is nothing for the RTP-level machinery to do.
 	Recovery *RecoveryConfig
-	// FrameTimeout is how long the receiver's depacketizer holds an
-	// incomplete RTP frame before abandoning it (DefaultFrameTimeout when
-	// zero). Under Recovery with NACK the effective timeout is raised to
-	// cover the NACK deadline plus two scan intervals, so a NACK'd frame
-	// is never garbage-collected before its retry budget expires.
-	FrameTimeout simtime.Duration
 	// Telemetry, when non-nil, attaches the session's observers: a typed
 	// virtual-time event trace, a sampled metrics timeseries and the
 	// virtual-time profiler, any of them optional. It is the session's one
@@ -86,26 +69,41 @@ type SessionConfig struct {
 	Telemetry *TelemetryConfig
 }
 
-// DefaultFrameTimeout is the default depacketizer incomplete-frame timeout:
-// how long a receiver waits for a missing packet before conceding the frame
-// and letting later frames deliver. 200 ms holds a frame across a NACK
-// round trip with retries yet stays under the 250 ms default LatencyLimit,
-// so a frame that completes just before the timeout still counts as live.
-const DefaultFrameTimeout = 200 * simtime.Millisecond
+// Session timing constants.
+const (
+	// latencyLimit is the end-to-end media age beyond which a delivered
+	// frame no longer counts as live (queueing delay under a bandwidth
+	// cap drives frames past this and the persona goes unavailable).
+	latencyLimit = 250 * simtime.Millisecond
+	// frameTimeout is how long a receiver's depacketizer holds an
+	// incomplete RTP frame before conceding it and letting later frames
+	// deliver. 200 ms holds a frame across a NACK round trip with retries
+	// yet stays under latencyLimit, so a frame that completes just before
+	// the timeout still counts as live. Under NACK recovery the horizon
+	// stretches to cover the NACK deadline plus two scans (wireVideo).
+	frameTimeout = 200 * simtime.Millisecond
+	// reportInterval is the receiver-report period.
+	reportInterval = 100 * simtime.Millisecond
+	// recoveryScan is the receiver's NACK/deadline scan period. Each scan
+	// sends at most one burst of NACKs per remote stream.
+	recoveryScan = 25 * simtime.Millisecond
+	// spatialNominalBps is where a spatial sender's controller starts and
+	// what it may never exceed: above the ~1.5 Mbps nominal stream, so an
+	// unimpaired closed-loop session behaves exactly like its open-loop
+	// twin (the thinning ratio clamps at 1).
+	spatialNominalBps = 4e6
+)
 
-// RateControlConfig wires a congestion controller into a session.
+// RateControlConfig wires a congestion controller into a session. Each
+// sender's controller starts at, and never exceeds, the sender's nominal
+// media rate (the encoder target for 2D video, spatialNominalBps for
+// spatial personas), so a closed-loop session never demands more than its
+// open-loop twin; the floor is ratecontrol.DefaultMinBps.
 type RateControlConfig struct {
 	// Controller selects the ratecontrol kind: "gcc" (delay-gradient),
 	// "loss" (loss-based AIMD) or "fixed" (open-loop baseline). Default
 	// "gcc".
 	Controller string
-	// Interval is the receiver-report period (default 100 ms).
-	Interval simtime.Duration
-	// MinBps / MaxBps bound the controller target. MaxBps defaults to the
-	// sender's nominal media rate (the encoder target for 2D video, 4 Mbps
-	// for spatial personas), so a closed-loop session never demands more
-	// than its open-loop twin; MinBps defaults to 150 kbps.
-	MinBps, MaxBps float64
 }
 
 // controllerKind returns the configured kind with the default applied.
@@ -116,49 +114,14 @@ func (rc *RateControlConfig) controllerKind() string {
 	return rc.Controller
 }
 
-// interval returns the report period with the default applied.
-func (rc *RateControlConfig) interval() simtime.Duration {
-	if rc.Interval <= 0 {
-		return 100 * simtime.Millisecond
-	}
-	return rc.Interval
-}
-
-// controllerConfig builds the ratecontrol.Config for a sender whose
-// open-loop media rate is nominalBps.
-func (rc *RateControlConfig) controllerConfig(nominalBps float64) ratecontrol.Config {
-	cfg := ratecontrol.Config{
-		InitialBps: nominalBps,
-		MinBps:     rc.MinBps,
-		MaxBps:     rc.MaxBps,
-	}
-	if cfg.MaxBps <= 0 {
-		cfg.MaxBps = nominalBps
-	}
-	return cfg
-}
-
 // RecoveryConfig wires a loss-recovery strategy into a session's RTP media
-// path. Zero-valued fields select the internal/recovery defaults.
+// path, with internal/recovery's default tuning.
 type RecoveryConfig struct {
 	// Strategy selects the recovery kind: "nack" (receiver-driven
 	// NACK/RTX), "fec" (XOR parity groups), "hybrid" (FEC with NACK
 	// fallback and loss-adaptive redundancy) or "none" (wired but inert —
 	// the experiments' baseline). Default "hybrid".
 	Strategy string
-	// Interval is the receiver's NACK/deadline scan period (default
-	// 25 ms). Each tick sends at most one burst of NACKs per remote
-	// stream.
-	Interval simtime.Duration
-	// NackRetries / NackDeadline bound the per-seq retry budget; zero
-	// selects the recovery defaults (3 retries, 160 ms).
-	NackRetries  int
-	NackDeadline simtime.Duration
-	// FECGroupLen is the XOR parity group size for "fec", and the start
-	// size for "hybrid" (default 6). MinGroupLen/MaxGroupLen bound
-	// hybrid's loss-adaptive group length (defaults 6 and 12).
-	FECGroupLen              int
-	MinGroupLen, MaxGroupLen int
 }
 
 // strategy returns the configured kind with the default applied.
@@ -169,37 +132,13 @@ func (rc *RecoveryConfig) strategy() string {
 	return rc.Strategy
 }
 
-// interval returns the scan period with the default applied.
-func (rc *RecoveryConfig) interval() simtime.Duration {
-	if rc.Interval <= 0 {
-		return 25 * simtime.Millisecond
-	}
-	return rc.Interval
-}
-
-// engineConfig maps the session knobs onto internal/recovery's config.
-func (rc *RecoveryConfig) engineConfig() recovery.Config {
-	cfg := recovery.Config{
-		NackRetries: rc.NackRetries,
-		GroupLen:    rc.FECGroupLen,
-		MinGroupLen: rc.MinGroupLen,
-		MaxGroupLen: rc.MaxGroupLen,
-	}
-	if rc.NackDeadline > 0 {
-		cfg.NackDeadlineMs = float64(rc.NackDeadline) / float64(simtime.Millisecond)
-	}
-	return cfg
-}
-
 // DefaultSessionConfig returns a ready-to-run two-user configuration.
 func DefaultSessionConfig(app App, parts []Participant) SessionConfig {
 	return SessionConfig{
 		App:            app,
 		Participants:   parts,
 		Duration:       10 * simtime.Second,
-		SpatialFPS:     90,
 		VideoFPS:       30,
-		PathModel:      geo.DefaultPathModel(),
 		FreshnessLimit: 500 * simtime.Millisecond,
 	}
 }
@@ -311,7 +250,6 @@ type sender struct {
 	// closed loop draws nothing — no events, no rng, no frames — when
 	// disabled).
 	ctrl    ratecontrol.Controller
-	minBps  float64 // floor of the target once recovery overhead is charged
 	ctrlSum float64 // sum of applied targets
 	ctrlN   int     // feedback count
 	thinAcc float64 // spatial: frame-budget accumulator
@@ -383,27 +321,18 @@ func relayFn(a any) {
 
 // NewSession plans and wires a session.
 func NewSession(cfg SessionConfig) (*Session, error) {
-	plan, err := PlanSession(cfg.App, cfg.Participants, cfg.Initiator)
+	plan, err := PlanSession(cfg.App, cfg.Participants, 0)
 	if err != nil {
 		return nil, err
 	}
 	if cfg.Duration <= 0 {
 		return nil, fmt.Errorf("vca: non-positive duration")
 	}
-	if cfg.SpatialFPS <= 0 {
-		cfg.SpatialFPS = 90
-	}
 	if cfg.VideoFPS <= 0 {
 		cfg.VideoFPS = 30
 	}
 	if cfg.FreshnessLimit <= 0 {
 		cfg.FreshnessLimit = 500 * simtime.Millisecond
-	}
-	if cfg.LatencyLimit <= 0 {
-		cfg.LatencyLimit = 250 * simtime.Millisecond
-	}
-	if cfg.FrameTimeout <= 0 {
-		cfg.FrameTimeout = DefaultFrameTimeout
 	}
 	var recPlan recovery.Plan
 	if cfg.Recovery != nil {
@@ -442,6 +371,7 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	s.relaySite = s.sched.Site("vca/sfu.relay")
 
 	spec := SpecFor(cfg.App)
+	paths := geo.DefaultPathModel()
 	// mkCap builds the per-user AP capture: streaming aggregation with the
 	// protocol classifier at the tap; full records only on request.
 	mkCap := func(i int, links ...*netem.Link) {
@@ -452,7 +382,7 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 		s.caps[i] = c
 	}
 	mkPipe := func(i int, a, b geo.Location, extraMs float64) {
-		oneWay := cfg.PathModel.BaseRTTMs(a, b)/2 + extraMs
+		oneWay := paths.BaseRTTMs(a, b)/2 + extraMs
 		p := netem.NewPipe(s.sched, s.rng.Split(fmt.Sprintf("pipe%d", i)), netem.Config{
 			Name:     fmt.Sprintf("ap-%s", cfg.Participants[i].ID),
 			DelayMs:  oneWay,
@@ -464,7 +394,7 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	if plan.P2P {
 		// One pipe between the two users; each user's "uplink" is their
 		// sending direction.
-		oneWay := cfg.PathModel.BaseRTTMs(cfg.Participants[0].Loc, cfg.Participants[1].Loc) / 2
+		oneWay := paths.BaseRTTMs(cfg.Participants[0].Loc, cfg.Participants[1].Loc) / 2
 		p := netem.NewPipe(s.sched, s.rng.Split("p2p"), netem.Config{
 			Name: "p2p", DelayMs: oneWay, JitterMs: 0.3,
 		})
@@ -479,25 +409,18 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	}
 
 	if rc := cfg.RateControl; rc != nil {
-		// Controllers start from the sender's open-loop media rate: the
-		// encoder target for 2D video, and 4 Mbps for spatial senders —
-		// above the ~1.5 Mbps nominal stream, so an unimpaired closed-loop
-		// session behaves exactly like its open-loop twin (thinning ratio
-		// clamps at 1).
+		// Controllers start from, and are capped at, the sender's
+		// open-loop media rate.
 		nominal := spec.VideoTargetBps
 		if plan.Media == MediaSpatialPersona {
-			nominal = 4e6
-		}
-		minBps := rc.MinBps
-		if minBps <= 0 {
-			minBps = ratecontrol.DefaultMinBps
+			nominal = spatialNominalBps
 		}
 		for i := range s.senders {
-			c, err := ratecontrol.New(rc.controllerKind(), rc.controllerConfig(nominal))
+			c, err := ratecontrol.New(rc.controllerKind(), ratecontrol.Config{InitialBps: nominal, MaxBps: nominal})
 			if err != nil {
 				return nil, err
 			}
-			s.senders[i].ctrl, s.senders[i].minBps = c, minBps
+			s.senders[i].ctrl = c
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -602,20 +525,15 @@ func (s *Session) RecoveryOverheadRatio(i int) float64 {
 	return 0
 }
 
-// startReports starts each receiver's report ticker: every report interval
-// (the rate-control setting when present, its default otherwise), receiver
-// j reports every remote stream that has delivered anything, and send
+// startReports starts each receiver's report ticker: every reportInterval,
+// receiver j reports every remote stream that has delivered anything, and send
 // carries the report back over j's own uplink. The server (or the P2P
 // pipe) relays it to the stream's sender like any other frame.
 func (s *Session) startReports(send func(j int, rep *rtp.ReceiverReport)) {
-	interval := 100 * simtime.Millisecond
-	if rc := s.cfg.RateControl; rc != nil {
-		interval = rc.interval()
-	}
 	n := len(s.receivers)
 	for j := 0; j < n; j++ {
 		j := j
-		simtime.NewTicker(s.sched, interval, s.sched.Site("vca/ratecontrol.report"), func(now simtime.Time) {
+		simtime.NewTicker(s.sched, reportInterval, s.sched.Site("vca/ratecontrol.report"), func(now simtime.Time) {
 			for i := 0; i < n; i++ {
 				b := s.stream(i, j).rep
 				if b == nil || b.Received() == 0 {
@@ -651,7 +569,7 @@ func (s *Session) onFeedback(i int, rep *rtp.ReceiverReport, now simtime.Time) {
 	target := c.TargetBps()
 	raw := target
 	if snd.rec != nil {
-		target = ratecontrol.ApplyOverhead(target, snd.rec.BudgetOverheadRatio(), snd.minBps)
+		target = ratecontrol.ApplyOverhead(target, snd.rec.BudgetOverheadRatio(), ratecontrol.DefaultMinBps)
 	}
 	if s.tr != nil {
 		reason := ratecontrol.ReasonHold
@@ -810,7 +728,7 @@ func (s *Session) wireSpatial() {
 		}
 	}
 
-	// Senders: keypoint generators at SpatialFPS plus 24 kbps audio. The
+	// Senders: keypoint generators at keypoints.FPS plus 24 kbps audio. The
 	// stamp and audio buffers are per-sender scratch: SendMessage copies
 	// into pooled connection buffers, so reuse here is safe, and the
 	// source codes into its own reused buffers: the steady state
@@ -820,28 +738,25 @@ func (s *Session) wireSpatial() {
 	// all-or-nothing (§4.3 — they cannot shed bits per frame), so the only
 	// rate the controller can shed is frame rate. A deterministic budget
 	// accumulator keeps every k-th frame so the sent rate tracks the
-	// controller target, floored at 1/9 of nominal (a 10 fps persona at
-	// the default 90) so the stream never starves feedback entirely.
+	// controller target, floored at 1/9 of nominal (a 10 fps persona) so
+	// the stream never starves feedback entirely.
 	//
 	// A sender that does not thin takes every frame, so its source codes
 	// ahead, in batches, on an idle core. A thinning sender's source codes
-	// each frame inline at its tick: a thinned frame advances the motion
-	// without reaching the encoder, whose ModeQuantized deltas depend on
-	// the last frame sent.
-	interval := simtime.Duration(float64(simtime.Second) / s.cfg.SpatialFPS)
+	// each frame inline at its tick: whether a frame is sent is decided
+	// at that tick from the latest feedback, and a thinned frame advances
+	// the motion without being coded.
+	interval := simtime.Second / simtime.Duration(keypoints.FPS)
 	s.frameTicks = int(s.cfg.Duration / interval)
 	for i := 0; i < n; i++ {
 		i, snd := i, &s.senders[i]
 		snd.thinAcc = 1 // always send the first frame
-		gen := keypoints.NewGenerator(s.rng.Split(fmt.Sprintf("kp%d", i)), keypoints.MotionConfig{
-			FPS: s.cfg.SpatialFPS, Expressiveness: 1, SpeakingFraction: 1 / float64(n),
-			SensorNoise: 0.0004,
-		})
+		gen := keypoints.NewGenerator(s.rng.Split(fmt.Sprintf("kp%d", i)), 1/float64(n))
 		ahead := s.frameTicks
 		if snd.ctrl != nil {
 			ahead = 0
 		}
-		snd.kp = semantic.NewSource(gen, semantic.NewEncoder(s.cfg.SemanticMode), ahead)
+		snd.kp = semantic.NewSource(gen, ahead)
 		var stamped []byte
 		simtime.NewTicker(s.sched, interval, s.sched.Site("vca/quic.frame"), func(now simtime.Time) {
 			if snd.ctrl != nil {
@@ -877,7 +792,7 @@ func (s *Session) wireSpatial() {
 			if snd.ctrl != nil {
 				// Nominal = full-frame-rate wire cost of the stream, the
 				// denominator of the thinning ratio.
-				snd.nominal = float64(len(stamped)*8) * s.cfg.SpatialFPS
+				snd.nominal = float64(len(stamped)*8) * keypoints.FPS
 			}
 			if s.tr != nil {
 				s.tr.FrameSent(now, i, len(stamped))
@@ -961,9 +876,9 @@ func (s *Session) frameDone(st *stream, sent, now simtime.Time, err error) {
 	r.latSum += float64(lat) / float64(simtime.Millisecond)
 	r.latN++
 	if s.tr != nil {
-		s.tr.FrameDecoded(now, st.from, st.to, float64(lat)/float64(simtime.Millisecond), lat <= s.cfg.LatencyLimit)
+		s.tr.FrameDecoded(now, st.from, st.to, float64(lat)/float64(simtime.Millisecond), lat <= latencyLimit)
 	}
-	if lat > s.cfg.LatencyLimit {
+	if lat > latencyLimit {
 		// Decoded but too old to animate a live persona (queueing under a
 		// cap drives frames past this): does not refresh availability.
 		return
@@ -1114,7 +1029,7 @@ func (s *Session) wireVideo() error {
 		}
 		snd.packer = rtp.NewPacketizer(pt, rtp.VideoSSRC(i))
 		if s.recPlan.Active() {
-			if snd.rec, err = recovery.NewSender(rcv.strategy(), rcv.engineConfig()); err != nil {
+			if snd.rec, err = recovery.NewSender(rcv.strategy(), recovery.Config{}); err != nil {
 				return err
 			}
 		}
@@ -1125,7 +1040,7 @@ func (s *Session) wireVideo() error {
 			st := s.stream(i, j)
 			st.depack = rtp.NewDepacketizer()
 			if s.recPlan.Active() {
-				if st.rec, err = recovery.NewReceiver(rcv.strategy(), rcv.engineConfig()); err != nil {
+				if st.rec, err = recovery.NewReceiver(rcv.strategy(), recovery.Config{}); err != nil {
 					return err
 				}
 			}
@@ -1133,20 +1048,17 @@ func (s *Session) wireVideo() error {
 	}
 	// Jitter-buffer timeout horizon: an incomplete frame stalls the
 	// in-order anchor (decoders wait for a packet that may never come);
-	// after FrameTimeout it is abandoned and later frames deliver. Under
+	// after frameTimeout it is abandoned and later frames deliver. Under
 	// NACK recovery the horizon stretches to cover the NACK deadline plus
 	// two scan intervals, so a frame is never garbage-collected while its
 	// retransmission budget is still live. Loss-free sessions never have a
 	// frame pending that long, so the GC is a no-op for them.
-	timeoutMs := float64(s.cfg.FrameTimeout) / float64(simtime.Millisecond)
+	timeoutMs := float64(frameTimeout / simtime.Millisecond)
 	if s.recPlan.Nack {
-		e := rcv.engineConfig().WithDefaults()
-		minMs := e.NackDeadlineMs + 2*float64(rcv.interval())/float64(simtime.Millisecond)
-		if timeoutMs < minMs {
-			timeoutMs = minMs
-		}
+		nackMs := recovery.Config{}.WithDefaults().NackDeadlineMs + float64(2*recoveryScan/simtime.Millisecond)
+		timeoutMs = max(timeoutMs, nackMs)
 	}
-	s.gcTicks = uint32(timeoutMs * 90) // FrameTimeout at the 90 kHz RTP clock
+	s.gcTicks = uint32(timeoutMs * 90) // the horizon at the 90 kHz RTP clock
 
 	// Receiver reports, NACKs and parity ride the same links as media and
 	// are demuxed off before RTP parsing.
@@ -1208,7 +1120,7 @@ func (s *Session) wireVideo() error {
 	if s.recPlan.Active() {
 		for j := 0; j < n; j++ {
 			j := j
-			simtime.NewTicker(s.sched, rcv.interval(), s.sched.Site("vca/recovery.scan"), func(now simtime.Time) {
+			simtime.NewTicker(s.sched, recoveryScan, s.sched.Site("vca/recovery.scan"), func(now simtime.Time) {
 				nowMs := now.Milliseconds()
 				for i := 0; i < n; i++ {
 					rr := s.stream(i, j).rec

@@ -23,13 +23,11 @@ type TelemetryConfig struct {
 	// Trace receives the session's typed event stream as JSONL (see
 	// internal/telemetry's schema). Nil disables event tracing.
 	Trace *telemetry.Tracer
-	// Metrics, when non-nil, is sampled every MetricsInterval of virtual
+	// Metrics, when non-nil, is sampled every metricsInterval of virtual
 	// time: per-sender rate target vs achieved uplink rate, queue depth,
 	// recovery loss EWMA, cumulative repairs, and frames outstanding in the
 	// reassembler.
 	Metrics *telemetry.Metrics
-	// MetricsInterval is the virtual-time sampling period (default 100 ms).
-	MetricsInterval simtime.Duration
 	// Prof, when non-nil, is attached to the session's scheduler before
 	// any subsystem schedules its first event, so it sees every event.
 	// Nil leaves the scheduler's probe hook unset. Its wall-clock CPU
@@ -37,13 +35,8 @@ type TelemetryConfig struct {
 	Prof *vprof.Profiler
 }
 
-// metricsInterval returns the sampling period with the default applied.
-func (tc *TelemetryConfig) metricsInterval() simtime.Duration {
-	if tc.MetricsInterval <= 0 {
-		return 100 * simtime.Millisecond
-	}
-	return tc.MetricsInterval
-}
+// metricsInterval is the virtual-time metrics sampling period.
+const metricsInterval = 100 * simtime.Millisecond
 
 // setupTelemetry wires the configured tracer into every link and registers
 // the metrics gauges plus their sampling ticker. Called once from
@@ -108,7 +101,7 @@ func (s *Session) setupTelemetry() {
 			return float64(total)
 		})
 	}
-	simtime.NewTicker(s.sched, tc.metricsInterval(), s.sched.Site("vca/telemetry.metrics"), func(now simtime.Time) {
+	simtime.NewTicker(s.sched, metricsInterval, s.sched.Site("vca/telemetry.metrics"), func(now simtime.Time) {
 		dt := now.Sub(lastT).Seconds()
 		for i := 0; i < n; i++ {
 			b := s.up[i].Stats().DeliveredB

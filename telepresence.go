@@ -90,13 +90,16 @@ const MaxSpatialUsers = vca.MaxSpatialUsers
 type (
 	// Session is a fully wired simulated call.
 	Session = vca.Session
-	// SessionConfig parameterizes a session.
+	// SessionConfig parameterizes a session: app, participants (the
+	// first initiates), seed, duration, 2D frame rate, freshness window,
+	// packet retention and the optional rate-control, recovery and
+	// telemetry attachments. Spatial personas run at 90 FPS.
 	SessionConfig = vca.SessionConfig
 	// SessionResults is a session's measurement outcome.
 	SessionResults = vca.Results
 	// RateControlConfig closes the congestion-control feedback loop on a
-	// session (SessionConfig.RateControl); nil keeps the paper's
-	// open-loop behavior.
+	// session (SessionConfig.RateControl); its one setting is the
+	// controller kind. Nil keeps the paper's open-loop behavior.
 	RateControlConfig = vca.RateControlConfig
 )
 
@@ -106,7 +109,7 @@ var RateControllerKinds = ratecontrol.Kinds
 
 // RecoveryConfig wires a loss-recovery strategy (NACK/RTX, XOR-parity FEC
 // or adaptive hybrid redundancy) into a session's RTP media path
-// (SessionConfig.Recovery).
+// (SessionConfig.Recovery); the strategy is its one setting.
 type RecoveryConfig = vca.RecoveryConfig
 
 // Telemetry (internal/telemetry): virtual-time session tracing, metrics
@@ -114,8 +117,8 @@ type RecoveryConfig = vca.RecoveryConfig
 // (SessionConfig.Telemetry). Nil is provably inert; enabled observers
 // never steer, so rows stay byte-identical.
 type (
-	// TelemetryConfig attaches a tracer, a metrics registry and/or a
-	// profiler to a session.
+	// TelemetryConfig attaches a tracer, a metrics registry (sampled
+	// every 100 ms of virtual time) and/or a profiler to a session.
 	TelemetryConfig = vca.TelemetryConfig
 	// Tracer serializes typed session events as deterministic JSONL.
 	Tracer = telemetry.Tracer
